@@ -12,7 +12,7 @@ import time
 
 from godeaux2.alpha import AlphaCase, build_ansatz, make_table
 from godeaux2.elim import EliminationError, driver, survivors
-from godeaux2.pipeline import GB_NAMES, R_NAMES
+from godeaux2.pipeline import GB_NAMES
 from godeaux2.rc import build_l_ansatz, extract_system, rc_residuals
 
 
@@ -29,7 +29,7 @@ def survey(max_rounds: int) -> None:
             head = f"alpha_{j} c={c}: |f|={len(system.f)} params={system.param_count}"
             try:
                 state = driver(
-                    system.f, list(R_NAMES), list(GB_NAMES), max_rounds, invertible
+                    system.f, list(l0.r_names), list(GB_NAMES), max_rounds, invertible
                 )
             except EliminationError as err:
                 left = sorted(err.state.f, key=lambda p: p.num_terms())

@@ -9,7 +9,7 @@ construction rests on.
 
 from .alpha import AlphaCase, SymPolyMatrix, build_ansatz, make_table
 from .pipeline import PipelineResult, run_pipeline, write_artifacts
-from .verify import CheckReport, all_checks, run_checks
+from .verify import CheckReport, all_checks
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,5 @@ __all__ = [
     "write_artifacts",
     "CheckReport",
     "all_checks",
-    "run_checks",
     "__version__",
 ]

@@ -21,11 +21,13 @@ from typing import Optional, Sequence
 from .ring import (
     ALGEBRAIC,
     GEOMETRIC,
+    MULTIPLIER,
     PARAMETER,
     Polynomial,
     RewriteRule,
     RingError,
     VariableTable,
+    generic_poly,
     lex_descending,
     monomial_basis,
 )
@@ -33,7 +35,8 @@ from .ring import (
 ROW_WEIGHTS = (4, 1, 1, 1, 1, 0)
 ROW_SIGNS = (1, -1, -1, 1, 1, -1)
 
-DEFAULT_R_COUNT = 380
+# r-slots in the pipeline table: the 371 multipliers of the ansatz plus spares
+MULTIPLIER_SLOTS = 380
 
 
 class PatternError(RingError):
@@ -75,12 +78,13 @@ class AlphaCase:
         return f"alpha_{self.j}_c_{self.c}"
 
 
-def make_table(j: int, r_count: int = DEFAULT_R_COUNT) -> VariableTable:
+def make_table(j: int) -> VariableTable:
     """Pipeline variable table for case j.
 
-    Geometric: x, y1, y2, y3|y4, z1..z4, t.  Parameters: d, g1..g10, b1..b12,
-    r1..rN.  Trailing algebraic symbols i (i^2 = -1), r (r^2 = -15) and s make
-    quadratic-extension specializations plain substitutions on the same table.
+    Geometric: x, y1, y2, y3|y4, z1..z4, t.  Parameters: d, g1..g10, b1..b12.
+    Multipliers: r1..r380.  Trailing algebraic symbols i (i^2 = -1),
+    r (r^2 = -15) and s make quadratic-extension specializations plain
+    substitutions on the same table.
     """
     w = "y3" if j == 1 else "y4"
     entries = [
@@ -97,7 +101,7 @@ def make_table(j: int, r_count: int = DEFAULT_R_COUNT) -> VariableTable:
     ]
     entries += [(f"g{k}", 0, 1, PARAMETER) for k in range(1, 11)]
     entries += [(f"b{k}", 0, 1, PARAMETER) for k in range(1, 13)]
-    entries += [(f"r{k}", 0, 1, PARAMETER) for k in range(1, r_count + 1)]
+    entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_SLOTS + 1)]
     entries += [("i", 0, 1, ALGEBRAIC), ("r", 0, 1, ALGEBRAIC), ("s", 0, 1, ALGEBRAIC)]
     rules = [
         RewriteRule("i", 2, {(): -1}),
@@ -165,59 +169,9 @@ class SymPolyMatrix:
 
     # -- determinants --------------------------------------------------------
 
-    def _minor_det(self, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
-        key = (rows, cols)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        n = len(rows)
-        table = self.table
-        if n == 0:
-            return table.one()
-        if n == 1:
-            return self.rows[rows[0]][cols[0]]
-        # expand along the line (row or column) with the most zero entries
-        best_zeros, best_is_row, best_k = -1, True, 0
-        for k, r in enumerate(rows):
-            z = sum(1 for c in cols if self.rows[r][c].is_zero())
-            if z > best_zeros:
-                best_zeros, best_is_row, best_k = z, True, k
-        for k, c in enumerate(cols):
-            z = sum(1 for r in rows if self.rows[r][c].is_zero())
-            if z > best_zeros:
-                best_zeros, best_is_row, best_k = z, False, k
-        acc = table.zero()
-        if best_is_row:
-            r = rows[best_k]
-            sub_rows = rows[:best_k] + rows[best_k + 1 :]
-            for k, c in enumerate(cols):
-                e = self.rows[r][c]
-                if e.is_zero():
-                    continue
-                minor = self._minor_det(sub_rows, cols[:k] + cols[k + 1 :], memo)
-                term = e * minor
-                acc = acc + (term if (best_k + k) % 2 == 0 else -term)
-        else:
-            c = cols[best_k]
-            sub_cols = cols[:best_k] + cols[best_k + 1 :]
-            for k, r in enumerate(rows):
-                e = self.rows[r][c]
-                if e.is_zero():
-                    continue
-                minor = self._minor_det(rows[:k] + rows[k + 1 :], sub_cols, memo)
-                term = e * minor
-                acc = acc + (term if (k + best_k) % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
     def cofactor(self, i: int, j: int, memo: Optional[dict] = None) -> Polynomial:
         """Signed cofactor beta_ij = (-1)^(i+j) det(minor), 1-based."""
-        if not (1 <= i <= 6 and 1 <= j <= 6):
-            raise PatternError("cofactor indices must lie in 1..6")
-        rows = tuple(k for k in range(6) if k != i - 1)
-        cols = tuple(k for k in range(6) if k != j - 1)
-        d = self._minor_det(rows, cols, {} if memo is None else memo)
-        return d if (i + j) % 2 == 0 else -d
+        return cofactor_any(self.rows, i, j, memo)
 
     def cofactors(self, pairs) -> dict:
         """Cofactors for many (i, j) pairs sharing one minor cache."""
@@ -225,7 +179,8 @@ class SymPolyMatrix:
         return {(i, j): self.cofactor(i, j, memo) for (i, j) in pairs}
 
     def determinant(self) -> Polynomial:
-        return self._minor_det(tuple(range(6)), tuple(range(6)), {})
+        full = tuple(range(6))
+        return _minor_det(self.rows, full, full, {})
 
     def restrict_x0(self) -> "SymPolyMatrix":
         """Substitute x -> 0 in every entry."""
@@ -266,38 +221,83 @@ class SymPolyMatrix:
         ) + "\n)"
 
 
-def det_any(rows) -> Polynomial:
-    """Determinant of a square matrix of polynomials (cofactor expansion)."""
+def _minor_det(grid, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
+    """Determinant of the submatrix of a square polynomial grid on the given
+    0-based rows and columns, expanded along its sparsest line.  Minors are
+    cached in `memo`, which must only be shared between calls on one grid."""
+    key = (rows, cols)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     n = len(rows)
-    table = None
-    for row in rows:
-        for e in row:
-            if isinstance(e, Polynomial):
-                table = e.table
-                break
-        if table:
-            break
-    if table is None:
-        raise PatternError("matrix has no polynomial entries")
-    grid = [
-        [e if isinstance(e, Polynomial) else table.const(e) for e in row]
-        for row in rows
-    ]
-
-    def rec(rws, cls):
-        if len(rws) == 1:
-            return grid[rws[0]][cls[0]]
-        acc = table.zero()
-        r = rws[0]
-        for k, c in enumerate(cls):
+    if n == 0:
+        return grid[0][0].table.one()
+    if n == 1:
+        return grid[rows[0]][cols[0]]
+    # expand along the line (row or column) with the most zero entries
+    best_zeros, best_is_row, best_k = -1, True, 0
+    for k, r in enumerate(rows):
+        z = sum(1 for c in cols if grid[r][c].is_zero())
+        if z > best_zeros:
+            best_zeros, best_is_row, best_k = z, True, k
+    for k, c in enumerate(cols):
+        z = sum(1 for r in rows if grid[r][c].is_zero())
+        if z > best_zeros:
+            best_zeros, best_is_row, best_k = z, False, k
+    acc = grid[0][0].table.zero()
+    if best_is_row:
+        r = rows[best_k]
+        sub_rows = rows[:best_k] + rows[best_k + 1 :]
+        for k, c in enumerate(cols):
             e = grid[r][c]
             if e.is_zero():
                 continue
-            term = e * rec(rws[1:], cls[:k] + cls[k + 1 :])
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
+            term = e * _minor_det(grid, sub_rows, cols[:k] + cols[k + 1 :], memo)
+            acc = acc + (term if (best_k + k) % 2 == 0 else -term)
+    else:
+        c = cols[best_k]
+        sub_cols = cols[:best_k] + cols[best_k + 1 :]
+        for k, r in enumerate(rows):
+            e = grid[r][c]
+            if e.is_zero():
+                continue
+            term = e * _minor_det(grid, rows[:k] + rows[k + 1 :], sub_cols, memo)
+            acc = acc + (term if (k + best_k) % 2 == 0 else -term)
+    memo[key] = acc
+    return acc
 
-    return rec(tuple(range(n)), tuple(range(n)))
+
+def _as_grid(rows) -> list:
+    """A square matrix with scalar entries lifted to the table of its
+    polynomial entries."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise PatternError("matrix must be square and nonempty")
+    table = next((e.table for row in rows for e in row if isinstance(e, Polynomial)), None)
+    if table is None:
+        raise PatternError("matrix has no polynomial entries")
+    return [[e if isinstance(e, Polynomial) else table.const(e) for e in row] for row in rows]
+
+
+def det_any(rows) -> Polynomial:
+    """Determinant of a square matrix of polynomials and scalars."""
+    grid = _as_grid(rows)
+    full = tuple(range(len(grid)))
+    return _minor_det(grid, full, full, {})
+
+
+def cofactor_any(rows, i: int, j: int, memo: Optional[dict] = None) -> Polynomial:
+    """Signed cofactor (-1)^(i+j) det(minor_ij), 1-based, of a square matrix
+    of polynomials and scalars.  A memo may be shared between calls on one
+    matrix."""
+    grid = _as_grid(rows)
+    n = len(grid)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise PatternError(f"cofactor indices must lie in 1..{n}")
+    sub_rows = tuple(k for k in range(n) if k != i - 1)
+    sub_cols = tuple(k for k in range(n) if k != j - 1)
+    d = _minor_det(grid, sub_rows, sub_cols, {} if memo is None else memo)
+    return d if (i + j) % 2 == 0 else -d
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +352,14 @@ def build_ansatz(case: AlphaCase, table: Optional[VariableTable] = None):
         table = make_table(case.j)
     slots = ansatz_slots(case, table)
     g_names = [f"g{k}" for k in range(1, 11)]
-    G = table.zero()
-    for name, m in zip(g_names, slots["G"]):
-        G = G + table.var(name) * Polynomial(table, {m: 1})
+    b_names = [f"b{k}" for k in range(1, 13)]
+    G = generic_poly(table, g_names, slots["G"])
     qs = []
-    b_names = []
-    b_index = 1
+    used = 0
     for k in (1, 2, 3, 4):
-        q = table.zero()
-        for m in slots[f"q{k}"]:
-            name = f"b{b_index}"
-            b_names.append(name)
-            b_index += 1
-            q = q + table.var(name) * Polynomial(table, {m: 1})
-        qs.append(q)
+        monos = slots[f"q{k}"]
+        qs.append(generic_poly(table, b_names[used : used + len(monos)], monos))
+        used += len(monos)
     x = table.var("x")
     y1 = table.var("y1")
     y2 = table.var("y2")

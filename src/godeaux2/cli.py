@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, choices=(0, 1), default=1)
     p.add_argument("--out", type=Path, default=Path("out"))
     p.add_argument("--max-rounds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--emit",
         default=",".join(EMIT_CHOICES),
@@ -179,7 +178,6 @@ def main(argv=None) -> int:
             c=args.c,
             out_dir=args.out,
             max_rounds=args.max_rounds,
-            seed=args.seed,
             emit=emit,
         )
         return cmd_pipeline(cfg)

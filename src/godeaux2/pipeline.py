@@ -27,7 +27,6 @@ from .rc import RCSystem, build_l_ansatz, extract_system, rc_residuals
 from .ring import Polynomial
 from .surface import SurfaceEquations, collect_Gm, generate_equations, remove_r
 
-R_NAMES = tuple(f"r{k}" for k in range(1, 372))
 GB_NAMES = tuple([f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)])
 
 
@@ -73,7 +72,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     residuals = rc_residuals(alpha0, l0)
     system = extract_system(residuals, case)
     invertible = ("d",) if j == 2 else ()
-    state = driver(system.f, list(R_NAMES), list(GB_NAMES), max_rounds, invertible)
+    state = driver(system.f, list(l0.r_names), list(GB_NAMES), max_rounds, invertible)
     resolved = resolve_dependencies(state.deps)
     alpha_final = back_substitute(alpha0, state.deps, resolved)
     alpha_final.check_pattern()
@@ -83,8 +82,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
         {
             n
             for p in list(l_final.values()) + [alpha_final[i, j2] for i in range(1, 7) for j2 in range(i, 7)]
-            for n in p.variables()
-            if n.startswith("r") and n != "r"
+            for n in p.multipliers()
         },
         key=lambda n: table.index[n],
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, entry_sign
-from .ring import Polynomial, RingError, lex_descending, monomial_basis
+from .ring import MULTIPLIER, Polynomial, RingError, generic_poly, lex_descending, monomial_basis
 
 PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
 
@@ -78,10 +78,10 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
     table = alpha.table
     betas = compute_cofactors(alpha)
     geo = list(case.geo4)
+    pool = table.of_kind(MULTIPLIER)
     polys = {}
     r_names = []
     slot_of = {}
-    counter = 0
     for (i, j) in PAIRS:
         for k in range(1, 7):
             deg = multiplier_degree(i, j, k)
@@ -90,21 +90,18 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
                 continue
             sign = multiplier_sign(i, j, k)
             monos = lex_descending(table, monomial_basis(table, deg, sign, geo))
-            p = table.zero()
-            for m in monos:
-                counter += 1
-                name = f"r{counter}"
-                if name not in table.index:
-                    raise RCError("variable table has too few r-parameters")
-                r_names.append(name)
+            names = pool[len(r_names) : len(r_names) + len(monos)]
+            if len(names) < len(monos):
+                raise RCError("variable table has too few multiplier parameters")
+            for name, m in zip(names, monos):
                 slot_of[name] = (i, j, k, m)
-                p = p + table.var(name) * Polynomial(table, {m: 1})
-            polys[(i, j, k)] = p
-    if counter != EXPECTED_R_COUNT:
+            r_names += names
+            polys[(i, j, k)] = generic_poly(table, names, monos)
+    if len(r_names) != EXPECTED_R_COUNT:
         raise RCError(
-            f"multiplier ansatz has {counter} parameters, expected {EXPECTED_R_COUNT}"
+            f"multiplier ansatz has {len(r_names)} parameters, expected {EXPECTED_R_COUNT}"
         )
-    return LAnsatz(polys, counter, r_names, slot_of, betas)
+    return LAnsatz(polys, len(r_names), r_names, slot_of, betas)
 
 
 def rc_residuals(alpha: SymPolyMatrix, l: LAnsatz) -> list:

@@ -30,6 +30,7 @@ Scalar = (int, Fraction)
 
 GEOMETRIC = "geometric"
 PARAMETER = "parameter"
+MULTIPLIER = "multiplier"  # a parameter of the rank-condition multiplier ansatz
 ALGEBRAIC = "algebraic"
 
 UNIT_MONO: Mono = ()
@@ -241,9 +242,9 @@ class VariableTable:
                 raise RingError(f"negative weight for {name}")
             if sign not in (1, -1):
                 raise RingError(f"sign of {name} must be +1 or -1")
-            if kind not in (GEOMETRIC, PARAMETER, ALGEBRAIC):
+            if kind not in (GEOMETRIC, PARAMETER, MULTIPLIER, ALGEBRAIC):
                 raise RingError(f"unknown kind {kind!r} for {name}")
-            if kind in (PARAMETER, ALGEBRAIC) and (weight != 0 or sign != 1):
+            if kind != GEOMETRIC and (weight != 0 or sign != 1):
                 raise RingError(f"{kind} variable {name} must have weight 0, sign +1")
             names.append(name)
             weights.append(weight)
@@ -283,6 +284,10 @@ class VariableTable:
     @property
     def nvars(self) -> int:
         return len(self.names)
+
+    def of_kind(self, kind: str) -> list:
+        """Names of the variables of one kind, in table order."""
+        return [n for n, k in zip(self.names, self.kinds) if k == kind]
 
     def var(self, name: str) -> "Polynomial":
         p = self._var_cache.get(name)
@@ -452,6 +457,11 @@ class Polynomial:
     def variables(self) -> frozenset:
         return frozenset(self.table.names[v] for v in self.support())
 
+    def multipliers(self) -> frozenset:
+        """Names of the multiplier parameters occurring in the polynomial."""
+        names, kinds = self.table.names, self.table.kinds
+        return frozenset(names[v] for v in self.support() if kinds[v] == MULTIPLIER)
+
     def contains_var(self, name: str) -> bool:
         vi = self.table.index[name]
         return any(v == vi for m in self.terms for v, _ in m)
@@ -540,9 +550,6 @@ class Polynomial:
                 base = base * base
             n = base_needed
         return result
-
-    def scale(self, c) -> "Polynomial":
-        return self * c
 
     # -- grading -------------------------------------------------------------
 
@@ -860,6 +867,16 @@ def monomial_basis(table: VariableTable, degree: int, sign: int, names: Sequence
     rec(0, degree, [])
     keep = [m for m in found if table.mono_sign(m) == sign]
     return sorted_monos(keep, table)
+
+
+def generic_poly(table: VariableTable, names: Sequence[str], monos: Sequence[Mono]) -> Polynomial:
+    """sum_k names[k] * monos[k]: a generic polynomial with one coefficient
+    variable per slot monomial."""
+    if len(names) != len(monos):
+        raise RingError(f"{len(names)} slot names for {len(monos)} slot monomials")
+    index = table.index
+    terms = {mono_mul(((index[n], 1),), m): 1 for n, m in zip(names, monos)}
+    return Polynomial(table, table.reduce_terms(terms))
 
 
 def lex_descending(table: VariableTable, monos: Iterable[Mono]) -> list:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .alpha import AlphaCase, SymPolyMatrix
 from .rc import PAIRS
-from .ring import Polynomial, RingError
+from .ring import MULTIPLIER, Polynomial, RingError
 
 GB_SPAIR_CAP = 20000
 GB_TIME_CAP = 60.0
@@ -116,16 +116,14 @@ def equation_r_names(eqs: SurfaceEquations) -> list:
     table = eqs.eqs[0].poly.table
     names = set()
     for eq in eqs.eqs:
-        for n in eq.poly.variables():
-            if n.startswith("r") and n != "r":
-                names.add(n)
+        names |= eq.poly.multipliers()
     return sorted(names, key=lambda n: table.index[n])
 
 
 def remove_r(eqs: SurfaceEquations) -> SurfaceEquations:
     """Assert the degree <= 5 equations are r-free, then set every r to 0."""
     for eq in eqs.low_degree(5):
-        bad = [n for n in eq.poly.variables() if n.startswith("r") and n != "r"]
+        bad = eq.poly.multipliers()
         if bad:
             raise SurfaceError(
                 f"degree-{eq.degree} equation {eq.label} depends on {sorted(bad)}"
@@ -152,11 +150,7 @@ def collect_Gm(eqs: SurfaceEquations) -> dict:
     occurs nonlinearly (jointly, across all r's in a monomial).
     """
     table = eqs.eqs[0].poly.table
-    r_idx = {
-        table.index[n]: n
-        for n in table.names
-        if n.startswith("r") and n != "r" and n in table.index
-    }
+    r_idx = {table.index[n]: n for n in table.of_kind(MULTIPLIER)}
     out: dict = {}
     for eq in eqs.eqs:
         per_r: dict = {}

@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .alpha import AlphaCase, SymPolyMatrix, det_any
+from .alpha import AlphaCase, SymPolyMatrix, cofactor_any, det_any
 from .elim import lin_elim, resolve_dependencies
 from .pipeline import PipelineResult, run_pipeline
 from .rc import build_l_ansatz, extract_system, rc_residuals
@@ -25,6 +25,9 @@ from .ring import (
     Polynomial,
     RewriteRule,
     VariableTable,
+    generic_poly,
+    lex_descending,
+    monomial_basis,
     mono_mul,
 )
 from .surface import membership_check
@@ -151,13 +154,6 @@ def _restriction_block(table: VariableTable, case: int) -> list:
     ]
 
 
-def _cof4(N, i, j) -> Polynomial:
-    rows = [r for k, r in enumerate(N) if k != i - 1]
-    minor = [[e for k, e in enumerate(row) if k != j - 1] for row in rows]
-    d = det_any(minor)
-    return d if (i + j) % 2 == 0 else -d
-
-
 def verify_restriction_cofactors(case: int) -> CheckReport:
     """The closed-form cofactor identities of the central 4x4 block, per
     restriction case, plus (case 1) the coefficient solution making the three
@@ -174,17 +170,17 @@ def verify_restriction_cofactors(case: int) -> CheckReport:
             checks = [
                 (
                     "-C13/y2",
-                    -_cof4(N, 1, 3),
+                    -cofactor_any(N, 1, 3),
                     a[5] * y1 ** 2 + (b[5] + a[6]) * y1 * y3 - y2 ** 2 + b[6] * y3 ** 2,
                 ),
                 (
                     "C14/y2",
-                    _cof4(N, 1, 4),
+                    cofactor_any(N, 1, 4),
                     a[4] * y1 ** 2 + (b[4] + a[5]) * y1 * y3 + b[5] * y3 ** 2,
                 ),
                 (
                     "C23/y2",
-                    _cof4(N, 2, 3),
+                    cofactor_any(N, 2, 3),
                     (a[1] * a[5] + a[6]) * y1 ** 2
                     + (a[1] * b[5] + b[1] * a[5] + b[6]) * y1 * y3
                     + b[1] * b[5] * y3 ** 2,
@@ -194,12 +190,12 @@ def verify_restriction_cofactors(case: int) -> CheckReport:
             checks = [
                 (
                     "-C13/y2",
-                    -_cof4(N, 1, 3),
+                    -cofactor_any(N, 1, 3),
                     a[6] * y1 ** 2 + (a[5] + b[6]) * y1 * y3 - y2 ** 2 + b[5] * y3 ** 2,
                 ),
                 (
                     "C14/y2",
-                    _cof4(N, 1, 4),
+                    cofactor_any(N, 1, 4),
                     a[5] * y1 ** 2 + (a[4] + b[5]) * y1 * y3 + b[4] * y3 ** 2,
                 ),
                 (
@@ -207,7 +203,7 @@ def verify_restriction_cofactors(case: int) -> CheckReport:
                     # identity sits at the (2,4) cofactor (case 3 has the
                     # same shape there)
                     "-C24/y2",
-                    -_cof4(N, 2, 4),
+                    -cofactor_any(N, 2, 4),
                     a[1] * a[4] * y1 ** 2
                     + (a[1] * b[4] + b[1] * a[4] + a[5]) * y1 * y3
                     - y2 ** 2
@@ -218,12 +214,12 @@ def verify_restriction_cofactors(case: int) -> CheckReport:
             checks = [
                 (
                     "-C12/y2",
-                    -_cof4(N, 1, 2),
+                    -cofactor_any(N, 1, 2),
                     y2 * (a[5] * y1 + b[5] * y3),
                 ),
                 (
                     "-C13/y2",
-                    -_cof4(N, 1, 3),
+                    -cofactor_any(N, 1, 3),
                     a[3] * a[6] * y1 ** 2
                     + (b[3] * a[6] + a[3] * b[6]) * y1 * y3
                     - y2 ** 2
@@ -231,7 +227,7 @@ def verify_restriction_cofactors(case: int) -> CheckReport:
                 ),
                 (
                     "-C24/y2",
-                    -_cof4(N, 2, 4),
+                    -cofactor_any(N, 2, 4),
                     a[1] * a[4] * y1 ** 2
                     + (b[1] * a[4] + a[1] * b[4]) * y1 * y3
                     - y2 ** 2
@@ -464,16 +460,11 @@ def verify_extension_shuffle() -> CheckReport:
             ("d", 0, 1, PARAMETER),
         ] + [(p, 0, 1, PARAMETER) for p in params]
         table = VariableTable(entries)
-        from .ring import lex_descending, monomial_basis
-
         x, y1, y2, y3, d, c2 = (table.var(n) for n in ("x", "y1", "y2", "y3", "d", "c2"))
         geo = ["x", "y1", "y2", "y3"]
 
         def generic(deg, sign, names):
-            p = table.zero()
-            for name, mono in zip(names, lex_descending(table, monomial_basis(table, deg, sign, geo))):
-                p = p + table.var(name) * Polynomial(table, {mono: 1})
-            return p
+            return generic_poly(table, names, lex_descending(table, monomial_basis(table, deg, sign, geo)))
 
         G = generic(6, -1, [f"h{k}" for k in range(1, 11)])
         q1 = generic(4, -1, [f"k{k}" for k in range(1, 5)])
@@ -565,17 +556,13 @@ def verify_c_normalization() -> CheckReport:
             ("y4", 2, -1, GEOMETRIC),
         ] + [(p, 0, 1, PARAMETER) for p in params] + [("s", 0, 1, ALGEBRAIC)]
         table = VariableTable(entries)
-        from .ring import lex_descending, monomial_basis
-
         x, y1, y2, y3, y4, s = (table.var(n) for n in ("x", "y1", "y2", "y3", "y4", "s"))
         geo = ["x", "y1", "y2", "y3", "y4"]
         pool = iter(params)
 
         def generic(deg, sign):
-            p = table.zero()
-            for mono in lex_descending(table, monomial_basis(table, deg, sign, geo)):
-                p = p + table.var(next(pool)) * Polynomial(table, {mono: 1})
-            return p
+            monos = lex_descending(table, monomial_basis(table, deg, sign, geo))
+            return generic_poly(table, [next(pool) for _ in monos], monos)
 
         G = generic(6, -1)
         q = [generic(4, -1), generic(4, -1), generic(4, 1), generic(4, 1)]
@@ -825,7 +812,7 @@ def verify_r_removal(result: Optional[PipelineResult] = None, seed: int = 0, rou
     def body():
         run = result or run_pipeline(1, 1)
         for eq in run.equations_raw.low_degree(5):
-            bad = [n for n in eq.poly.variables() if n.startswith("r") and n != "r"]
+            bad = eq.poly.multipliers()
             if bad:
                 return False, f"{eq.label} depends on {sorted(bad)}", ""
         F = [eq.poly for eq in run.equations_raw.low_degree(5)]
@@ -852,27 +839,33 @@ def verify_r_removal(result: Optional[PipelineResult] = None, seed: int = 0, rou
     return report
 
 
+def _conic_witness(M: SymPolyMatrix) -> Optional[str]:
+    """At x = 0, every 3x3 minor of the central 4x4 block must divide by the
+    conic (the (1,6) entry) and the block's determinant by its square.
+    Returns the first failure, or None when all divisibilities hold."""
+    R = M.restrict_x0()
+    Q = R[1, 6]
+    central = [[R[i, j] for j in range(2, 6)] for i in range(2, 6)]
+    memo: dict = {}
+    for i in range(1, 5):
+        for j in range(1, 5):
+            minor = cofactor_any(central, i, j, memo)
+            if not minor.is_zero() and minor.exact_divide(Q) is None:
+                return f"3x3 minor complementary to ({i},{j}) not divisible by the conic"
+    if det_any(central).exact_divide(Q * Q) is None:
+        return "central determinant not divisible by conic^2"
+    return None
+
+
 def verify_central_minors(result: Optional[PipelineResult] = None) -> CheckReport:
     """At x = 0, every 3x3 minor of the central block divides by the conic and
     the 4x4 determinant divides by its square."""
 
     def body():
         run = result or run_pipeline(1, 1)
-        R = run.alpha_final.restrict_x0()
-        Q = R[1, 6]
-        central = [[R[i, j] for j in range(2, 6)] for i in range(2, 6)]
-        import itertools
-
-        for rows in itertools.combinations(range(4), 3):
-            for cols in itertools.combinations(range(4), 3):
-                minor = det_any([[central[r][c] for c in cols] for r in rows])
-                if minor.is_zero():
-                    continue
-                if minor.exact_divide(Q) is None:
-                    return False, f"minor {rows}x{cols} not divisible by the conic", ""
-        det4 = det_any(central)
-        if det4.exact_divide(Q * Q) is None:
-            return False, "central determinant not divisible by conic^2", ""
+        failure = _conic_witness(run.alpha_final)
+        if failure:
+            return False, failure, ""
         return True, None, "all 3x3 minors divide by Q, det by Q^2"
 
     return _timed("central_minors", body)
@@ -924,8 +917,7 @@ def golden_final_entries(table) -> dict:
 
 def verify_golden_match(result: Optional[PipelineResult] = None) -> CheckReport:
     """Textual match of the back-substituted family against the closed-form
-    entries (soft criterion: divergence is reported, not fatal, as long as the
-    binding criteria hold)."""
+    entries; a divergent entry fails the check."""
 
     def body():
         run = result or run_pipeline(1, 1)
@@ -975,11 +967,10 @@ def verify_closed_form_rc(result: Optional[PipelineResult] = None) -> CheckRepor
         l0 = build_l_ansatz(alpha, case)
         residuals = rc_residuals(alpha, l0)
         system = extract_system(residuals, case)
-        r_names = [f"r{k}" for k in range(1, 372)]
         f = list(system.f)
         deps = []
         for n in range(1, 11):
-            f, _, new = lin_elim(f, [True] * len(f), r_names, n)
+            f, _, new = lin_elim(f, [True] * len(f), l0.r_names, n)
             deps.extend(new)
             if not f:
                 break
@@ -1070,18 +1061,9 @@ def verify_special(surface: SpecialSurface, result: Optional[PipelineResult] = N
         det = M.determinant()
         if det.is_zero():
             return False, "determinant vanishes at the special point", ""
-        R = M.restrict_x0()
-        Q = R[1, 6]
-        central = [[R[i, j] for j in range(2, 6)] for i in range(2, 6)]
-        import itertools
-
-        for rows in itertools.combinations(range(4), 3):
-            for cols in itertools.combinations(range(4), 3):
-                minor = det_any([[central[r][c] for c in cols] for r in rows])
-                if not minor.is_zero() and minor.exact_divide(Q) is None:
-                    return False, "specialized 3x3 minor not divisible by the conic", ""
-        if det_any(central).exact_divide(Q * Q) is None:
-            return False, "specialized central det not divisible by conic^2", ""
+        failure = _conic_witness(M)
+        if failure:
+            return False, f"specialized: {failure}", ""
         for eq in run.equations.eqs:
             p = eq.poly.substitute(bind)
             if p.is_zero():
@@ -1120,15 +1102,3 @@ def all_checks(seed: int = 0) -> dict:
         "special_by": lambda: verify_special(BY_SURFACE),
         "special_bf": lambda: verify_special(BF_SURFACE),
     }
-
-
-def run_checks(names: Optional[Sequence[str]] = None, seed: int = 0) -> list:
-    registry = all_checks(seed)
-    if names:
-        unknown = [n for n in names if n not in registry]
-        if unknown:
-            raise KeyError(f"unknown checks: {unknown}")
-        selected = {n: registry[n] for n in names}
-    else:
-        selected = registry
-    return [selected[n]() for n in sorted(selected)]

@@ -1,4 +1,5 @@
-"""Dense rational Gaussian elimination, the independent oracle for LinElim."""
+"""Independent oracles: dense rational Gaussian elimination for LinElim, and a
+plain first-row cofactor expansion for determinants."""
 
 from fractions import Fraction
 
@@ -40,3 +41,19 @@ def gauss_classify(rows, nvars):
     for r, col in enumerate(pivots):
         solution[col] = -aug[r][nvars]
     return "unique", solution
+
+
+def first_row_det(table, rows):
+    """Determinant by cofactor expansion along the first row, always;
+    scalar entries are lifted to `table`."""
+    n = len(rows)
+    if n == 1:
+        return table.zero() + rows[0][0]
+    acc = table.zero()
+    for k in range(n):
+        if not rows[0][k]:
+            continue
+        minor = [row[:k] + row[k + 1 :] for row in rows[1:]]
+        term = rows[0][k] * first_row_det(table, minor)
+        acc = acc + (term if k % 2 == 0 else -term)
+    return acc

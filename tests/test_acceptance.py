@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from godeaux2.elim import driver, lin_elim, resolve_dependencies
-from godeaux2.pipeline import GB_NAMES, R_NAMES
 from godeaux2.verify import (
     BF_SURFACE,
     BY_SURFACE,

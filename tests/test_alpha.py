@@ -10,11 +10,14 @@ from godeaux2.alpha import (
     PatternError,
     SymPolyMatrix,
     build_ansatz,
+    det_any,
     entry_degree,
     entry_sign,
     make_table,
 )
 from godeaux2.ring import GEOMETRIC, PARAMETER, Polynomial, VariableTable
+
+from _oracle import first_row_det
 
 
 @pytest.fixture(scope="module")
@@ -152,22 +155,8 @@ def test_congruence_determinant_scaling(case11):
     P = [[table.const(rng.randint(-3, 3)) for _ in range(6)] for _ in range(6)]
     PM = SymPolyMatrix  # noqa: F841  (P itself need not be symmetric)
     C = Ms.congruence(P)
-    detP = _dense_det(table, P)
+    detP = first_row_det(table, P)
     assert C.determinant() == detP * detP * Ms.determinant()
-
-
-def _dense_det(table, P):
-    n = len(P)
-    if n == 1:
-        return P[0][0]
-    acc = table.zero()
-    for k in range(n):
-        if P[0][k].is_zero():
-            continue
-        minor = [row[:k] + row[k + 1 :] for row in P[1:]]
-        term = P[0][k] * _dense_det(table, minor)
-        acc = acc + (term if k % 2 == 0 else -term)
-    return acc
 
 
 def test_restrict_x0_gives_central_shape(case11):
@@ -223,11 +212,14 @@ def test_make_table_main_pipeline_geometry():
 
 
 def test_determinant_matches_independent_expansion(case11):
-    # independent oracle: always-first-row cofactor expansion
-    from godeaux2.alpha import det_any
-
     _, table, M, params = case11
     rng = random.Random(23)
     spec = _random_specialization(table, params, rng)
     Ms = M.substitute(spec)
-    assert Ms.determinant() == det_any([list(row) for row in Ms.rows])
+    expected = first_row_det(table, [list(row) for row in Ms.rows])
+    assert Ms.determinant() == expected
+    assert det_any([list(row) for row in Ms.rows]) == expected
+    # det_any on a non-symmetric matrix of plain ints next to one polynomial
+    ints = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)]
+    ints[0][0] = table.var("d")
+    assert det_any(ints) == first_row_det(table, ints)

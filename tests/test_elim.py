@@ -16,7 +16,7 @@ from godeaux2.elim import (
     strip_content_var,
     survivors,
 )
-from godeaux2.pipeline import GB_NAMES, R_NAMES
+from godeaux2.pipeline import GB_NAMES
 from godeaux2.ring import GEOMETRIC, PARAMETER, Polynomial, VariableTable
 
 from _oracle import gauss_classify
@@ -184,7 +184,7 @@ def test_linelim_matches_gauss_oracle():
 def test_driver_reproduces_survivors_and_is_deterministic(run11):
     state1 = run11.elim
     # fresh second run over the same input system
-    state2 = driver(run11.system.f, list(R_NAMES), list(GB_NAMES), 10)
+    state2 = driver(run11.system.f, list(run11.l0.r_names), list(GB_NAMES), 10)
     assert [d.var for d in state1.deps] == [d.var for d in state2.deps]
     assert all(a.expr == b.expr for a, b in zip(state1.deps, state2.deps))
     assert [(r.stage, r.n, r.eliminated, r.f_size) for r in state1.round_log] == [

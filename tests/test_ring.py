@@ -5,6 +5,7 @@ import pytest
 from godeaux2.ring import (
     ALGEBRAIC,
     GEOMETRIC,
+    MULTIPLIER,
     PARAMETER,
     CyclicBindingError,
     Polynomial,
@@ -13,6 +14,7 @@ from godeaux2.ring import (
     TableMismatchError,
     VariableTable,
     ZeroPolynomialError,
+    generic_poly,
     monomial_basis,
 )
 
@@ -211,7 +213,35 @@ def test_pattern_constants_validate():
     with pytest.raises(RingError):
         VariableTable([("d", 0, -1, PARAMETER)])
     with pytest.raises(RingError):
+        VariableTable([("r1", 1, 1, MULTIPLIER)])
+    with pytest.raises(RingError):
+        VariableTable([("r1", 0, -1, MULTIPLIER)])
+    with pytest.raises(RingError):
         VariableTable([("x", 1, -1, GEOMETRIC), ("x", 2, 1, GEOMETRIC)])
+
+
+def test_generic_poly_one_coefficient_per_slot(T):
+    monos = monomial_basis(T, 4, -1, ["x", "y1", "y2", "y3"])[:2]
+    p = generic_poly(T, ["d", "g9"], monos)
+    assert p == T.var("d") * Polynomial(T, {monos[0]: 1}) + T.var("g9") * Polynomial(T, {monos[1]: 1})
+    with pytest.raises(RingError):
+        generic_poly(T, ["d"], monos)
+
+
+def test_multipliers_exclude_algebraic_r():
+    table = VariableTable(
+        [
+            ("x", 1, -1, GEOMETRIC),
+            ("d", 0, 1, PARAMETER),
+            ("r5", 0, 1, MULTIPLIER),
+            ("r", 0, 1, ALGEBRAIC),
+        ],
+        rules=[RewriteRule("r", 2, {(): -15})],
+    )
+    p = table.var("r") * table.var("r5") * table.var("x") + table.var("r") * table.var("d")
+    assert p.variables() == {"x", "d", "r5", "r"}
+    assert p.multipliers() == {"r5"}
+    assert table.of_kind(MULTIPLIER) == ["r5"]
 
 
 def test_convert_between_tables(T):

@@ -1,7 +1,10 @@
 """Tests for the verification checks, including the negative controls."""
 
+import dataclasses
+
 import pytest
 
+from godeaux2.alpha import SymPolyMatrix
 from godeaux2.verify import (
     BF_SURFACE,
     BY_SURFACE,
@@ -86,6 +89,11 @@ def test_r_removal(run11):
 
 def test_central_minors(run11):
     assert verify_central_minors(result=run11).status == "pass"
+    # negative control: a perturbed central entry breaks the divisibility
+    rows = [list(r) for r in run11.alpha_final.rows]
+    rows[1][1] = rows[1][1] + run11.table.var("y1")
+    rep = verify_central_minors(result=dataclasses.replace(run11, alpha_final=SymPolyMatrix(rows)))
+    assert rep.status == "fail" and "conic" in rep.witness
 
 
 def test_golden_match_and_closed_form_rc(run11):
@@ -148,11 +156,9 @@ def test_skipped_check_is_reported():
 
 
 def test_checks_idempotent():
-    from godeaux2.verify import run_checks
-
     names = ["excluded_diagonal_rc", "y2_quartic_coefficient", "extension_shuffle"]
-    first = run_checks(names)
-    second = run_checks(names)
+    first = [all_checks()[n]() for n in names]
+    second = [all_checks()[n]() for n in names]
     assert [(r.name, r.status) for r in first] == [(r.name, r.status) for r in second]
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .ring import Polynomial, RingError
+from .ring import Polynomial, RingError, add_terms, mono_div, mono_mul
 
 STAGE_B_BUDGET = 22
 
@@ -65,7 +65,8 @@ class EliminationState:
 def strip_content_var(p: Polynomial, var: str) -> Polynomial:
     """Divide out the largest power of `var` dividing every term.  Sound only
     when the variable is invertible on the family (the j=2 constraint forces
-    d != 0)."""
+    d != 0).  Dividing every term by one monomial keeps their order, so the
+    leading monomial is handed on."""
     if not p.terms:
         return p
     vi = p.table.index[var]
@@ -85,32 +86,33 @@ def strip_content_var(p: Polynomial, var: str) -> Polynomial:
             (w, ee - k) if w == vi else (w, ee) for w, ee in m if not (w == vi and ee == k)
         )
         terms[nm] = c
-    return Polynomial(p.table, terms)
+    return Polynomial(p.table, terms, mono_div(p.leading_mono(), ((vi, k),)))
 
 
 def primitive_form(p: Polynomial, invertible: tuple = ()) -> Polynomial:
     """Integer content removed, leading (canonical) coefficient positive,
-    content in the invertible variables divided out."""
+    content in the invertible variables divided out.  A polynomial already in
+    that form is returned as it is."""
     if not p.terms:
         return p
     for var in invertible:
         p = strip_content_var(p, var)
-    den = 1
-    for c in p.terms.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    nums = {}
-    g = 0
-    for m, c in p.terms.items():
-        n = int(c * den)
-        nums[m] = n
-        g = math.gcd(g, n)
+    terms = p.terms
+    nums = terms
+    for c in terms.values():
+        if type(c) is not int:
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+            break
+    g = math.gcd(*nums.values())
     if g == 0:
         return p.table.zero()
-    lead = nums[p.leading_mono()]
-    if lead < 0:
+    lead = p.leading_mono()
+    if nums[lead] < 0:
         g = -g
-    return Polynomial(p.table, {m: n // g for m, n in nums.items()})
+    if g == 1 and nums is terms:
+        return p
+    return Polynomial(p.table, {m: n // g for m, n in nums.items()}, lead)
 
 
 def _poly_key(p: Polynomial):
@@ -177,6 +179,44 @@ class _Worktable:
         self.supports[i] = p.support()
 
 
+def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
+    """q -> c^k * q(v = -h/c), k = deg_v q, for an integer pivot c*v + h.
+
+    The result is an integer polynomial and a nonzero rational multiple of
+    q(v = -h/c), so its primitive form is the same; no Fraction is made.
+    """
+    powers = {1: neg_h.terms}  # j -> terms of (-h)^j
+
+    def substitute(q: Polynomial) -> Polynomial:
+        table = q.table
+        split = []
+        k = 0
+        for m, a in q.terms.items():
+            j = 0
+            for w, e in m:
+                if w == v:
+                    j = e
+                    break
+            split.append((m, j, a))
+            if j > k:
+                k = j
+        out: dict = {}
+        for m, j, a in split:
+            scale = a * c ** (k - j)
+            if not j:
+                products = ((m, scale),)
+            else:
+                t = powers.get(j)
+                if t is None:
+                    t = powers[j] = (neg_h ** j).terms
+                rest = tuple(ve for ve in m if ve[0] != v)
+                products = ((mono_mul(rest, hm), scale * hc) for hm, hc in t.items())
+            add_terms(out, products)
+        return Polynomial(table, table.reduce_terms(out))
+
+    return substitute
+
+
 def _find_pivot(p: Polynomial, support, var_idx: dict, n: int):
     """(var index, coefficient) for the best eliminable variable, or None."""
     candidates = []
@@ -240,16 +280,15 @@ def lin_elim(
                 checked.add(i)
                 continue
             v, c = hit
-            name = table.names[v]
-            h = p - Polynomial(table, {((v, 1),): c})
-            expr = h * (Fraction(-1) / Fraction(c))
-            deps.append(Dependency(name, expr))
+            neg_h = Polynomial(table, {m: -a for m, a in p.terms.items() if m != ((v, 1),)})
+            deps.append(Dependency(table.names[v], neg_h * Fraction(1, c)))
+            substitute = _cleared_pivot_substitution(v, c, neg_h)
             work.kill(i)
             checked.discard(i)
             for k, q in enumerate(work.polys):
                 if q is None or work.supports[k] is None or v not in work.supports[k]:
                     continue
-                nq = primitive_form(q.substitute({name: expr}), work.invertible)
+                nq = primitive_form(substitute(q), work.invertible)
                 work.replace(k, nq)
                 checked.discard(k)
             progress = True

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .alpha import AlphaCase, SymPolyMatrix, build_ansatz, make_table
 from .elim import (
+    EliminationError,
     EliminationState,
     back_substitute,
     driver,
@@ -47,6 +48,7 @@ class PipelineResult:
     gm: dict
     gbd_survivors: list
     r_survivors: list
+    sound_checked: int  # entries of system.f the dependency log sends to zero
     wall_time: float
     peak_kb: int
     _det: Optional[Polynomial] = field(default=None, repr=False)
@@ -74,6 +76,12 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     invertible = ("d",) if j == 2 else ()
     state = driver(system.f, list(l0.r_names), list(GB_NAMES), max_rounds, invertible)
     resolved = resolve_dependencies(state.deps)
+    # soundness: the dependency log must annihilate every coefficient of f
+    unsound = sum(1 for q in back_substitute(system.f, state.deps, resolved) if q)
+    if unsound:
+        raise EliminationError(
+            f"dependency log leaves {unsound} of {len(system.f)} coefficients nonzero"
+        )
     alpha_final = back_substitute(alpha0, state.deps, resolved)
     alpha_final.check_pattern()
     l_final = back_substitute(l0.polys, state.deps, resolved)
@@ -105,6 +113,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
         gm=gm,
         gbd_survivors=gbd,
         r_survivors=r_present,
+        sound_checked=len(system.f),
         wall_time=time.monotonic() - t0,
         peak_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     )
@@ -187,6 +196,8 @@ def stats_dict(result: PipelineResult) -> dict:
             for r in result.elim.round_log
         ],
         "dependencies": len(result.elim.deps),
+        "sound": True,
+        "sound_checked": result.sound_checked,
         "survivors": result.gbd_survivors,
         "r_survivors": len(result.r_survivors),
         "equations": len(result.equations.eqs),

@@ -110,33 +110,6 @@ def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
     return tuple(out)
 
 
-def mono_totdeg(a: Mono) -> int:
-    return sum(e for _, e in a)
-
-
-def _grevlex_block_cmp(a: Mono, b: Mono) -> int:
-    da = mono_totdeg(a)
-    db = mono_totdeg(b)
-    if da != db:
-        return 1 if da > db else -1
-    # equal degree: walk indices from the top; at the first difference the
-    # monomial with the *smaller* exponent is the larger one (reverse lex)
-    i = len(a) - 1
-    j = len(b) - 1
-    while i >= 0 and j >= 0:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va > vb:
-            return -1
-        if vb > va:
-            return 1
-        if ea != eb:
-            return 1 if ea < eb else -1
-        i -= 1
-        j -= 1
-    return 0  # equal total degree forces simultaneous exhaustion
-
-
 def mono_split(m: Mono, cut: int) -> tuple:
     """(geometric part, parameter part) at the table's geometric prefix."""
     for i, (v, _) in enumerate(m):
@@ -145,35 +118,39 @@ def mono_split(m: Mono, cut: int) -> tuple:
     return m, UNIT_MONO
 
 
-def grevlex_cmp(a: Mono, b: Mono, cut: int) -> int:
-    """Canonical order: +1 if a > b, -1 if a < b, 0 if equal."""
-    ag, ap = mono_split(a, cut)
-    bg, bp = mono_split(b, cut)
-    c = _grevlex_block_cmp(ag, bg)
-    if c:
-        return c
-    return _grevlex_block_cmp(ap, bp)
+def mono_key(m: Mono, cut: int) -> tuple:
+    """Sort key of the canonical order: the larger monomial has the smaller key.
 
-
-def _mono_sort_key(nvars: int, cut: int):
-    def key(m: Mono):
-        exps = [0] * nvars
-        for v, e in m:
-            exps[v] = e
-        geo, par = exps[:cut], exps[cut:]
-        return (
-            sum(geo),
-            tuple(-e for e in reversed(geo)),
-            sum(par),
-            tuple(-e for e in reversed(par)),
-        )
-
-    return key
+    In each block (geometric, then parameter) a higher total degree comes
+    first; at equal degree, reading the (index, exponent) pairs from the top
+    index down, the first difference decides: a higher index present, or the
+    same index with a larger exponent, makes the monomial smaller (reverse lex).
+    """
+    if m and m[0][0] < cut:
+        geo, par = mono_split(m, cut)
+        return (-sum([e for _, e in geo]), geo[::-1], -sum([e for _, e in par]), par[::-1])
+    return (0, UNIT_MONO, -sum([e for _, e in m]), m[::-1])  # no geometric part
 
 
 def sorted_monos(monos: Iterable[Mono], table: "VariableTable", reverse: bool = True) -> list:
     """Monomials in canonical order (descending by default)."""
-    return sorted(monos, key=_mono_sort_key(table.nvars, table.geo_cut), reverse=reverse)
+    cut = table.geo_cut
+    return sorted(monos, key=lambda m: mono_key(m, cut), reverse=not reverse)
+
+
+def add_terms(out: dict, products: Iterable) -> None:
+    """Add (monomial, coefficient) pairs into a term dict, dropping zero sums."""
+    get = out.get
+    for m, c in products:
+        s = get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
 
 
 def lex_sort_key(m: Mono, nvars: int):
@@ -411,13 +388,19 @@ class VariableTable:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a VariableTable."""
+    """Immutable sparse polynomial over a VariableTable.
 
-    __slots__ = ("table", "terms")
+    `lead` may pass on a leading monomial the caller already knows (for
+    example after dividing every term by one scalar); otherwise
+    `leading_mono` finds it once and keeps it.
+    """
 
-    def __init__(self, table: VariableTable, terms: dict):
+    __slots__ = ("table", "terms", "_lead")
+
+    def __init__(self, table: VariableTable, terms: dict, lead: Optional[Mono] = None):
         self.table = table
         self.terms = terms
+        self._lead = lead
 
     # -- basics ------------------------------------------------------------
 
@@ -448,11 +431,7 @@ class Polynomial:
 
     def support(self) -> frozenset:
         """Set of variable indices occurring in the polynomial."""
-        s = set()
-        for m in self.terms:
-            for v, _ in m:
-                s.add(v)
-        return frozenset(s)
+        return frozenset({v for m in self.terms for v, _ in m})
 
     def variables(self) -> frozenset:
         return frozenset(self.table.names[v] for v in self.support())
@@ -590,15 +569,13 @@ class Polynomial:
     # -- leading terms and canonical text -------------------------------------
 
     def leading_mono(self) -> Mono:
-        if not self.terms:
-            raise ZeroPolynomialError("leading term of the zero polynomial")
-        cut = self.table.geo_cut
-        it = iter(self.terms)
-        best = next(it)
-        for m in it:
-            if grevlex_cmp(m, best, cut) > 0:
-                best = m
-        return best
+        lead = self._lead
+        if lead is None:
+            if not self.terms:
+                raise ZeroPolynomialError("leading term of the zero polynomial")
+            cut = self.table.geo_cut
+            lead = self._lead = min(self.terms, key=lambda m: mono_key(m, cut))
+        return lead
 
     def leading_term(self):
         m = self.leading_mono()
@@ -656,37 +633,34 @@ class Polynomial:
 
     def _apply_images(self, images: Mapping) -> "Polynomial":
         table = self.table
-        bound = set(images)
         pow_cache: dict = {}
 
-        def image_pow(v: int, e: int) -> Polynomial:
+        def image_pow(v: int, e: int) -> dict:
             key = (v, e)
             p = pow_cache.get(key)
             if p is None:
-                p = images[v] ** e
-                pow_cache[key] = p
+                p = pow_cache[key] = (images[v] ** e).terms
             return p
 
-        out = table.zero()
-        untouched: dict = {}
+        out: dict = {}
         for m, c in self.terms.items():
-            hit = [ve for ve in m if ve[0] in bound]
+            hit = [ve for ve in m if ve[0] in images]
             if not hit:
-                s = untouched.get(m)
-                untouched[m] = c if s is None else s + c
-                continue
-            rest = tuple(ve for ve in m if ve[0] not in bound)
-            piece = Polynomial(table, {rest: c})
-            for v, e in hit:
-                piece = piece * image_pow(v, e)
-            out = out + piece
-        if untouched:
-            out = out + Polynomial(
-                table, {m: c for m, c in untouched.items() if c}
-            )
-        if table.has_reducible(out.terms):
-            out = Polynomial(table, table.reduce_terms(dict(out.terms)))
-        return out
+                products = ((m, c),)
+            else:
+                factors = [image_pow(v, e) for v, e in hit]
+                if not all(factors):
+                    continue  # a zero image kills the term
+                rest = tuple(ve for ve in m if ve[0] not in images)
+                if len(factors) == 1:
+                    products = ((mono_mul(rest, im), c * ic) for im, ic in factors[0].items())
+                else:
+                    piece = Polynomial(table, {rest: c})
+                    for t in factors:
+                        piece = piece * Polynomial(table, t)
+                    products = piece.terms.items()
+            add_terms(out, products)
+        return Polynomial(table, table.reduce_terms(out))
 
     def change_vars(self, bindings: Mapping) -> "Polynomial":
         """Simultaneous coordinate change: like substitute, but permits
@@ -765,13 +739,14 @@ class Polynomial:
             return None
         s = Polynomial(self.table, {root_m: root_c})
         rem = self - s * s
+        cut = self.table.geo_cut
         prev = None
         while rem.terms:
             rm, rc = rem.leading_term()
             tm = mono_div(rm, root_m)
             if tm is None:
                 return None
-            if prev is not None and grevlex_cmp(tm, prev, self.table.geo_cut) >= 0:
+            if prev is not None and mono_key(tm, cut) <= mono_key(prev, cut):
                 return None
             tc = _coeff_div(rc, 2 * root_c)
             t = Polynomial(self.table, {tm: tc})

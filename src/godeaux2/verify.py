@@ -752,21 +752,18 @@ def verify_alpha3_square() -> CheckReport:
                 return s, -1
             return None, 0
 
-        case = AlphaCase(3, 0)
-        table = make_table(3)
-        raw, _ = build_ansatz(case, table)
-        sq_raw, sign_raw = square_root_up_to_sign(raw.determinant())
+        raw, _ = build_ansatz(AlphaCase(3, 0), make_table(3))
         run = run_pipeline(3, 0)
-        det = run.det_final()
-        sq_final, sign_final = square_root_up_to_sign(det)
-        if sq_final is None:
-            return False, "det(final alpha_3, c=0) is not a square up to sign", ""
-        if sign_final * (sq_final * sq_final) != det:
-            return False, "square root verification failed", ""
+        signs = []
+        for which, det in (("final", run.det_final()), ("raw generic", raw.determinant())):
+            sq, sign = square_root_up_to_sign(det)
+            if sq is None:
+                return False, f"{which} det(alpha_3, c=0) is not a square up to sign", ""
+            if sign * (sq * sq) != det:
+                return False, f"{which} square root verification failed", ""
+            signs.append(f"{which} det = {'-' if sign < 0 else ''}(...)^2")
         # the coefficient field is Q; over C the sign is itself a square
-        note = f"final det = {'-' if sign_final < 0 else ''}(...)^2"
-        if sq_raw is not None:
-            note += f"; raw generic det = {'-' if sign_raw < 0 else ''}(...)^2"
+        note = "; ".join(signs)
         run11 = run_pipeline(1, 1)
         d11 = run11.det_final()
         if d11.poly_sqrt() is not None or (-d11).poly_sqrt() is not None:

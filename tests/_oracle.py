@@ -1,5 +1,6 @@
-"""Independent oracles: dense rational Gaussian elimination for LinElim, and a
-plain first-row cofactor expansion for determinants."""
+"""Independent oracles: dense rational Gaussian elimination for LinElim, a
+plain first-row cofactor expansion for determinants, and a dense comparison
+for the canonical monomial order."""
 
 from fractions import Fraction
 
@@ -57,3 +58,26 @@ def first_row_det(table, rows):
         term = rows[0][k] * first_row_det(table, minor)
         acc = acc + (term if k % 2 == 0 else -term)
     return acc
+
+
+def grevlex_cmp(a, b, cut):
+    """Canonical order on sparse monomials, compared on dense exponent
+    vectors: +1 if a > b, -1 if a < b, 0 if equal.  The geometric block
+    (indices below cut) decides first, then the parameter block; within a
+    block the higher total degree is larger, and at equal degree the last
+    index where the exponents differ decides, the smaller exponent being the
+    larger monomial."""
+    n = 1 + max([v for v, _ in a + b], default=0)
+    ea, eb = [0] * n, [0] * n
+    for v, e in a:
+        ea[v] = e
+    for v, e in b:
+        eb[v] = e
+    for lo, hi in ((0, cut), (cut, n)):
+        xa, xb = ea[lo:hi], eb[lo:hi]
+        if sum(xa) != sum(xb):
+            return 1 if sum(xa) > sum(xb) else -1
+        for x, y in zip(reversed(xa), reversed(xb)):
+            if x != y:
+                return 1 if x < y else -1
+    return 0

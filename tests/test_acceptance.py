@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from godeaux2.elim import driver, lin_elim, resolve_dependencies
+from godeaux2.ring import MULTIPLIER
 from godeaux2.verify import (
     BF_SURFACE,
     BY_SURFACE,
@@ -36,7 +37,8 @@ def _line(num: int, ok: bool, desc: str) -> bool:
 
 def test_criterion_01_system_size(run11):
     ok = len(run11.system.f) == 876 and run11.system.param_count == 394
-    rs = [n for n in run11.system.param_names if n.startswith("r") and n != "r"]
+    multipliers = set(run11.table.of_kind(MULTIPLIER))
+    rs = [n for n in run11.system.param_names if n in multipliers]
     ok = ok and len(rs) == 371 and run11.l0.r_count == 371
     assert _line(1, ok, "876 coefficients over 394 = 371 + 23 parameters")
 

@@ -1,0 +1,51 @@
+"""The derived artifacts match the recorded reference hashes byte for byte,
+and every derivation is checked for soundness as it runs."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from godeaux2 import pipeline
+from godeaux2.elim import EliminationError
+from godeaux2.pipeline import run_pipeline, stats_dict, write_artifacts
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+ARTIFACTS = ("alpha.json", "equations.json", "deps.log")
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text())["artifact_sha256"]
+
+
+@pytest.mark.parametrize("case", ["run11", "run20", "run30", "run31"])
+def test_artifacts_match_reference(case, request, reference, tmp_path):
+    run = run_pipeline(3, 1) if case == "run31" else request.getfixturevalue(case)
+    write_artifacts(run, tmp_path, emit=("alpha", "equations", "deps"))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    assert got == reference[f"alpha_{run.case.j}_{run.case.c}"]
+
+
+def test_stats_record_soundness(run11, run20):
+    for run in (run11, run20):
+        stats = stats_dict(run)
+        assert stats["sound"] is True
+        assert stats["sound_checked"] == len(run.system.f) == stats["initial_f"]
+
+
+def test_unsound_dependency_log_is_rejected(monkeypatch):
+    # negative control: a log missing its first dependency leaves that
+    # polynomial of f unresolved, and the run must refuse to finish
+    driver = pipeline.driver
+
+    def lossy_driver(*args, **kwargs):
+        state = driver(*args, **kwargs)
+        del state.deps[0]
+        return state
+
+    monkeypatch.setattr(pipeline, "driver", lossy_driver)
+    with pytest.raises(EliminationError, match="coefficients nonzero"):
+        run_pipeline(3, 0, max_rounds=11)  # a cache key of its own
+    assert (3, 0, 11) not in pipeline._CACHE

@@ -81,6 +81,66 @@ def test_strip_content_var():
     assert strip_content_var(p, "d") == p
 
 
+def _random_poly(rng, T, names, max_exp=2, size=6):
+    p = T.zero()
+    for _ in range(size):
+        term = T.const(rng.choice([-6, -3, -1, 1, 2, 4, 9]))
+        for name in names:
+            term = term * T.var(name) ** rng.randint(0, max_exp)
+        p = p + term
+    return p
+
+
+def test_strip_content_var_hands_on_the_leading_monomial():
+    # a table with a geometric block, so both blocks of the order take part
+    T = VariableTable(
+        [("x", 1, 1, GEOMETRIC), ("y", 2, 1, GEOMETRIC)]
+        + [(n, 0, 1, PARAMETER) for n in ("r1", "r2", "g1", "d")]
+    )
+    rng = random.Random(7)
+    d = T.var("d")
+    for _ in range(40):
+        p = _random_poly(rng, T, ("x", "y", "r1", "r2", "g1", "d")) * d ** rng.randint(1, 3)
+        if p.is_zero():
+            continue
+        p.leading_mono()
+        s = strip_content_var(p, "d")
+        assert s.leading_mono() == Polynomial(T, dict(s.terms)).leading_mono()
+
+
+def test_primitive_form_returns_a_primitive_input_itself():
+    T = param_table()
+    d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
+    q = r1 - 2 * r2 + 3 * d
+    assert primitive_form(q) is q
+    assert primitive_form(q, ("d",)) is q  # no d content to strip
+    assert primitive_form(2 * q) == q and primitive_form(2 * q) is not 2 * q
+    assert primitive_form(-q) == q
+
+
+def test_cleared_pivot_step_keeps_the_primitive_form():
+    # lin_elim substitutes c^k * q(v = -h/c) with integer arithmetic; its
+    # primitive form must be that of the plain rational substitution
+    T = param_table(nr=3, extras=("g1", "g2", "d"))
+    rng = random.Random(11)
+    r1 = T.var("r1")
+    tried = set()
+    for c in (2, -3, 6, 9):
+        for _ in range(10):
+            h = _random_poly(rng, T, ("r2", "g1", "g2"), max_exp=1, size=3)
+            if h.is_zero() or primitive_form(c * r1 + h) != c * r1 + h:
+                continue  # lin_elim would pivot on a rescaled c
+            q = _random_poly(rng, T, ("r1", "g1", "d"), max_exp=2, size=5)
+            if q.max_degree_in(["r1"]) != 2:
+                continue
+            out, _, deps = lin_elim([c * r1 + h, q], [True, False], ["r1"], 1)
+            assert [dep.var for dep in deps] == ["r1"]
+            expected = primitive_form(q.substitute({"r1": -h * Fraction(1, c)}))
+            assert out == ([expected] if expected else [])
+            tried.add(c)
+    assert tried == {2, -3, 6, 9}
+
+
 def test_duplicates_pruned_up_to_scale():
     T = param_table()
     r1, r2, g1 = T.var("r1"), T.var("r2"), T.var("g1")

@@ -15,6 +15,7 @@ from godeaux2.rc import (
     multiplier_degree,
     rc_residuals,
 )
+from godeaux2.ring import MULTIPLIER
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +49,9 @@ def test_every_r_in_exactly_one_slot(rc11):
     _, _, _, l, _, _ = rc11
     seen = {}
     for (i, j, k), p in l.polys.items():
-        for name in p.variables():
-            if name.startswith("r") and name != "r":
-                assert name not in seen
-                seen[name] = (i, j, k)
+        for name in p.multipliers():
+            assert name not in seen
+            seen[name] = (i, j, k)
     assert len(seen) == 371
 
 
@@ -90,17 +90,18 @@ def test_cofactor_symmetry(rc11):
 
 
 def test_system_size_and_parameters(rc11):
-    _, _, _, _, _, system = rc11
+    _, table, _, _, _, system = rc11
     assert len(system.f) == 876
     assert system.param_count == 394
-    rs = [n for n in system.param_names if n.startswith("r") and n != "r"]
+    multipliers = set(table.of_kind(MULTIPLIER))
+    rs = [n for n in system.param_names if n in multipliers]
     assert len(rs) == 371
 
 
 def test_f_entries_parameter_only_and_affine_in_r(rc11):
-    _, table, _, _, _, system = rc11
+    _, _, _, l, _, system = rc11
     geo = set(system.geo_vars)
-    r_names = {f"r{k}" for k in range(1, 372)}
+    r_names = set(l.r_names)
     gb = [f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)]
     for p in system.f:
         names = p.variables()

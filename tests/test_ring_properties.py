@@ -3,6 +3,7 @@ division/sqrt round trips, substitution homomorphism, rewrite confluence)."""
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,12 @@ from godeaux2.ring import (
     Polynomial,
     RewriteRule,
     VariableTable,
+    mono_key,
     monomial_basis,
+    sorted_monos,
 )
+
+from _oracle import grevlex_cmp
 
 TABLE = VariableTable(
     [
@@ -162,3 +167,43 @@ def test_rewrite_confluence():
                 rule = T.rules.get(v)
                 if rule:
                     assert e < rule[0]
+
+
+# the canonical order against the dense oracle, over 8 variables split into a
+# geometric prefix of `cut` variables and a parameter block
+ORDER_NV = 8
+ORDER_TABLES = {
+    cut: VariableTable(
+        [(f"v{i}", 1, 1, GEOMETRIC) for i in range(cut)]
+        + [(f"p{i}", 0, 1, PARAMETER) for i in range(cut, ORDER_NV)]
+    )
+    for cut in (0, 3, 5, 8)
+}
+exponent_vectors = st.lists(st.integers(0, 3), min_size=ORDER_NV, max_size=ORDER_NV)
+
+
+def _sparse(exps):
+    return tuple((i, e) for i, e in enumerate(exps) if e)
+
+
+order_monos = st.one_of(
+    st.just(()),  # the unit monomial
+    exponent_vectors.map(lambda e: _sparse(e[:3])),  # geometric only for cut >= 3
+    exponent_vectors.map(_sparse),  # mixed
+)
+
+
+@given(st.lists(order_monos, min_size=1, max_size=8), st.sampled_from(sorted(ORDER_TABLES)))
+@settings(max_examples=300, deadline=None)
+def test_mono_key_matches_oracle_order(ms, cut):
+    for a in ms:
+        for b in ms:
+            ka, kb = mono_key(a, cut), mono_key(b, cut)
+            # the larger monomial has the smaller key
+            assert (ka < kb) - (ka > kb) == grevlex_cmp(a, b, cut)
+    table = ORDER_TABLES[cut]
+    distinct = list(dict.fromkeys(ms))
+    expected = sorted(distinct, key=cmp_to_key(lambda a, b: grevlex_cmp(a, b, cut)), reverse=True)
+    assert sorted_monos(distinct, table) == expected
+    assert sorted_monos(distinct, table, reverse=False) == expected[::-1]
+    assert Polynomial(table, {m: 1 for m in distinct}).leading_mono() == expected[0]

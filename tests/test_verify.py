@@ -76,6 +76,19 @@ def test_alpha3_square_and_control(run30, run11):
     assert "-(...)^2" in rep.note
 
 
+def test_alpha3_square_fails_on_a_non_square_raw_det(monkeypatch, run30, run11):
+    # negative control: feed the generic (1,1) ansatz in place of the (3,0)
+    # one; its raw determinant is not a square up to sign
+    from godeaux2 import alpha
+
+    build = alpha.build_ansatz
+    monkeypatch.setattr(
+        alpha, "build_ansatz", lambda case, table: build(alpha.AlphaCase(1, 1), alpha.make_table(1))
+    )
+    rep = verify_alpha3_square()
+    assert rep.status == "fail" and "raw generic" in rep.witness
+
+
 def test_alpha2_basepoint(run20):
     rep = verify_alpha2_basepoint()
     assert rep.status == "pass"

@@ -156,7 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="check name (repeatable); default: all",
     )
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seeds the evaluation points of the scaling check only",
+    )
     v.add_argument("--max-rounds", type=int, default=10)
     v.add_argument("--golden", type=Path, default=None)
 

@@ -801,10 +801,10 @@ def verify_alpha2_basepoint() -> CheckReport:
     return _timed("alpha2_basepoint", body)
 
 
-def verify_r_removal(result: Optional[PipelineResult] = None, seed: int = 0, rounds: int = 3) -> CheckReport:
+def verify_r_removal(result: Optional[PipelineResult] = None) -> CheckReport:
     """Degree <= 5 equations are r-free and every r-coefficient lies in the
-    ideal of the five low-degree relations at `rounds` random rational
-    specializations."""
+    ideal of the five low-degree relations, certified by exact cofactors over
+    Q[moduli] (surface.membership_check)."""
 
     def body():
         run = result or run_pipeline(1, 1)
@@ -813,27 +813,14 @@ def verify_r_removal(result: Optional[PipelineResult] = None, seed: int = 0, rou
             if bad:
                 return False, f"{eq.label} depends on {sorted(bad)}", ""
         F = [eq.poly for eq in run.equations_raw.low_degree(5)]
-        inconclusive = []
         for rname, occurrences in sorted(run.gm.items(), key=lambda kv: run.table.index[kv[0]]):
             for label, G in occurrences:
-                status = membership_check(G, F, run.gbd_survivors, seed=seed, rounds=rounds)
-                if status == "refuted":
+                if membership_check(G, F) != "verified":
                     return False, f"G[{rname}] in {label} is not in the ideal", ""
-                if status == "inconclusive":
-                    inconclusive.append((rname, label))
-        if inconclusive:
-            return (
-                True,
-                None,
-                f"inconclusive (cap hit) for {len(inconclusive)} coefficients: {inconclusive[:5]}",
-            )
         n = sum(len(v) for v in run.gm.values())
-        return True, None, f"all {n} r-coefficients verified at {rounds} seeds"
+        return True, None, f"all {n} r-coefficients certified by exact cofactors over Q[moduli]"
 
-    report = _timed("r_removal", body)
-    if report.status == "pass" and report.note.startswith("inconclusive"):
-        report.status = "skipped"
-    return report
+    return _timed("r_removal", body)
 
 
 def _conic_witness(M: SymPolyMatrix) -> Optional[str]:
@@ -1092,7 +1079,7 @@ def all_checks(seed: int = 0) -> dict:
         "scaling": lambda: verify_scaling(seed=seed),
         "alpha3_square": verify_alpha3_square,
         "alpha2_basepoint": verify_alpha2_basepoint,
-        "r_removal": lambda: verify_r_removal(seed=seed),
+        "r_removal": verify_r_removal,
         "central_minors": verify_central_minors,
         "golden_match": verify_golden_match,
         "closed_form_rc": verify_closed_form_rc,

@@ -1,8 +1,11 @@
 """Independent oracles: dense rational Gaussian elimination for LinElim, a
-plain first-row cofactor expansion for determinants, and a dense comparison
-for the canonical monomial order."""
+plain first-row cofactor expansion for determinants, a dense comparison
+for the canonical monomial order, and a form outside the ideal of the
+low-degree surface relations."""
 
 from fractions import Fraction
+
+from godeaux2.ring import Polynomial, monomial_basis
 
 
 def gauss_classify(rows, nvars):
@@ -81,3 +84,16 @@ def grevlex_cmp(a, b, cut):
             if x != y:
                 return 1 if x < y else -1
     return 0
+
+
+def outside_low_degree_ideal(run, G):
+    """A monomial of G's degree and sign outside the ideal of the degree <= 5
+    surface relations of `run`: those all vanish on the linear space x = y = 0
+    (each of their terms carries x or a y, asserted here), and a nonzero form
+    in z1..z4, t alone does not."""
+    table = run.table
+    low = {table.index[n] for n in table.names[: table.geo_cut] if n == "x" or n[0] == "y"}
+    for eq in run.equations_raw.low_degree(5):
+        assert all(any(v in low for v, _ in m) for m in eq.poly.terms), eq.label
+    monos = monomial_basis(table, G.weighted_degree(), G.sigma_sign(), ["z1", "z2", "z3", "z4", "t"])
+    return Polynomial(table, {monos[0]: 1})

@@ -1,21 +1,19 @@
-"""Tests for equation generation, r-removal, and specialized membership."""
+"""Tests for equation generation, r-removal, and exact membership."""
 
 import pytest
 
 from godeaux2.alpha import AlphaCase, SymPolyMatrix, make_table
 from godeaux2.rc import PAIRS
-from godeaux2.ring import Polynomial
+from godeaux2.ring import MULTIPLIER, Polynomial
 from godeaux2.surface import (
-    GBLimit,
     SurfaceError,
-    buchberger,
     collect_Gm,
     generate_equations,
     membership_check,
-    reduce_mod,
     remove_r,
-    specialize_params,
 )
+
+from _oracle import outside_low_degree_ideal
 
 
 def test_equation_count_and_labels(run11):
@@ -103,47 +101,49 @@ def test_membership_trivial_cases(run11):
     table = run11.table
     y1, y2 = table.var("y1"), table.var("y2")
     gens = [y1, y2]
-    assert membership_check(gens[0], gens, [], seed=3) == "verified"
-    assert membership_check(table.one(), gens, [], seed=3) == "refuted"
+    assert membership_check(gens[0], gens) == "verified"
+    x = table.var("x")
+    assert membership_check(y1 * y2 + x * x * y1, gens) == "verified"
+    assert membership_check(table.one(), gens) == "refuted"
+    assert membership_check(x * x, gens) == "refuted"
     with pytest.raises(SurfaceError):
-        membership_check(y1, [], [], seed=0)
+        membership_check(y1, [])
+    with pytest.raises(SurfaceError, match="pure"):
+        membership_check(y1 * y2 + y2 * y2, gens)  # mixed involution sign
+    with pytest.raises(SurfaceError, match="nonzero"):
+        membership_check(table.zero(), gens)
 
 
-def test_reduce_known_ideal(run11):
+def test_membership_rejects_multiplier_input(run11):
     table = run11.table
     y1, y2 = table.var("y1"), table.var("y2")
-    basis = buchberger([y1 * y1 - y2 * y2, y1 * y2])
-    # y1^3 = y1*(y1^2 - y2^2) + y2*(y1*y2) and y2^3 = y1*(y1 y2) - y2*(y1^2-y2^2)
-    assert reduce_mod(y1 ** 3, basis).is_zero()
-    assert reduce_mod(y2 ** 3, basis).is_zero()
-    assert reduce_mod(y1 ** 2 * y2, basis).is_zero()
-    assert not reduce_mod(y1 * y1, basis).is_zero()
-
-
-def test_buchberger_cap_reports():
-    table = make_table(1)
-    y1, y2, y3, x = (table.var(n) for n in ("y1", "y2", "y3", "x"))
-    gens = [y1 ** 3 - x ** 2 * y2, y2 ** 3 - x * y3 ** 2, y3 ** 3 - y1 * y2]
-    with pytest.raises(GBLimit):
-        buchberger(gens, s_pair_cap=1, time_cap=60)
-
-
-def test_specialize_params_seeded(run11):
-    F = [eq.poly for eq in run11.equations.low_degree(5)]
-    v1, g1 = specialize_params(F, run11.gbd_survivors, 7)
-    v2, g2 = specialize_params(F, run11.gbd_survivors, 7)
-    assert v1 == v2
-    assert all(val != 0 for val in v1.values())
-    v3, _ = specialize_params(F, run11.gbd_survivors, 8)
-    assert v3 != v1
+    r = table.var(table.of_kind(MULTIPLIER)[0])
+    with pytest.raises(SurfaceError, match="multiplier"):
+        membership_check(r * y1, [y1, y2])
+    with pytest.raises(SurfaceError, match="multiplier"):
+        membership_check(y1, [r * y1, y2])
 
 
 def test_all_gm_membership_spot(run11):
     F = [eq.poly for eq in run11.equations_raw.low_degree(5)]
-    sample = sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]])[:3]
-    for rname, occurrences in sample:
+    certified = 0
+    for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
         for label, G in occurrences:
-            assert membership_check(G, F, run11.gbd_survivors, seed=1) == "verified"
+            assert membership_check(G, F) == "verified", (rname, label)
+            certified += 1
+    assert certified == 94
+
+
+def test_perturbed_gm_is_refuted(run11):
+    # one coefficient of each (degree, sign) class present
+    F = [eq.poly for eq in run11.equations_raw.low_degree(5)]
+    classes = {}
+    for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
+        for label, G in occurrences:
+            classes.setdefault((G.weighted_degree(), G.sigma_sign()), (rname, label, G))
+    assert len(classes) == 5
+    for rname, label, G in classes.values():
+        assert membership_check(G + outside_low_degree_ideal(run11, G), F) == "refuted", (rname, label)
 
 
 def test_equations_expose_nine_geometric_vars(run11):

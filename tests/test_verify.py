@@ -28,6 +28,8 @@ from godeaux2.verify import (
     verify_extension_shuffle,
 )
 
+from _oracle import outside_low_degree_ideal
+
 
 def test_report_invariant():
     with pytest.raises(ValueError):
@@ -97,7 +99,18 @@ def test_alpha2_basepoint(run20):
 def test_r_removal(run11):
     rep = verify_r_removal(result=run11)
     assert rep.status == "pass"
-    assert "verified at 3 seeds" in rep.note
+    assert rep.note == "all 94 r-coefficients certified by exact cofactors over Q[moduli]"
+
+
+def test_r_removal_fails_on_a_perturbed_coefficient(run11):
+    # negative control: the last coefficient, moved out of the ideal
+    rname = max(run11.gm, key=lambda n: run11.table.index[n])
+    gm = {k: list(v) for k, v in run11.gm.items()}
+    label, G = gm[rname][-1]
+    gm[rname][-1] = (label, G + outside_low_degree_ideal(run11, G))
+    rep = verify_r_removal(result=dataclasses.replace(run11, gm=gm))
+    assert rep.status == "fail"
+    assert rep.witness == f"G[{rname}] in {label} is not in the ideal"
 
 
 def test_central_minors(run11):

@@ -32,7 +32,7 @@ def survey(max_rounds: int) -> None:
                     system.f, list(l0.r_names), list(GB_NAMES), max_rounds, invertible
                 )
             except EliminationError as err:
-                left = sorted(err.state.f, key=lambda p: p.num_terms())
+                left = sorted(err.state.f, key=lambda p: len(p.terms))
                 print(f"{head}  STALLED ({len(err.state.f)} residuals, "
                       f"{time.monotonic() - t0:.1f}s)")
                 for p in left[:3]:

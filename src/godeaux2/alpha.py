@@ -212,9 +212,6 @@ class SymPolyMatrix:
         ]
         return SymPolyMatrix(C)
 
-    def to_strings(self) -> list:
-        return [[str(p) for p in row] for row in self.rows]
-
     def __repr__(self) -> str:
         return "SymPolyMatrix(\n  " + "\n  ".join(
             "[" + ", ".join(str(p) for p in row) + "]" for row in self.rows

@@ -4,13 +4,17 @@ The primitive scans a designated subset g of the system f for polynomials of
 the form c*v + h with c a nonzero rational constant, v in the target variable
 list, h free of v and containing at most n target variables.  On a hit it
 solves v = -h/c, substitutes everywhere, logs the dependency and restarts the
-scan.  The driver alternates this over the r-parameters (budget n = 1, 2, ...)
-with sweeps over the g/b-parameters restricted to the r-free part of f
-(budget 22), until f is empty or the round cap is reached.
+scan.  The driver climbs one ladder of moves per round: A sweeps the
+r-parameters (budget n = the round number), B the g/b-parameters over the
+r-free part of f (budget 22), and the fallbacks C, D, E run only after an
+idle A and B; see `driver`.  It stops when f is empty or the round cap is
+reached.
 
-Polynomials in f are kept in integer-primitive form (content removed, leading
-coefficient positive); zero polynomials are dropped and exact duplicates of
-the normalized forms are pruned, keeping the earliest copy.
+Every move works on a `_Worktable`, which keeps f in integer-primitive form
+(content removed, leading coefficient positive), drops zero polynomials,
+prunes exact duplicates of the normalized forms (keeping the earliest copy),
+and applies a pivot by rewriting exactly the polynomials that hold its
+variable.
 """
 
 from __future__ import annotations
@@ -56,10 +60,6 @@ class EliminationState:
     f: list
     deps: list = field(default_factory=list)
     round_log: list = field(default_factory=list)
-
-    @property
-    def eliminated(self) -> set:
-        return {d.var for d in self.deps}
 
 
 def strip_content_var(p: Polynomial, var: str) -> Polynomial:
@@ -115,35 +115,20 @@ def primitive_form(p: Polynomial, invertible: tuple = ()) -> Polynomial:
     return Polynomial(p.table, {m: n // g for m, n in nums.items()}, lead)
 
 
-def _poly_key(p: Polynomial):
-    return frozenset(p.terms.items())
-
-
 class _Worktable:
-    """Mutable view of (f, g) during one lin_elim call."""
+    """Mutable view of (f, g) during one move.  Slot i holds a polynomial in
+    primitive form, or None once it is zero, a copy of a live polynomial, or
+    used up as a pivot."""
 
     def __init__(self, f: Sequence[Polynomial], g_flags: Sequence[bool], invertible: tuple = ()):
-        self.polys = []
-        self.in_g = []
-        self.supports = []
-        self.by_key = {}
         self.invertible = tuple(invertible)
-        for p, flag in zip(f, g_flags):
-            self._append(primitive_form(p, self.invertible), flag)
-
-    def _append(self, p: Polynomial, flag: bool) -> None:
-        if p.is_zero():
-            return
-        key = _poly_key(p)
-        prior = self.by_key.get(key)
-        if prior is not None and self.polys[prior] is not None:
-            if flag and not self.in_g[prior]:
-                self.in_g[prior] = True
-            return
-        self.by_key[key] = len(self.polys)
-        self.polys.append(p)
-        self.in_g.append(flag)
-        self.supports.append(p.support())
+        self.polys = [None] * len(f)
+        self.supports = [None] * len(f)
+        self.keys = [None] * len(f)
+        self.in_g = list(g_flags)
+        self.by_key = {}  # key of every live polynomial -> its slot
+        for i, p in enumerate(f):
+            self.replace(i, primitive_form(p, self.invertible))
 
     def alive(self) -> list:
         return [p for p in self.polys if p is not None]
@@ -151,32 +136,60 @@ class _Worktable:
     def alive_flags(self) -> list:
         return [self.in_g[i] for i, p in enumerate(self.polys) if p is not None]
 
-    def kill(self, i: int) -> None:
-        key = _poly_key(self.polys[i])
-        if self.by_key.get(key) == i:
-            del self.by_key[key]
-        self.polys[i] = None
-        self.supports[i] = None
-
     def replace(self, i: int, p: Polynomial) -> None:
-        old_key = _poly_key(self.polys[i])
-        if self.by_key.get(old_key) == i:
-            del self.by_key[old_key]
+        """Put p in slot i.  A zero, or a copy of a live polynomial (which
+        then joins g if slot i was in it), leaves the slot empty."""
+        if self.polys[i] is not None:
+            del self.by_key[self.keys[i]]
+        self.polys[i] = self.supports[i] = self.keys[i] = None
         if p.is_zero():
-            self.polys[i] = None
-            self.supports[i] = None
             return
-        key = _poly_key(p)
+        key = frozenset(p.terms.items())
         prior = self.by_key.get(key)
-        if prior is not None and prior != i and self.polys[prior] is not None:
-            if self.in_g[i] and not self.in_g[prior]:
-                self.in_g[prior] = True
-            self.polys[i] = None
-            self.supports[i] = None
+        if prior is not None:
+            self.in_g[prior] = self.in_g[prior] or self.in_g[i]
             return
         self.by_key[key] = i
-        self.polys[i] = p
-        self.supports[i] = p.support()
+        self.polys[i], self.supports[i], self.keys[i] = p, p.support(), key
+
+    def eliminate(self, i: int, v: int, rewrite) -> list:
+        """Drop the pivot polynomial i and put every polynomial whose support
+        holds v through `rewrite`, in primitive form; return the indices
+        rewritten."""
+        self.replace(i, self.polys[i].table.zero())
+        rewritten = []
+        for k, q in enumerate(self.polys):
+            if q is not None and v in self.supports[k]:
+                self.replace(k, primitive_form(rewrite(q), self.invertible))
+                rewritten.append(k)
+        return rewritten
+
+    def solve(self, pivot) -> list:
+        """Apply pivots until none is left and return their dependencies.
+
+        pivot(p, support) gives (dependency, v, rewrite) for a polynomial of
+        g, or None.  The scan restarts from the first slot after every
+        elimination and skips the polynomials found pivot-free since they
+        last changed.
+        """
+        deps = []
+        checked = set()
+        progress = True
+        while progress:
+            progress = False
+            for i, p in enumerate(self.polys):
+                if p is None or not self.in_g[i] or i in checked:
+                    continue
+                hit = pivot(p, self.supports[i])
+                if hit is None:
+                    checked.add(i)
+                    continue
+                dep, v, rewrite = hit
+                deps.append(dep)
+                checked.difference_update(self.eliminate(i, v, rewrite))
+                progress = True
+                break
+        return deps
 
 
 def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
@@ -266,33 +279,18 @@ def lin_elim(
     table = f[0].table
     # _find_pivot prefers low rank; rank order is the var sequence order
     var_idx = {table.index[name]: rank for rank, name in enumerate(var)}
+
+    def pivot(p, support):
+        hit = _find_pivot(p, support, var_idx, n)
+        if hit is None:
+            return None
+        v, c = hit
+        neg_h = Polynomial(table, {m: -a for m, a in p.terms.items() if m != ((v, 1),)})
+        dep = Dependency(table.names[v], neg_h * Fraction(1, c))
+        return dep, v, _cleared_pivot_substitution(v, c, neg_h)
+
     work = _Worktable(f, g_flags, invertible)
-    deps = []
-    checked = set()
-    progress = True
-    while progress:
-        progress = False
-        for i, p in enumerate(work.polys):
-            if p is None or not work.in_g[i] or i in checked:
-                continue
-            hit = _find_pivot(p, work.supports[i], var_idx, n)
-            if hit is None:
-                checked.add(i)
-                continue
-            v, c = hit
-            neg_h = Polynomial(table, {m: -a for m, a in p.terms.items() if m != ((v, 1),)})
-            deps.append(Dependency(table.names[v], neg_h * Fraction(1, c)))
-            substitute = _cleared_pivot_substitution(v, c, neg_h)
-            work.kill(i)
-            checked.discard(i)
-            for k, q in enumerate(work.polys):
-                if q is None or work.supports[k] is None or v not in work.supports[k]:
-                    continue
-                nq = primitive_form(substitute(q), work.invertible)
-                work.replace(k, nq)
-                checked.discard(k)
-            progress = True
-            break
+    deps = work.solve(pivot)
     return work.alive(), work.alive_flags(), deps
 
 
@@ -313,29 +311,14 @@ def zero_free_vars(f: Sequence[Polynomial], var: Sequence[str], invertible: tupl
     if not f:
         return [], []
     table = f[0].table
-    present = set()
-    for p in f:
-        present |= p.support()
+    present = set().union(*(p.support() for p in f))
     names = [name for name in var if table.index[name] in present]
     if not names:
         return list(f), []
     zero = table.zero()
     bindings = {name: zero for name in names}
-    deps = [Dependency(name, zero) for name in names]
-    out = []
-    for p in f:
-        q = primitive_form(p.substitute(bindings), tuple(invertible))
-        if not q.is_zero():
-            out.append(q)
-    # dedup exact repeats, first kept
-    seen = set()
-    kept = []
-    for p in out:
-        key = _poly_key(p)
-        if key not in seen:
-            seen.add(key)
-            kept.append(p)
-    return kept, deps
+    work = _Worktable([p.substitute(bindings) for p in f], [True] * len(f), invertible)
+    return work.alive(), [Dependency(name, zero) for name in names]
 
 
 def monomial_elim(
@@ -358,38 +341,25 @@ def monomial_elim(
     if not f:
         return [], []
     table = f[0].table
-    r_rank = {table.index[name]: rank for rank, name in enumerate(r_var)}
-    any_rank = dict(r_rank)
-    for rank, name in enumerate(all_var):
-        any_rank.setdefault(table.index[name], len(r_rank) + rank)
+    r_idx = {table.index[name] for name in r_var}
+    targets = r_idx | {table.index[name] for name in all_var}
+
+    def pivot(p, support):
+        if len(p.terms) != 1:
+            return None
+        (mono, _), = p.terms.items()
+        rs = [(w, e) for w, e in mono if w in r_idx]
+        if len(mono) == 1 and mono[0][0] in targets:
+            v = mono[0][0]  # pure power c*v^e: v = 0 is forced
+        elif len(rs) == 1 and rs[0][1] == 1:
+            v = rs[0][0]  # the one r of a mixed monomial, to the first power
+        else:
+            return None
+        zero = {table.names[v]: table.zero()}
+        return Dependency(table.names[v], table.zero()), v, lambda q: q.substitute(zero)
+
     work = _Worktable(f, [True] * len(f), invertible)
-    deps = []
-    progress = True
-    while progress:
-        progress = False
-        for i, p in enumerate(work.polys):
-            if p is None or len(p.terms) != 1:
-                continue
-            (mono, _), = p.terms.items()
-            v = None
-            if len(mono) == 1 and mono[0][0] in any_rank:
-                v = mono[0][0]  # pure power c*v^e: v = 0 is forced
-            else:
-                hits = [(r_rank[w], w) for w, e in mono if w in r_rank and e == 1]
-                if hits and sum(1 for w, _ in mono if w in r_rank) == 1:
-                    v = min(hits)[1]
-            if v is None:
-                continue
-            name = table.names[v]
-            deps.append(Dependency(name, table.zero()))
-            work.kill(i)
-            for k, q in enumerate(work.polys):
-                if q is None or v not in work.supports[k]:
-                    continue
-                nq = primitive_form(q.substitute({name: table.zero()}), work.invertible)
-                work.replace(k, nq)
-            progress = True
-            break
+    deps = work.solve(pivot)
     return work.alive(), deps
 
 
@@ -400,76 +370,60 @@ def driver(
     max_rounds: int = 10,
     invertible: tuple = (),
 ) -> EliminationState:
-    """Alternate stage A (r-elimination, n = 1, 2, ...) with stage B
-    (g/b-elimination over the r-free subset, n = 22) until f empties.
+    """Run the elimination ladder, one round per budget n = 1, 2, ..., until
+    f empties.
 
-    When a full A+B round makes no progress, three fallbacks fire in order:
-    C zeroes single-monomial entries (see monomial_elim), D widens the g/b
-    sweep to polynomials still carrying r's, and E (once) specializes every r
-    left in f to 0.  None of them is ever reached for (alpha_1, c=1).
+    Each round climbs the ladder of moves in order:
+      A  r-elimination with budget n;
+      B  g/b-elimination over the r-free subset, budget 22;
+      C  zero single-monomial entries (see monomial_elim);
+      D  the g/b sweep widened to polynomials still carrying r's;
+      E  specialize every r left in f to 0 (the value the r-removal step
+         gives it anyway), at most once per run.
+    A and B run every round; a fallback (C, D, E) runs only when every move
+    before it in the round was idle.  None of the fallbacks is ever reached
+    for (alpha_1, c=1).  Every move logs one RoundRecord.
 
     Raises EliminationError with the residual attached when the round cap is
     exceeded with a nonempty system.
     """
+
+    def sweep(var, flags):
+        def move(f, n):
+            f, _, deps = lin_elim(f, flags(f), var, n, invertible)
+            return f, deps
+
+        return move
+
+    def everywhere(f):
+        return [True] * len(f)
+
+    ladder = (
+        # (stage, budget: None for the round number, fallback, move)
+        ("A", None, False, sweep(r_names, everywhere)),
+        ("B", STAGE_B_BUDGET, False, sweep(gb_names, lambda f: stage_b_flags(f, r_names))),
+        ("C", 0, True, lambda f, n: monomial_elim(f, r_names, gb_names, invertible)),
+        ("D", STAGE_B_BUDGET, True, sweep(gb_names, everywhere)),
+        ("E", 0, True, lambda f, n: zero_free_vars(f, r_names, invertible)),
+    )
     state = EliminationState(list(f))
     zeroed_rs = False
-    for n in range(1, max_rounds + 1):
-        t0 = time.monotonic()
-        state.f, flags, new_a = lin_elim(
-            state.f, [True] * len(state.f), r_names, n, invertible
-        )
-        state.deps.extend(new_a)
-        state.round_log.append(
-            RoundRecord("A", n, len(new_a), len(state.f), time.monotonic() - t0, _peak_kb())
-        )
-        if not state.f:
-            return state
-        t0 = time.monotonic()
-        flags = stage_b_flags(state.f, r_names)
-        state.f, _, new_b = lin_elim(state.f, flags, gb_names, STAGE_B_BUDGET, invertible)
-        state.deps.extend(new_b)
-        state.round_log.append(
-            RoundRecord("B", STAGE_B_BUDGET, len(new_b), len(state.f), time.monotonic() - t0, _peak_kb())
-        )
-        if not state.f:
-            return state
-        if not new_a and not new_b:
+    for rnd in range(1, max_rounds + 1):
+        idle = True
+        for stage, budget, fallback, move in ladder:
+            if (fallback and not idle) or (stage == "E" and zeroed_rs):
+                break
+            zeroed_rs = zeroed_rs or stage == "E"
+            n = rnd if budget is None else budget
             t0 = time.monotonic()
-            state.f, new_c = monomial_elim(state.f, r_names, gb_names, invertible)
-            state.deps.extend(new_c)
+            state.f, new = move(state.f, n)
+            state.deps.extend(new)
             state.round_log.append(
-                RoundRecord("C", 0, len(new_c), len(state.f), time.monotonic() - t0, _peak_kb())
+                RoundRecord(stage, n, len(new), len(state.f), time.monotonic() - t0, _peak_kb())
             )
             if not state.f:
                 return state
-            if not new_c:
-                # widen the g/b sweep to polynomials still carrying r's
-                t0 = time.monotonic()
-                state.f, _, new_d = lin_elim(
-                    state.f, [True] * len(state.f), gb_names, STAGE_B_BUDGET, invertible
-                )
-                state.deps.extend(new_d)
-                state.round_log.append(
-                    RoundRecord(
-                        "D", STAGE_B_BUDGET, len(new_d), len(state.f),
-                        time.monotonic() - t0, _peak_kb(),
-                    )
-                )
-                if not state.f:
-                    return state
-                if not new_d and not zeroed_rs:
-                    # last resort, once: specialize every free r still in f
-                    # to 0 (the value the r-removal step takes anyway) and
-                    # let the ladder continue on the g/b variables
-                    zeroed_rs = True
-                    t0 = time.monotonic()
-                    state.f, new_e = zero_free_vars(state.f, r_names, invertible)
-                    state.deps.extend(new_e)
-                    state.round_log.append(
-                        RoundRecord("E", 0, len(new_e), len(state.f), time.monotonic() - t0, _peak_kb())
-                    )
-                    if not state.f:
-                        return state
+            idle = idle and not new
     err = EliminationError(
         f"elimination stalled with {len(state.f)} residual polynomials "
         f"after {max_rounds} rounds"

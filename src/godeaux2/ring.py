@@ -283,33 +283,6 @@ class VariableTable:
         c = _as_coeff(Fraction(c) if not isinstance(c, Scalar) else c)
         return Polynomial(self, {UNIT_MONO: c} if c else {})
 
-    def poly(self, terms: Mapping) -> "Polynomial":
-        """Build from {((name, exp), ...): coeff}; normalizes and applies rules."""
-        raw = {}
-        for named_mono, coeff in terms.items():
-            mono = tuple(sorted((self.index[n], e) for n, e in named_mono if e))
-            c = _as_coeff(coeff)
-            if not c:
-                continue
-            s = raw.get(mono)
-            if s is None:
-                raw[mono] = c
-            else:
-                s = s + c
-                if s:
-                    raw[mono] = s
-                else:
-                    del raw[mono]
-        return Polynomial(self, self.reduce_terms(raw))
-
-    def monomial(self, *factors) -> "Polynomial":
-        """Convenience: monomial('x', ('y1', 2)) -> x*y1^2."""
-        m = UNIT_MONO
-        for f in factors:
-            name, e = (f, 1) if isinstance(f, str) else f
-            m = mono_mul(m, ((self.index[name], e),))
-        return Polynomial(self, {m: 1})
-
     def mono_weight(self, mono: Mono) -> int:
         w = self.weights
         return sum(e * w[v] for v, e in mono)
@@ -351,7 +324,7 @@ class VariableTable:
         if not self.has_reducible(terms):
             return terms
         rules = self.rules
-        out = {}
+        done = []
         work = list(terms.items())
         while work:
             mono, coeff = work.pop()
@@ -362,15 +335,7 @@ class VariableTable:
                     hit = (v, e, rule)
                     break
             if hit is None:
-                s = out.get(mono)
-                if s is None:
-                    out[mono] = coeff
-                else:
-                    s = s + coeff
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
+                done.append((mono, coeff))
                 continue
             v, e, (power, repl) = hit
             rest = tuple(
@@ -380,6 +345,8 @@ class VariableTable:
                 rest = mono_mul(rest, ((v, e - power),))
             for rm, rc in repl.items():
                 work.append((mono_mul(rest, rm), coeff * rc))
+        out: dict = {}
+        add_terms(out, done)
         return out
 
 
@@ -441,18 +408,11 @@ class Polynomial:
         names, kinds = self.table.names, self.table.kinds
         return frozenset(names[v] for v in self.support() if kinds[v] == MULTIPLIER)
 
-    def contains_var(self, name: str) -> bool:
-        vi = self.table.index[name]
-        return any(v == vi for m in self.terms for v, _ in m)
-
     def coefficient(self, mono: Mono) -> Coeff:
         return self.terms.get(mono, 0)
 
     def constant_part(self) -> Coeff:
         return self.terms.get(UNIT_MONO, 0)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -463,16 +423,7 @@ class Polynomial:
         if not other.terms:
             return self
         t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m)
-            if s is None:
-                t[m] = c
-            else:
-                s = s + c
-                if s:
-                    t[m] = s
-                else:
-                    del t[m]
+        add_terms(t, other.terms.items())
         return Polynomial(self.table, t)
 
     __radd__ = __add__
@@ -498,6 +449,8 @@ class Polynomial:
             return self.table.zero()
         if len(a) > len(b):
             a, b = b, a
+        # add_terms inlined: fed a generator of products it measured about 6%
+        # slower on products of the (alpha_1, c=1) entries (CPython 3.11)
         res: dict = {}
         get = res.get
         for m1, c1 in a.items():
@@ -689,17 +642,9 @@ class Polynomial:
         for m, c in self.terms.items():
             inside = tuple(ve for ve in m if ve[0] in idxs)
             outside = tuple(ve for ve in m if ve[0] not in idxs)
-            g = groups.setdefault(inside, {})
-            s = g.get(outside)
-            if s is None:
-                g[outside] = c
-            else:
-                s = s + c
-                if s:
-                    g[outside] = s
-                else:
-                    del g[outside]
-        order = sorted_monos([m for m, g in groups.items() if g], table)
+            # (inside, outside) determines m, so no two terms meet here
+            groups.setdefault(inside, {})[outside] = c
+        order = sorted_monos(list(groups), table)
         return [(m, Polynomial(table, groups[m])) for m in order]
 
     # -- exact division and square root --------------------------------------------

@@ -56,9 +56,6 @@ class SurfaceEquations:
     def low_degree(self, bound: int = 5) -> list:
         return [eq for eq in self.eqs if eq.degree <= bound]
 
-    def polys(self) -> list:
-        return [eq.poly for eq in self.eqs]
-
 
 def generate_equations(
     alpha_final: SymPolyMatrix,

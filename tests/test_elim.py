@@ -315,3 +315,88 @@ def test_dependency_vars_unique(run11, run20):
     for state in (run11.elim, run20.elim):
         names = [d.var for d in state.deps]
         assert len(names) == len(set(names))
+
+
+# (stage, n, eliminated, f_size) of every driver round of the four cases
+# that solve; (2,0) is the one that climbs to the C, D and E fallbacks
+ROUND_LOGS = {
+    (1, 1, 10): [
+        ("A", 1, 82, 576), ("B", 22, 3, 558), ("A", 2, 115, 294), ("B", 22, 11, 195),
+        ("A", 3, 17, 162), ("B", 22, 0, 162), ("A", 4, 38, 69), ("B", 22, 0, 69),
+        ("A", 5, 11, 34), ("B", 22, 0, 34), ("A", 6, 8, 12), ("B", 22, 0, 12),
+        ("A", 7, 3, 6), ("B", 22, 0, 6), ("A", 8, 3, 0),
+    ],
+    (3, 1, 10): [
+        ("A", 1, 143, 314), ("B", 22, 14, 204), ("A", 2, 88, 76), ("B", 22, 0, 76),
+        ("A", 3, 19, 33), ("B", 22, 0, 33), ("A", 4, 7, 21), ("B", 22, 0, 21),
+        ("A", 5, 9, 11), ("B", 22, 0, 11), ("A", 6, 11, 0),
+    ],
+    (3, 0, 10): [
+        ("A", 1, 87, 176), ("B", 22, 20, 15), ("A", 2, 5, 0),
+    ],
+    (2, 0, 16): [
+        ("A", 1, 53, 473), ("B", 22, 10, 346), ("A", 2, 48, 290), ("B", 22, 0, 290),
+        ("A", 3, 57, 192), ("B", 22, 0, 192), ("A", 4, 7, 184), ("B", 22, 0, 184),
+        ("A", 5, 9, 175), ("B", 22, 0, 175), ("A", 6, 2, 173), ("B", 22, 0, 173),
+        ("A", 7, 2, 171), ("B", 22, 0, 171), ("A", 8, 0, 171), ("B", 22, 0, 171),
+        ("C", 0, 4, 167), ("A", 9, 0, 167), ("B", 22, 0, 167), ("C", 0, 0, 167),
+        ("D", 22, 11, 153), ("A", 10, 11, 136), ("B", 22, 0, 136), ("A", 11, 1, 135),
+        ("B", 22, 0, 135), ("A", 12, 1, 134), ("B", 22, 0, 134), ("A", 13, 5, 129),
+        ("B", 22, 0, 129), ("A", 14, 0, 129), ("B", 22, 0, 129), ("C", 0, 0, 129),
+        ("D", 22, 0, 129), ("E", 0, 170, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("j, c, max_rounds", list(ROUND_LOGS))
+def test_driver_round_logs_are_pinned(j, c, max_rounds):
+    from godeaux2.pipeline import run_pipeline
+
+    log = run_pipeline(j, c, max_rounds).elim.round_log
+    assert [(r.stage, r.n, r.eliminated, r.f_size) for r in log] == ROUND_LOGS[j, c, max_rounds]
+
+
+def test_driver_fallbacks_follow_idle_moves_and_e_fires_once():
+    from godeaux2.elim import EliminationError
+
+    T = param_table()
+    d, r1, g1 = T.var("d"), T.var("r1"), T.var("g1")
+    # round 1: A frees nothing, B's pivot on g1 has coefficient d, so C, D
+    # and E each get a turn; round 2 is idle again, but E is spent
+    with pytest.raises(EliminationError) as err:
+        driver([d * g1 - d * d, r1 * g1 - d], ["r1"], ["g1"], max_rounds=2)
+    state = err.value.state
+    assert "".join(r.stage for r in state.round_log) == "ABCDEABCD"
+    assert [dep.var for dep in state.deps] == ["r1"]  # from E
+    assert state.f == [d * g1 - d * d, d]
+
+
+def test_zero_free_vars_keeps_the_first_of_equal_images_and_drops_zeros():
+    from godeaux2.elim import zero_free_vars
+
+    T = param_table()
+    d, r1, g1 = T.var("d"), T.var("r1"), T.var("g1")
+    f = [g1 + r1, r1 * d, d * g1, 2 * g1 + 2 * r1 * d]
+    out, deps = zero_free_vars(f, ["r1"], ())
+    assert [dep.var for dep in deps] == ["r1"]
+    # r1*d goes to zero; 2*g1 normalises to the g1 already kept in front
+    assert out == [g1, d * g1]
+
+
+def test_monomial_elim_rewrites_only_what_holds_v(monkeypatch):
+    T = param_table()
+    d, g1, r5, r6 = T.var("d"), T.var("g1"), T.var("r5"), T.var("r6")
+    f = [d * g1 * r5, g1 + d * r5, d + g1 * r6]
+    rewritten = []
+    substitute = Polynomial.substitute
+
+    def spy(self, bindings):
+        rewritten.append(self)
+        return substitute(self, bindings)
+
+    monkeypatch.setattr(Polynomial, "substitute", spy)
+    out, deps = monomial_elim(f, ["r5", "r6"], [], ())
+    assert [dep.var for dep in deps] == ["r5"]
+    assert rewritten == [g1 + d * r5]
+    assert out == [g1, d + g1 * r6]
+    assert out[1] is f[2]  # untouched, not a copy

@@ -72,6 +72,15 @@ def test_scaling(run11):
     assert rep.status == "pass"
 
 
+def test_scaling_fails_on_a_wrong_weight(monkeypatch, run11):
+    # negative control: b12 has weight 4, so weight 3 breaks the grading
+    from godeaux2 import verify
+
+    monkeypatch.setitem(verify.SCALING_WEIGHTS, "b12", 3)
+    rep = verify_scaling(result=run11)
+    assert rep.status == "fail" and "scales by u^" in rep.witness
+
+
 def test_alpha3_square_and_control(run30, run11):
     rep = verify_alpha3_square()
     assert rep.status == "pass"
@@ -125,6 +134,22 @@ def test_central_minors(run11):
 def test_golden_match_and_closed_form_rc(run11):
     assert verify_golden_match(result=run11).status == "pass"
     assert verify_closed_form_rc(result=run11).status == "pass"
+
+
+def test_closed_form_rc_fails_on_a_perturbed_entry(monkeypatch, run11):
+    # negative control: b12*y1^3 added to G leaves the rank condition
+    # unsolvable with the moduli free
+    from godeaux2 import verify
+
+    def perturbed(table):
+        g = golden_final_entries(table)
+        g["G"] = g["G"] + table.var("b12") * table.var("y1") ** 3
+        return g
+
+    monkeypatch.setattr(verify, "golden_final_entries", perturbed)
+    rep = verify_closed_form_rc(result=run11)
+    assert rep.status == "fail"
+    assert rep.witness == "141 coefficients remain unsolved"
 
 
 def test_golden_entries_are_the_survivor_family(run11):

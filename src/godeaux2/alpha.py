@@ -190,11 +190,8 @@ class SymPolyMatrix:
     def congruence(self, P: Sequence[Sequence]) -> "SymPolyMatrix":
         """P * M * P^T for a 6x6 matrix P of polynomials/scalars."""
         table = self.table
-        Pp = [
-            [e if isinstance(e, Polynomial) else table.const(e) for e in row]
-            for row in P
-        ]
-        if len(Pp) != 6 or any(len(r) != 6 for r in Pp):
+        Pp = _as_grid(P, table)
+        if len(Pp) != 6:
             raise PatternError("congruence transform must be 6x6")
         B = [
             [
@@ -264,13 +261,14 @@ def _minor_det(grid, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
     return acc
 
 
-def _as_grid(rows) -> list:
-    """A square matrix with scalar entries lifted to the table of its
-    polynomial entries."""
+def _as_grid(rows, table: Optional[VariableTable] = None) -> list:
+    """A square matrix with scalar entries lifted to `table`, by default the
+    table of its polynomial entries."""
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise PatternError("matrix must be square and nonempty")
-    table = next((e.table for row in rows for e in row if isinstance(e, Polynomial)), None)
+    if table is None:
+        table = next((e.table for row in rows for e in row if isinstance(e, Polynomial)), None)
     if table is None:
         raise PatternError("matrix has no polynomial entries")
     return [[e if isinstance(e, Polynomial) else table.const(e) for e in row] for row in rows]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .ring import Polynomial, RingError, add_terms, mono_div, mono_mul
+from .ring import Polynomial, RingError, mono_div, mono_mul
 
 STAGE_B_BUDGET = 22
 
@@ -92,8 +92,9 @@ def strip_content_var(p: Polynomial, var: str) -> Polynomial:
 def primitive_form(p: Polynomial, invertible: tuple = ()) -> Polynomial:
     """Integer content removed, leading (canonical) coefficient positive,
     content in the invertible variables divided out.  A polynomial already in
-    that form is returned as it is."""
-    if not p.terms:
+    that form is returned as it is, and remembers the `invertible` tuple it
+    was found primitive for, so a second call for that tuple returns at once."""
+    if not p.terms or p.primitive_for == invertible:
         return p
     for var in invertible:
         p = strip_content_var(p, var)
@@ -110,9 +111,10 @@ def primitive_form(p: Polynomial, invertible: tuple = ()) -> Polynomial:
     lead = p.leading_mono()
     if nums[lead] < 0:
         g = -g
-    if g == 1 and nums is terms:
-        return p
-    return Polynomial(p.table, {m: n // g for m, n in nums.items()}, lead)
+    if not (g == 1 and nums is terms):
+        p = Polynomial(p.table, {m: n // g for m, n in nums.items()}, lead)
+    p.primitive_for = invertible
+    return p
 
 
 class _Worktable:
@@ -123,10 +125,8 @@ class _Worktable:
     def __init__(self, f: Sequence[Polynomial], g_flags: Sequence[bool], invertible: tuple = ()):
         self.invertible = tuple(invertible)
         self.polys = [None] * len(f)
-        self.supports = [None] * len(f)
-        self.keys = [None] * len(f)
         self.in_g = list(g_flags)
-        self.by_key = {}  # key of every live polynomial -> its slot
+        self.by_key = {}  # every live polynomial -> its slot
         for i, p in enumerate(f):
             self.replace(i, primitive_form(p, self.invertible))
 
@@ -139,18 +139,17 @@ class _Worktable:
     def replace(self, i: int, p: Polynomial) -> None:
         """Put p in slot i.  A zero, or a copy of a live polynomial (which
         then joins g if slot i was in it), leaves the slot empty."""
-        if self.polys[i] is not None:
-            del self.by_key[self.keys[i]]
-        self.polys[i] = self.supports[i] = self.keys[i] = None
+        old = self.polys[i]
+        if old is not None:
+            del self.by_key[old]
+            self.polys[i] = None
         if p.is_zero():
             return
-        key = frozenset(p.terms.items())
-        prior = self.by_key.get(key)
-        if prior is not None:
+        prior = self.by_key.setdefault(p, i)
+        if prior != i:
             self.in_g[prior] = self.in_g[prior] or self.in_g[i]
             return
-        self.by_key[key] = i
-        self.polys[i], self.supports[i], self.keys[i] = p, p.support(), key
+        self.polys[i] = p
 
     def eliminate(self, i: int, v: int, rewrite) -> list:
         """Drop the pivot polynomial i and put every polynomial whose support
@@ -159,7 +158,7 @@ class _Worktable:
         self.replace(i, self.polys[i].table.zero())
         rewritten = []
         for k, q in enumerate(self.polys):
-            if q is not None and v in self.supports[k]:
+            if q is not None and v in q.support():
                 self.replace(k, primitive_form(rewrite(q), self.invertible))
                 rewritten.append(k)
         return rewritten
@@ -167,10 +166,9 @@ class _Worktable:
     def solve(self, pivot) -> list:
         """Apply pivots until none is left and return their dependencies.
 
-        pivot(p, support) gives (dependency, v, rewrite) for a polynomial of
-        g, or None.  The scan restarts from the first slot after every
-        elimination and skips the polynomials found pivot-free since they
-        last changed.
+        pivot(p) gives (dependency, v, rewrite) for a polynomial of g, or
+        None.  The scan restarts from the first slot after every elimination
+        and skips the polynomials found pivot-free since they last changed.
         """
         deps = []
         checked = set()
@@ -180,7 +178,7 @@ class _Worktable:
             for i, p in enumerate(self.polys):
                 if p is None or not self.in_g[i] or i in checked:
                     continue
-                hit = pivot(p, self.supports[i])
+                hit = pivot(p)
                 if hit is None:
                     checked.add(i)
                     continue
@@ -202,36 +200,49 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
 
     def substitute(q: Polynomial) -> Polynomial:
         table = q.table
-        split = []
-        k = 0
+        held = []  # (m, j, a) for the terms a*m with v^j, j > 0, in m
+        free = []  # the terms free of v
         for m, a in q.terms.items():
-            j = 0
-            for w, e in m:
+            for w, j in m:
                 if w == v:
-                    j = e
+                    held.append((m, j, a))
                     break
-            split.append((m, j, a))
-            if j > k:
-                k = j
-        out: dict = {}
-        for m, j, a in split:
-            scale = a * c ** (k - j)
-            if not j:
-                products = ((m, scale),)
             else:
-                t = powers.get(j)
-                if t is None:
-                    t = powers[j] = (neg_h ** j).terms
-                rest = tuple(ve for ve in m if ve[0] != v)
-                products = ((mono_mul(rest, hm), scale * hc) for hm, hc in t.items())
-            add_terms(out, products)
+                free.append((m, a))
+        k = max([j for _, j, _ in held], default=0)
+        ck = c ** k
+        out = {m: a * ck for m, a in free}
+        # add_terms inlined: it would take a generator per held term
+        get = out.get
+        for m, j, a in held:
+            t = powers.get(j)
+            if t is None:
+                t = powers[j] = (neg_h ** j).terms
+            rest = tuple(ve for ve in m if ve[0] != v)
+            scale = a * c ** (k - j)
+            for hm, hc in t.items():
+                pm = mono_mul(rest, hm)
+                s = get(pm)
+                if s is None:
+                    out[pm] = scale * hc
+                else:
+                    s = s + scale * hc
+                    if s:
+                        out[pm] = s
+                    else:
+                        del out[pm]
         return Polynomial(table, table.reduce_terms(out))
 
     return substitute
 
 
-def _find_pivot(p: Polynomial, support, var_idx: dict, n: int):
-    """(var index, coefficient) for the best eliminable variable, or None."""
+def _find_pivot(p: Polynomial, targets: frozenset, var_idx: dict, n: int):
+    """(var index, coefficient) for the best eliminable variable, or None.
+
+    A pivot's h holds every other target variable of p, so the budget is the
+    same for every candidate and is checked first."""
+    if len(p.support() & targets) - 1 > n:
+        return None
     candidates = []
     for m, c in p.terms.items():
         if len(m) == 1 and m[0][1] == 1:
@@ -251,10 +262,7 @@ def _find_pivot(p: Polynomial, support, var_idx: dict, n: int):
             if any(w == v for w, _ in m):
                 sole = False
                 break
-        if not sole:
-            continue
-        budget = sum(1 for w in support if w in var_idx and w != v)
-        if budget <= n:
+        if sole:
             return v, c
     return None
 
@@ -279,9 +287,10 @@ def lin_elim(
     table = f[0].table
     # _find_pivot prefers low rank; rank order is the var sequence order
     var_idx = {table.index[name]: rank for rank, name in enumerate(var)}
+    targets = frozenset(var_idx)
 
-    def pivot(p, support):
-        hit = _find_pivot(p, support, var_idx, n)
+    def pivot(p):
+        hit = _find_pivot(p, targets, var_idx, n)
         if hit is None:
             return None
         v, c = hit
@@ -344,7 +353,7 @@ def monomial_elim(
     r_idx = {table.index[name] for name in r_var}
     targets = r_idx | {table.index[name] for name in all_var}
 
-    def pivot(p, support):
+    def pivot(p):
         if len(p.terms) != 1:
             return None
         (mono, _), = p.terms.items()

@@ -169,10 +169,9 @@ def extract_system(residuals: list, case: AlphaCase) -> RCSystem:
                 raise RCError(
                     f"coefficient of residual {pair} involves a geometric variable"
                 )
-            key = frozenset(coeff.terms.items())
-            if key in seen_coeffs:
+            if coeff in seen_coeffs:
                 continue
-            seen_coeffs.add(key)
+            seen_coeffs.add(coeff)
             f.append(coeff)
             provenance.append((pair, mono))
             seen_params |= support

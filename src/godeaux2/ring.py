@@ -6,6 +6,10 @@ anywhere.  Monomials are sparse tuples of (variable index, exponent) pairs
 sorted by index.  All text output and every "leading term" choice use the
 canonical order described below.
 
+A Polynomial's `terms` dict is never mutated after construction: every
+operation builds a new dict.  The per-polynomial caches (leading monomial,
+support, hash, primitive-form marker) rely on this.
+
 Algebraic extensions (i = sqrt(-1), quartic roots, sqrt(-15)) are realized as
 extra weight-0 variables carrying a monic power rewrite rule v^k -> p with p
 free of v; products and substitutions are reduced to the rewrite fixpoint.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Mono = tuple  # tuple[tuple[int, int], ...] sorted by variable index
@@ -118,6 +123,9 @@ def mono_split(m: Mono, cut: int) -> tuple:
     return m, UNIT_MONO
 
 
+_exp = itemgetter(1)
+
+
 def mono_key(m: Mono, cut: int) -> tuple:
     """Sort key of the canonical order: the larger monomial has the smaller key.
 
@@ -128,8 +136,8 @@ def mono_key(m: Mono, cut: int) -> tuple:
     """
     if m and m[0][0] < cut:
         geo, par = mono_split(m, cut)
-        return (-sum([e for _, e in geo]), geo[::-1], -sum([e for _, e in par]), par[::-1])
-    return (0, UNIT_MONO, -sum([e for _, e in m]), m[::-1])  # no geometric part
+        return (-sum(map(_exp, geo)), geo[::-1], -sum(map(_exp, par)), par[::-1])
+    return (0, UNIT_MONO, -sum(map(_exp, m)), m[::-1])  # no geometric part
 
 
 def sorted_monos(monos: Iterable[Mono], table: "VariableTable", reverse: bool = True) -> list:
@@ -359,15 +367,19 @@ class Polynomial:
 
     `lead` may pass on a leading monomial the caller already knows (for
     example after dividing every term by one scalar); otherwise
-    `leading_mono` finds it once and keeps it.
+    `leading_mono` finds it once and keeps it.  `support()` and the hash are
+    likewise computed at most once.  `primitive_for` is the tuple of
+    invertible variables `elim.primitive_form` last found the polynomial
+    primitive for, or None.
     """
 
-    __slots__ = ("table", "terms", "_lead")
+    __slots__ = ("table", "terms", "_lead", "_support", "_hash", "primitive_for")
 
     def __init__(self, table: VariableTable, terms: dict, lead: Optional[Mono] = None):
         self.table = table
         self.terms = terms
         self._lead = lead
+        self._support = self._hash = self.primitive_for = None
 
     # -- basics ------------------------------------------------------------
 
@@ -385,7 +397,10 @@ class Polynomial:
         return self.table is other.table and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.table), frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((id(self.table), frozenset(self.terms.items())))
+        return h
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -398,7 +413,10 @@ class Polynomial:
 
     def support(self) -> frozenset:
         """Set of variable indices occurring in the polynomial."""
-        return frozenset({v for m in self.terms for v, _ in m})
+        s = self._support
+        if s is None:
+            s = self._support = frozenset({v for m in self.terms for v, _ in m})
+        return s
 
     def variables(self) -> frozenset:
         return frozenset(self.table.names[v] for v in self.support())

@@ -1,7 +1,7 @@
 """Independent oracles: dense rational Gaussian elimination for LinElim, a
 plain first-row cofactor expansion for determinants, a dense comparison
-for the canonical monomial order, and a form outside the ideal of the
-low-degree surface relations."""
+for the canonical monomial order, a form outside the ideal of the
+low-degree surface relations, and the budget-last pivot search."""
 
 from fractions import Fraction
 
@@ -97,3 +97,35 @@ def outside_low_degree_ideal(run, G):
         assert all(any(v in low for v, _ in m) for m in eq.poly.terms), eq.label
     monos = monomial_basis(table, G.weighted_degree(), G.sigma_sign(), ["z1", "z2", "z3", "z4", "t"])
     return Polynomial(table, {monos[0]: 1})
+
+
+def find_pivot_reference(p, support, var_idx, n):
+    """(var index, coefficient) of the lowest-ranked target variable v with a
+    bare c*v term, v occurring nowhere else in p and at most n other target
+    variables in the support; else None.  The budget is checked last, per
+    candidate."""
+    candidates = []
+    for m, c in p.terms.items():
+        if len(m) == 1 and m[0][1] == 1:
+            v = m[0][0]
+            rank = var_idx.get(v)
+            if rank is not None:
+                candidates.append((rank, v, c))
+    if not candidates:
+        return None
+    candidates.sort()
+    for rank, v, c in candidates:
+        # v must occur nowhere else in p
+        sole = True
+        for m in p.terms:
+            if m == ((v, 1),):
+                continue
+            if any(w == v for w, _ in m):
+                sole = False
+                break
+        if not sole:
+            continue
+        budget = sum(1 for w in support if w in var_idx and w != v)
+        if budget <= n:
+            return v, c
+    return None

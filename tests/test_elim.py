@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godeaux2.elim import (
     Dependency,
+    _find_pivot,
+    _Worktable,
     back_substitute,
     driver,
     lin_elim,
@@ -19,7 +23,7 @@ from godeaux2.elim import (
 from godeaux2.pipeline import GB_NAMES
 from godeaux2.ring import GEOMETRIC, PARAMETER, Polynomial, VariableTable
 
-from _oracle import gauss_classify
+from _oracle import find_pivot_reference, gauss_classify
 
 
 def param_table(nr=10, extras=("g1", "d")):
@@ -147,6 +151,69 @@ def test_duplicates_pruned_up_to_scale():
     f = [2 * r1 - 2 * g1, r1 - g1, 3 * r2 + g1, r2 - r2 + (3 * r2 + g1)]
     out, _, deps = lin_elim(f, [False] * 4, ["r9"], 1)  # no elimination possible
     assert len(out) == 2
+
+
+def test_primitive_form_marker_is_keyed_on_the_invertible_tuple():
+    T = param_table()
+    d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
+    p = d * r1 + 2 * d * r2  # primitive over the integers, d content d
+    assert primitive_form(p) is p
+    assert p.primitive_for == ()
+    # primitive for () says nothing about the content in d
+    assert primitive_form(p, ("d",)) == r1 + 2 * r2
+    q = primitive_form(3 * p, ("d",))
+    assert q == r1 + 2 * r2 and q.primitive_for == ("d",)
+    assert primitive_form(q, ("d",)) is q
+
+
+@pytest.mark.parametrize(
+    "copy",
+    [lambda p: Polynomial(p.table, dict(reversed(list(p.terms.items())))), lambda p: -p],
+    ids=["reordered", "negated"],
+)
+def test_worktable_keeps_the_first_slot_for_a_copy(copy):
+    T = param_table()
+    p = T.var("r1") + 2 * T.var("g1") - T.var("d")
+    q = copy(p)
+    assert list(q.terms.items()) != list(p.terms.items()) and primitive_form(q) == p
+    for flags in ([False, True], [True, False]):
+        work = _Worktable([p, q], flags)
+        assert work.polys == [p, None] and work.polys[0] is p
+        assert work.alive_flags() == [True]  # the copy's g flag is ORed in
+
+
+PIVOT_TABLE = param_table(nr=6, extras=())
+pivot_coeffs = st.integers(-5, 5).filter(bool)
+pivot_monos = st.lists(st.integers(0, 2), min_size=6, max_size=6).map(
+    lambda e: tuple((i, x) for i, x in enumerate(e) if x)
+)
+pivot_polys = st.tuples(
+    st.dictionaries(
+        st.integers(0, 5).map(lambda v: ((v, 1),)), pivot_coeffs, min_size=1, max_size=5
+    ),
+    st.dictionaries(pivot_monos, pivot_coeffs, max_size=3),
+).map(lambda t: Polynomial(PIVOT_TABLE, {**t[1], **t[0]}))
+pivot_ranks = st.permutations(range(6)).flatmap(
+    lambda order: st.integers(1, 6).map(lambda k: {v: r for r, v in enumerate(order[:k])})
+)
+
+
+@given(pivot_polys, pivot_ranks, st.integers(0, 4))
+@settings(max_examples=400, deadline=None)
+def test_find_pivot_matches_the_budget_last_reference(p, var_idx, n):
+    want = find_pivot_reference(p, p.support(), var_idx, n)
+    assert _find_pivot(p, frozenset(var_idx), var_idx, n) == want
+
+
+def test_find_pivot_over_budget_returns_none():
+    T = PIVOT_TABLE
+    p = T.var("r1") + T.var("r2") + T.var("r3") + 2 * T.var("r4")
+    var_idx = {v: v for v in range(4)}
+    targets = frozenset(var_idx)
+    for n in (0, 1, 2):
+        assert find_pivot_reference(p, p.support(), var_idx, n) is None
+        assert _find_pivot(p, targets, var_idx, n) is None
+    assert _find_pivot(p, targets, var_idx, 3) == (0, 1)
 
 
 def test_monomial_elim_rules():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from godeaux2.elim import primitive_form
 from godeaux2.ring import (
     ALGEBRAIC,
     GEOMETRIC,
@@ -124,6 +125,20 @@ def test_poly_sqrt_roundtrip(p):
     s = (p * p).poly_sqrt()
     assert s is not None
     assert s * s == p * p
+
+
+@given(polys, polys, polys)
+@settings(max_examples=150, deadline=None)
+def test_cached_support_and_hash_match_a_fresh_copy(p, q, img):
+    for a in (p, q, img):  # fill the operands' caches first
+        a.support(), hash(a)
+    results = [p + q, p * q, p.substitute({"y1": img}), primitive_form(p, ("d",))]
+    results.append(primitive_form(results[-1], ("d",)))  # returned as it is
+    for r in results:
+        fresh = Polynomial(TABLE, dict(r.terms))
+        for _ in range(2):  # computed, then read back
+            assert r.support() == fresh.support()
+            assert hash(r) == hash(fresh)
 
 
 @given(polys, polys, polys)

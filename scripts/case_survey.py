@@ -11,9 +11,8 @@ import argparse
 import time
 
 from godeaux2.alpha import AlphaCase, build_ansatz, make_table
-from godeaux2.elim import EliminationError, driver, survivors
-from godeaux2.pipeline import GB_NAMES
-from godeaux2.rc import build_l_ansatz, extract_system, rc_residuals
+from godeaux2.elim import EliminationError, survivors
+from godeaux2.pipeline import GB_NAMES, solve_rank_condition
 
 
 def survey(max_rounds: int) -> None:
@@ -21,26 +20,21 @@ def survey(max_rounds: int) -> None:
         for c in (1, 0):
             t0 = time.monotonic()
             case = AlphaCase(j, c)
-            table = make_table(j)
-            alpha0, params = build_ansatz(case, table)
-            l0 = build_l_ansatz(alpha0, case)
-            system = extract_system(rc_residuals(alpha0, l0), case)
-            invertible = ("d",) if j == 2 else ()
-            head = f"alpha_{j} c={c}: |f|={len(system.f)} params={system.param_count}"
+            alpha0, params = build_ansatz(case, make_table(j))
             try:
-                state = driver(
-                    system.f, list(l0.r_names), list(GB_NAMES), max_rounds, invertible
-                )
+                _, system, state, _ = solve_rank_condition(alpha0, case, GB_NAMES, max_rounds)
             except EliminationError as err:
                 left = sorted(err.state.f, key=lambda p: len(p.terms))
-                print(f"{head}  STALLED ({len(err.state.f)} residuals, "
+                print(f"alpha_{j} c={c}: |f|={len(err.system.f)} params={err.system.param_count}"
+                      f"  STALLED ({len(err.state.f)} residuals, "
                       f"{time.monotonic() - t0:.1f}s)")
                 for p in left[:3]:
                     print(f"    residual: {str(p)[:100]}")
                 continue
             surv = survivors(params, state.deps)
             stages = "".join(r.stage for r in state.round_log)
-            print(f"{head}  solved [{stages}] in {time.monotonic() - t0:.1f}s; "
+            print(f"alpha_{j} c={c}: |f|={len(system.f)} params={system.param_count}"
+                  f"  solved [{stages}] in {time.monotonic() - t0:.1f}s; "
                   f"survivors ({len(surv)}): {', '.join(surv)}")
 
 

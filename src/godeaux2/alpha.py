@@ -11,11 +11,17 @@ y3 = 0); c in {0, 1} is the central x^2 coefficient.  The border polynomials
 G, q1..q4 are generic of weighted degrees 6 and 4 with signs (-, -, -, +, +),
 subject to the 8-slot normalization that row/column operations allow, leaving
 10 g-parameters and 12 b-parameters.
+
+`bordered_matrix` is the one layout of such a matrix (x^2*G in the corner,
+x*q_k along the border, the conic Q at (1,6), a central 4x4 block);
+`build_ansatz` and every matrix `verify` writes down are built through it,
+from `generic_border` and `central_block`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .ring import (
@@ -319,22 +325,60 @@ _DROPPED = {
 _DROPPED[3] = _DROPPED[2]
 
 
-def ansatz_slots(case: AlphaCase, table: VariableTable) -> dict:
-    """Monomial slots for G (g1..g10) and q1..q4 (b1..b12), in the descending
-    lex layout the slot numbering follows."""
-    geo = list(case.geo4)
-    g_monos = lex_descending(table, monomial_basis(table, 6, -1, geo))
-    if len(g_monos) != 10:
-        raise PatternError("G ansatz must have 10 slots")
-    out = {"G": g_monos}
-    dropped = _DROPPED[case.j]
-    for k, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
-        monos = lex_descending(table, monomial_basis(table, 4, sign, geo))
-        keep = [m for m in monos if table.mono_str(m) not in dropped[k]]
-        out[f"q{k}"] = keep
-    if sum(len(out[f"q{k}"]) for k in (1, 2, 3, 4)) != 12:
-        raise PatternError("q ansatz must have 12 slots after normalization")
-    return out
+def generic_border(table: VariableTable, geo, names, dropped: Optional[dict] = None):
+    """Generic border polynomials (G, [q1, q2, q3, q4]) over the geometric
+    variables `geo`: G of weighted degree 6 and sign -1, q_k of degree 4 and
+    signs (-, -, +, +).  Each slot monomial, in descending lex order, takes
+    the next coefficient name from the iterator `names`; `dropped` maps k to
+    the q_k monomials (as text) that get no slot."""
+    dropped = dropped or {}
+    geo = list(geo)
+
+    def generic(deg, sign, drop=()):
+        monos = lex_descending(table, monomial_basis(table, deg, sign, geo))
+        monos = [m for m in monos if table.mono_str(m) not in drop]
+        slot_names = list(islice(names, len(monos)))
+        if len(slot_names) < len(monos):
+            raise PatternError(f"{len(monos)} slot monomials but {len(slot_names)} names left")
+        return generic_poly(table, slot_names, monos)
+
+    G = generic(6, -1)
+    return G, [generic(4, sign, dropped.get(k, ())) for k, sign in ((1, -1), (2, -1), (3, 1), (4, 1))]
+
+
+def central_block(case: AlphaCase, table: VariableTable):
+    """The central 4x4 block of the family (j, c) and its conic Q.  The
+    block's diagonal is (a, b, -b, -a), with a, b and Q fixed by j; c is the
+    x^2 coefficient off the diagonal."""
+    x, y1, y2, w, d = (table.var(n) for n in ("x", "y1", "y2", case.w_name, "d"))
+    cx2 = table.const(case.c) * x * x
+    zero = table.zero()
+    if case.j == 1:
+        a, b, Q = d * w, w, y1 * y1 - y2 * y2 - d * w * w
+    elif case.j == 2:
+        a, b, Q = w, -2 * d * y1, y1 * y1 - y2 * y2 + 2 * d * y1 * w
+    else:
+        a, b, Q = w, zero, y1 * y1 - y2 * y2
+    central = [
+        [a, y1, y2, zero],
+        [y1, b, cx2, y2],
+        [y2, cx2, -b, y1],
+        [zero, y2, y1, -a],
+    ]
+    return central, Q
+
+
+def bordered_matrix(x: Polynomial, G: Polynomial, qs, Q: Polynomial, central, tail) -> SymPolyMatrix:
+    """The bordered layout every alpha shares: x^2*G at the corner, x*q_k
+    along the first row and column, Q at (1,6), the central 4x4 block in rows
+    and columns 2..5, and `tail` (four entries) in rows 2..5 of column 6."""
+    zero = x.table.zero()
+    xqs = [x * q for q in qs]
+    return SymPolyMatrix(
+        [[x * x * G] + xqs + [Q]]
+        + [[xqs[k]] + list(central[k]) + [tail[k]] for k in range(4)]
+        + [[Q] + list(tail) + [zero]]
+    )
 
 
 def build_ansatz(case: AlphaCase, table: Optional[VariableTable] = None):
@@ -345,59 +389,14 @@ def build_ansatz(case: AlphaCase, table: Optional[VariableTable] = None):
     """
     if table is None:
         table = make_table(case.j)
-    slots = ansatz_slots(case, table)
-    g_names = [f"g{k}" for k in range(1, 11)]
-    b_names = [f"b{k}" for k in range(1, 13)]
-    G = generic_poly(table, g_names, slots["G"])
-    qs = []
-    used = 0
-    for k in (1, 2, 3, 4):
-        monos = slots[f"q{k}"]
-        qs.append(generic_poly(table, b_names[used : used + len(monos)], monos))
-        used += len(monos)
-    x = table.var("x")
-    y1 = table.var("y1")
-    y2 = table.var("y2")
-    w = table.var(case.w_name)
-    d = table.var("d")
-    cx2 = table.const(case.c) * x * x
-    zero = table.zero()
-    if case.j == 1:
-        central = [
-            [d * w, y1, y2, zero],
-            [y1, w, cx2, y2],
-            [y2, cx2, -w, y1],
-            [zero, y2, y1, -(d * w)],
-        ]
-        Q = y1 * y1 - y2 * y2 - d * w * w
-        params = g_names + b_names + ["d"]
-    elif case.j == 2:
-        central = [
-            [w, y1, y2, zero],
-            [y1, -2 * d * y1, cx2, y2],
-            [y2, cx2, 2 * d * y1, y1],
-            [zero, y2, y1, -w],
-        ]
-        Q = y1 * y1 - y2 * y2 + 2 * d * y1 * w
-        params = g_names + b_names + ["d"]
-    else:
-        central = [
-            [w, y1, y2, zero],
-            [y1, zero, cx2, y2],
-            [y2, cx2, zero, y1],
-            [zero, y2, y1, -w],
-        ]
-        Q = y1 * y1 - y2 * y2
-        params = g_names + b_names
-    xqs = [x * q for q in qs]
-    rows = [
-        [x * x * G] + xqs + [Q],
-        [xqs[0]] + central[0] + [x],
-        [xqs[1]] + central[1] + [zero],
-        [xqs[2]] + central[2] + [zero],
-        [xqs[3]] + central[3] + [zero],
-        [Q, x, zero, zero, zero, zero],
-    ]
-    M = SymPolyMatrix(rows)
+    params = [f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)]
+    G, qs = generic_border(table, case.geo4, iter(params), _DROPPED[case.j])
+    if len(G.terms) != 10:
+        raise PatternError("G ansatz must have 10 slots")
+    if sum(len(q.terms) for q in qs) != 12:
+        raise PatternError("q ansatz must have 12 slots after normalization")
+    central, Q = central_block(case, table)
+    x, zero = table.var("x"), table.zero()
+    M = bordered_matrix(x, G, qs, Q, central, [x, zero, zero, zero])
     M.check_pattern()
-    return M, params
+    return M, params + (["d"] if case.j != 3 else [])

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .elim import EliminationError
@@ -23,18 +22,6 @@ from .verify import (
 EMIT_CHOICES = ("alpha", "equations", "deps", "stats")
 
 
-@dataclass
-class RunConfig:
-    alpha_case: int = 1
-    c: int = 1
-    out_dir: Path = Path("out")
-    max_rounds: int = 10
-    seed: int = 0
-    checks: tuple = ()
-    emit: tuple = EMIT_CHOICES
-    golden: Path = None
-
-
 def packaged_golden() -> Path:
     return Path(__file__).parent / "data" / "alpha_1_1.json"
 
@@ -43,22 +30,22 @@ def packaged_golden_equations() -> Path:
     return Path(__file__).parent / "data" / "equations_1_1.json"
 
 
-def cmd_pipeline(cfg: RunConfig) -> int:
+def cmd_pipeline(args: argparse.Namespace) -> int:
     try:
-        result = run_pipeline(cfg.alpha_case, cfg.c, cfg.max_rounds)
+        result = run_pipeline(args.alpha, args.c, args.max_rounds)
     except EliminationError as err:
         state = getattr(err, "state", None)
         print(f"pipeline failed: {err}", file=sys.stderr)
         if state is not None:
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            dump = cfg.out_dir / "residual_f.txt"
+            args.out.mkdir(parents=True, exist_ok=True)
+            dump = args.out / "residual_f.txt"
             dump.write_text("\n".join(str(p) for p in state.f) + "\n")
             print(f"residual system dumped to {dump}", file=sys.stderr)
         return 1
-    written = write_artifacts(result, cfg.out_dir, cfg.emit)
+    written = write_artifacts(result, args.out, args.emit)
     stats = stats_dict(result)
     print(
-        f"case alpha_{cfg.alpha_case} c={cfg.c}: |f|={stats['initial_f']} over "
+        f"case alpha_{args.alpha} c={args.c}: |f|={stats['initial_f']} over "
         f"{stats['distinct_parameters']} parameters; eliminated "
         f"{stats['dependencies']}; survivors {stats['survivors']}"
     )
@@ -67,15 +54,15 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     return 0
 
 
-def _golden_file_check(cfg: RunConfig):
+def _golden_file_check(args: argparse.Namespace):
     from .verify import CheckReport
     import time
 
     def check() -> CheckReport:
         t0 = time.monotonic()
-        result = run_pipeline(1, 1, cfg.max_rounds)
-        targets = [(cfg.golden or packaged_golden(), json.dumps(alpha_to_json(result), indent=1) + "\n")]
-        if cfg.golden is None:
+        result = run_pipeline(1, 1, args.max_rounds)
+        targets = [(args.golden or packaged_golden(), json.dumps(alpha_to_json(result), indent=1) + "\n")]
+        if args.golden is None:
             targets.append(
                 (packaged_golden_equations(), json.dumps(equations_to_json(result), indent=1) + "\n")
             )
@@ -96,10 +83,10 @@ def _golden_file_check(cfg: RunConfig):
     return check
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    registry = all_checks(cfg.seed)
-    registry["golden_file"] = _golden_file_check(cfg)
-    names = list(cfg.checks) if cfg.checks and "all" not in cfg.checks else sorted(registry)
+def cmd_verify(args: argparse.Namespace) -> int:
+    registry = all_checks(args.seed)
+    registry["golden_file"] = _golden_file_check(args)
+    names = list(args.check) if args.check and "all" not in args.check else sorted(registry)
     unknown = [n for n in names if n not in registry]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
@@ -118,7 +105,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_special(cfg: RunConfig, surface_name: str) -> int:
+def cmd_special(surface_name: str) -> int:
     surface = {"by": BY_SURFACE, "bf": BF_SURFACE}[surface_name]
     report = verify_special(surface)
     print(f"{report.name:26s} {report.status:8s} {report.timing:7.2f}s  {report.note}")
@@ -174,28 +161,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "pipeline":
-        emit = tuple(e.strip() for e in args.emit.split(",") if e.strip())
-        bad = [e for e in emit if e not in EMIT_CHOICES]
+        args.emit = tuple(e.strip() for e in args.emit.split(",") if e.strip())
+        bad = [e for e in args.emit if e not in EMIT_CHOICES]
         if bad:
             parser.error(f"unknown emit targets: {bad}")
-        cfg = RunConfig(
-            alpha_case=args.alpha,
-            c=args.c,
-            out_dir=args.out,
-            max_rounds=args.max_rounds,
-            emit=emit,
-        )
-        return cmd_pipeline(cfg)
+        return cmd_pipeline(args)
     if args.command == "verify":
-        cfg = RunConfig(
-            checks=tuple(args.check),
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            golden=args.golden,
-        )
-        return cmd_verify(cfg)
+        return cmd_verify(args)
     if args.command == "special":
-        return cmd_special(RunConfig(), args.surface)
+        return cmd_special(args.surface)
     parser.error("unknown command")
     return 2
 

@@ -62,6 +62,30 @@ class PipelineResult:
 _CACHE: dict = {}
 
 
+def solve_rank_condition(
+    alpha: SymPolyMatrix,
+    case: AlphaCase,
+    gb_names: Sequence[str],
+    max_rounds: int,
+):
+    """The rank-condition front end and its elimination: the multiplier
+    ansatz, the 15 residuals, the flattened system f, the driver over the r's
+    and `gb_names`, and the resolved dependency log.  For j=2 the driver may
+    divide by d, which the family's constraint keeps invertible.
+
+    Returns (l0, system, state, resolved); the driver's EliminationError
+    propagates with the system attached as `err.system`."""
+    l0 = build_l_ansatz(alpha, case)
+    system = extract_system(rc_residuals(alpha, l0), case)
+    invertible = ("d",) if case.j == 2 else ()
+    try:
+        state = driver(system.f, list(l0.r_names), list(gb_names), max_rounds, invertible)
+    except EliminationError as err:
+        err.system = system
+        raise
+    return l0, system, state, resolve_dependencies(state.deps)
+
+
 def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     key = (j, c, max_rounds)
     if key in _CACHE:
@@ -70,12 +94,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     case = AlphaCase(j, c)
     table = make_table(j)
     alpha0, params = build_ansatz(case, table)
-    l0 = build_l_ansatz(alpha0, case)
-    residuals = rc_residuals(alpha0, l0)
-    system = extract_system(residuals, case)
-    invertible = ("d",) if j == 2 else ()
-    state = driver(system.f, list(l0.r_names), list(GB_NAMES), max_rounds, invertible)
-    resolved = resolve_dependencies(state.deps)
+    l0, system, state, resolved = solve_rank_condition(alpha0, case, GB_NAMES, max_rounds)
     # soundness: the dependency log must annihilate every coefficient of f
     unsound = sum(1 for q in back_substitute(system.f, state.deps, resolved) if q)
     if unsound:

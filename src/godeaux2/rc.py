@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, entry_sign
-from .ring import MULTIPLIER, Polynomial, RingError, generic_poly, lex_descending, monomial_basis
+from .ring import MULTIPLIER, RingError, generic_poly, lex_descending, monomial_basis
 
 PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
 
@@ -46,13 +46,7 @@ class LAnsatz:
     polys: dict  # (i, j, k) -> Polynomial
     r_count: int
     r_names: list
-    slot_of: dict  # r name -> (i, j, k, mono)
     cofactors: dict  # (i, j) -> beta_ij, for row 1 and all pairs
-
-    def poly(self, i: int, j: int, k: int) -> Polynomial:
-        if i > j:
-            i, j = j, i
-        return self.polys[(i, j, k)]
 
 
 def compute_cofactors(alpha: SymPolyMatrix) -> dict:
@@ -81,7 +75,6 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
     pool = table.of_kind(MULTIPLIER)
     polys = {}
     r_names = []
-    slot_of = {}
     for (i, j) in PAIRS:
         for k in range(1, 7):
             deg = multiplier_degree(i, j, k)
@@ -93,15 +86,13 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
             names = pool[len(r_names) : len(r_names) + len(monos)]
             if len(names) < len(monos):
                 raise RCError("variable table has too few multiplier parameters")
-            for name, m in zip(names, monos):
-                slot_of[name] = (i, j, k, m)
             r_names += names
             polys[(i, j, k)] = generic_poly(table, names, monos)
     if len(r_names) != EXPECTED_R_COUNT:
         raise RCError(
             f"multiplier ansatz has {len(r_names)} parameters, expected {EXPECTED_R_COUNT}"
         )
-    return LAnsatz(polys, len(r_names), r_names, slot_of, betas)
+    return LAnsatz(polys, len(r_names), r_names, betas)
 
 
 def rc_residuals(alpha: SymPolyMatrix, l: LAnsatz) -> list:

@@ -426,9 +426,6 @@ class Polynomial:
         names, kinds = self.table.names, self.table.kinds
         return frozenset(names[v] for v in self.support() if kinds[v] == MULTIPLIER)
 
-    def coefficient(self, mono: Mono) -> Coeff:
-        return self.terms.get(mono, 0)
-
     def constant_part(self) -> Coeff:
         return self.terms.get(UNIT_MONO, 0)
 

@@ -14,25 +14,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .alpha import AlphaCase, SymPolyMatrix, cofactor_any, det_any
-# lin_elim is not called here; perfbench/tracing.py wraps it under this
-# module's name and needs it to exist
-from .elim import EliminationError, driver, lin_elim, resolve_dependencies  # noqa: F401
-from .pipeline import PipelineResult, run_pipeline
-from .rc import build_l_ansatz, extract_system, rc_residuals
-from .ring import (
-    ALGEBRAIC,
-    GEOMETRIC,
-    PARAMETER,
-    Polynomial,
-    RewriteRule,
-    VariableTable,
-    generic_poly,
-    lex_descending,
-    monomial_basis,
-    mono_mul,
+from .alpha import (
+    AlphaCase,
+    SymPolyMatrix,
+    bordered_matrix,
+    central_block,
+    cofactor_any,
+    det_any,
+    generic_border,
 )
+from .elim import EliminationError, back_substitute
+from .pipeline import PipelineResult, run_pipeline, solve_rank_condition
+from .ring import ALGEBRAIC, GEOMETRIC, PARAMETER, Polynomial, RewriteRule, VariableTable, mono_mul
 from .surface import membership_check
+
+# not called here (solve_rank_condition runs the rank-condition front end);
+# perfbench/tracing.py wraps them under this module's names and needs them
+# to exist
+from .elim import lin_elim, resolve_dependencies  # noqa: F401
+from .rc import build_l_ansatz, extract_system, rc_residuals  # noqa: F401
 
 
 @dataclass
@@ -46,6 +46,27 @@ class CheckReport:
     def __post_init__(self):
         if (self.status == "fail") != (self.witness is not None):
             raise ValueError("fail status and witness must appear together")
+
+
+# the upper triangle of a symmetric 6x6 matrix, 1-based
+_UPPER = tuple((i, j) for i in range(1, 7) for j in range(i, 7))
+
+
+def _mismatch(cells) -> Optional[str]:
+    """The witness "(i,j): got - want" of the first (i, j, got, want) cell
+    whose two sides differ, or None when every cell agrees."""
+    for i, j, got, want in cells:
+        diff = got - want
+        if not diff.is_zero():
+            return f"({i},{j}): {diff}"
+    return None
+
+
+def _at_x0(Q: Polynomial, central) -> SymPolyMatrix:
+    """The bordered layout at x = 0: the conic Q at (1,6), the central 4x4
+    block, zeros elsewhere."""
+    zero = Q.table.zero()
+    return bordered_matrix(zero, zero, [zero] * 4, Q, central, [zero] * 4)
 
 
 def _timed(name: str, fn: Callable[[], tuple]) -> CheckReport:
@@ -84,18 +105,11 @@ def curve_table(extra_params=(), rules=(), extra_algebraic=()) -> VariableTable:
 def excluded_diagonal_matrix(table: VariableTable) -> SymPolyMatrix:
     y1, y2, y3, d = (table.var(n) for n in ("y1", "y2", "y3", "d"))
     zero = table.zero()
-    Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
     u = y1 + d * y3
     v = y1 - d * y3
-    return SymPolyMatrix(
-        [
-            [zero, zero, zero, zero, zero, Q],
-            [zero, u, zero, y2, zero, zero],
-            [zero, zero, u, zero, y2, zero],
-            [zero, y2, zero, v, zero, zero],
-            [zero, zero, y2, zero, v, zero],
-            [Q, zero, zero, zero, zero, zero],
-        ]
+    return _at_x0(
+        y1 * y1 - y2 * y2 - d * d * y3 * y3,
+        [[u, zero, y2, zero], [zero, u, zero, y2], [y2, zero, v, zero], [zero, y2, zero, v]],
     )
 
 
@@ -126,11 +140,9 @@ def verify_excluded_diagonal_rc(perturb: bool = False) -> CheckReport:
             L[1][1] = L[1][1] + table.var("y2")  # negative control
         memo: dict = {}
         b16 = M.cofactor(1, 6, memo)
-        for i in range(1, 7):
-            for j in range(i, 7):
-                diff = M.cofactor(i, j, memo) - L[i - 1][j - 1] * b16
-                if not diff.is_zero():
-                    return False, f"({i},{j}): {diff}", ""
+        witness = _mismatch((i, j, M.cofactor(i, j, memo), L[i - 1][j - 1] * b16) for i, j in _UPPER)
+        if witness:
+            return False, witness, ""
         return True, None, "all 21 cofactor identities hold"
 
     return _timed("excluded_diagonal_rc", body)
@@ -327,26 +339,24 @@ def verify_quartic_root_congruence(with_rule: bool = True, d_value=None) -> Chec
         r = table.var("r")
         zero = table.zero()
         Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
-        T = SymPolyMatrix(
+        T = _at_x0(
+            Q,
             [
-                [zero, zero, zero, zero, zero, Q],
-                [zero, d * d * y3, y1, y2, zero, zero],
-                [zero, y1, y3, zero, y2, zero],
-                [zero, y2, zero, -y3, y1, zero],
-                [zero, zero, y2, y1, -(d * d * y3), zero],
-                [Q, zero, zero, zero, zero, zero],
-            ]
+                [d * d * y3, y1, y2, zero],
+                [y1, y3, zero, y2],
+                [y2, zero, -y3, y1],
+                [zero, y2, y1, -(d * d * y3)],
+            ],
         )
         # d^2 * M for the case-2 coefficient solution
-        M2 = SymPolyMatrix(
+        M2 = _at_x0(
+            d * d * Q,
             [
-                [zero, zero, zero, zero, zero, d * d * Q],
-                [zero, y1, d * d * y3, d * d * y2, zero, zero],
-                [zero, d * d * y3, d * d * y1, zero, d * d * y2, zero],
-                [zero, d * d * y2, zero, d ** 4 * y1, -(d ** 4) * y3, zero],
-                [zero, zero, d * d * y2, -(d ** 4) * y3, d * d * y1, zero],
-                [d * d * Q, zero, zero, zero, zero, zero],
-            ]
+                [y1, d * d * y3, d * d * y2, zero],
+                [d * d * y3, d * d * y1, zero, d * d * y2],
+                [d * d * y2, zero, d ** 4 * y1, -(d ** 4) * y3],
+                [zero, d * d * y2, -(d ** 4) * y3, d * d * y1],
+            ],
         )
         P2 = [
             [d * d, zero, zero, zero, zero, zero],
@@ -358,23 +368,13 @@ def verify_quartic_root_congruence(with_rule: bool = True, d_value=None) -> Chec
         ]
         lhs = M2.congruence(P2)
         phi = {"y1": -(d * d) * r * r * y3, "y2": d * d * y2, "y3": -(r * r) * y1}
-        rows = []
-        for i in range(1, 7):
-            row = []
-            for j in range(1, 7):
-                e = T[i, j]
-                if e.is_zero():
-                    row.append(zero)
-                    continue
-                k = e.weighted_degree() // 2  # y-degree of the entry
-                row.append(d ** (6 - 2 * k) * e.change_vars(phi))
-            rows.append(row)
-        rhs = SymPolyMatrix(rows)
-        for i in range(1, 7):
-            for j in range(i, 7):
-                diff = lhs[i, j] - rhs[i, j]
-                if not diff.is_zero():
-                    return False, f"({i},{j}): {diff}", ""
+        # an entry of y-degree k = weighted degree / 2 is cleared by d^(6-2k)
+        rhs = T.map_entries(
+            lambda e: e if e.is_zero() else d ** (6 - 2 * (e.weighted_degree() // 2)) * e.change_vars(phi)
+        )
+        witness = _mismatch((i, j, lhs[i, j], rhs[i, j]) for i, j in _UPPER)
+        if witness:
+            return False, witness, ""
         return True, None, "cleared by d^2 per factor (overall d^6)"
 
     return _timed("quartic_root_congruence", body)
@@ -393,15 +393,14 @@ def verify_imaginary_unit_congruence(perturb: bool = False) -> CheckReport:
 
         def M_j(j):
             s = -1 if j % 2 == 0 else 1  # -(-1)^j
-            return SymPolyMatrix(
+            return _at_x0(
+                Q,
                 [
-                    [zero, zero, zero, zero, zero, Q],
-                    [zero, y1 + d * y3, zero, y2, zero, zero],
-                    [zero, zero, y1 + s * d * y3, zero, y2, zero],
-                    [zero, y2, zero, y1 - d * y3, zero, zero],
-                    [zero, zero, y2, zero, y1 - s * d * y3, zero],
-                    [Q, zero, zero, zero, zero, zero],
-                ]
+                    [y1 + d * y3, zero, y2, zero],
+                    [zero, y1 + s * d * y3, zero, y2],
+                    [y2, zero, y1 - d * y3, zero],
+                    [zero, y2, zero, y1 - s * d * y3],
+                ],
             )
 
         M1, M2 = M_j(1), M_j(2)
@@ -420,21 +419,18 @@ def verify_imaginary_unit_congruence(perturb: bool = False) -> CheckReport:
         W3 = (d * d - 4) * y1 - (4 * d + d ** 3) * y3
         W1 = (4 + d * d) * y1 + (4 * d - d ** 3) * y3
         fy2 = 4 * d * d * y2
-        expected = SymPolyMatrix(
+        expected = _at_x0(
+            4 * d * d * Q,
             [
-                [zero, zero, zero, zero, zero, 4 * d * d * Q],
-                [zero, d * d * W3, d * W1, fy2, zero, zero],
-                [zero, d * W1, W3, zero, fy2, zero],
-                [zero, fy2, zero, -W3, d * W1, zero],
-                [zero, zero, fy2, d * W1, -(d * d) * W3, zero],
-                [4 * d * d * Q, zero, zero, zero, zero, zero],
-            ]
+                [d * d * W3, d * W1, fy2, zero],
+                [d * W1, W3, zero, fy2],
+                [fy2, zero, -W3, d * W1],
+                [zero, fy2, d * W1, -(d * d) * W3],
+            ],
         )
-        for i in range(1, 7):
-            for j in range(i, 7):
-                diff = C[i, j] - expected[i, j]
-                if not diff.is_zero():
-                    return False, f"({i},{j}): {diff}", ""
+        witness = _mismatch((i, j, C[i, j], expected[i, j]) for i, j in _UPPER)
+        if witness:
+            return False, witness, ""
         # the rescaled coordinates still cut out the same conic
         conic = W1 * W1 - 16 * d * d * y2 * y2 - W3 * W3 - 16 * d * d * Q
         if not conic.is_zero():
@@ -463,28 +459,16 @@ def verify_extension_shuffle() -> CheckReport:
         ] + [(p, 0, 1, PARAMETER) for p in params]
         table = VariableTable(entries)
         x, y1, y2, y3, d, c2 = (table.var(n) for n in ("x", "y1", "y2", "y3", "d", "c2"))
-        geo = ["x", "y1", "y2", "y3"]
-
-        def generic(deg, sign, names):
-            return generic_poly(table, names, lex_descending(table, monomial_basis(table, deg, sign, geo)))
-
-        G = generic(6, -1, [f"h{k}" for k in range(1, 11)])
-        q1 = generic(4, -1, [f"k{k}" for k in range(1, 5)])
-        q2 = generic(4, -1, [f"k{k}" for k in range(5, 9)])
-        q3 = generic(4, 1, [f"k{k}" for k in range(9, 15)])
-        q4 = generic(4, 1, [f"k{k}" for k in range(15, 21)])
+        G, qs = generic_border(table, ["x", "y1", "y2", "y3"], iter(params[1:]))
         Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
         zero = table.zero()
-        alpha = SymPolyMatrix(
-            [
-                [x * x * G, x * q1, x * q2, x * q3, x * q4, Q],
-                [x * q1, d * d * y3, y1, y2, c2 * x * x, d * x],
-                [x * q2, y1, y3, zero, y2, x],
-                [x * q3, y2, zero, -y3, y1, zero],
-                [x * q4, c2 * x * x, y2, y1, -(d * d) * y3, zero],
-                [Q, d * x, x, zero, zero, zero],
-            ]
-        )
+        central = [
+            [d * d * y3, y1, y2, c2 * x * x],
+            [y1, y3, zero, y2],
+            [y2, zero, -y3, y1],
+            [c2 * x * x, y2, y1, -(d * d) * y3],
+        ]
+        alpha = bordered_matrix(x, G, qs, Q, central, [d * x, x, zero, zero])
         P = [
             [1, 0, 0, 0, 0, 0],
             [0, 0, 1, 0, 0, 0],
@@ -517,10 +501,9 @@ def verify_extension_shuffle() -> CheckReport:
             (6, 6): zero,
             (1, 6): Q,
         }
-        for (i, j), want in expectations.items():
-            diff = B[i, j] - want
-            if not diff.is_zero():
-                return False, f"({i},{j}): {diff}", ""
+        witness = _mismatch((i, j, B[i, j], want) for (i, j), want in expectations.items())
+        if witness:
+            return False, witness, ""
         # conic in the new coordinates: w1^2 - y2^2 - w3*y3 = Q
         if not (w1 * w1 - y2 * y2 - w3 * y3 - Q).is_zero():
             return False, "conic identity fails", ""
@@ -557,28 +540,12 @@ def verify_c_normalization() -> CheckReport:
         ] + [(p, 0, 1, PARAMETER) for p in params] + [("s", 0, 1, ALGEBRAIC)]
         table = VariableTable(entries)
         x, y1, y2, y3, y4, s = (table.var(n) for n in ("x", "y1", "y2", "y3", "y4", "s"))
-        geo = ["x", "y1", "y2", "y3", "y4"]
-        pool = iter(params)
-
-        def generic(deg, sign):
-            monos = lex_descending(table, monomial_basis(table, deg, sign, geo))
-            return generic_poly(table, [next(pool) for _ in monos], monos)
-
-        G = generic(6, -1)
-        q = [generic(4, -1), generic(4, -1), generic(4, 1), generic(4, 1)]
+        G, qs = generic_border(table, ["x", "y1", "y2", "y3", "y4"], iter(params))
         Q = y1 * y1 - y2 * y2 - y3 * y4
         zero = table.zero()
-        c = s ** 4
-        alpha = SymPolyMatrix(
-            [
-                [x * x * G, x * q[0], x * q[1], x * q[2], x * q[3], Q],
-                [x * q[0], y4, y1, y2, zero, x],
-                [x * q[1], y1, y3, c * x * x, y2, zero],
-                [x * q[2], y2, c * x * x, -y3, y1, zero],
-                [x * q[3], zero, y2, y1, -y4, zero],
-                [Q, x, zero, zero, zero, zero],
-            ]
-        )
+        cx2 = s ** 4 * x * x
+        central = [[y4, y1, y2, zero], [y1, y3, cx2, y2], [y2, cx2, -y3, y1], [zero, y2, y1, -y4]]
+        alpha = bordered_matrix(x, G, qs, Q, central, [x, zero, zero, zero])
         sP = [
             [s, zero, zero, zero, zero, zero],
             [zero, s * s, zero, zero, zero, zero],
@@ -588,31 +555,22 @@ def verify_c_normalization() -> CheckReport:
             [zero, zero, zero, zero, zero, s],
         ]
         T = alpha.congruence(sP)
-        xi, y4i, si = table.index["x"], table.index["y4"], table.index["s"]
+        pole_weight = {table.index["x"]: 1, table.index["y4"]: 2}
+        si = table.index["s"]
 
         def cleared_change(E):
             """s^M * (E with x -> x/s, y3 -> s^2 y3, y4 -> y4/s^2), M minimal."""
             base = E.change_vars({"y3": s * s * y3})
-            pole = 0
-            for m in base.terms:
-                need = 0
-                for v, e in m:
-                    if v == xi:
-                        need += e
-                    elif v == y4i:
-                        need += 2 * e
-                pole = max(pole, need)
-            out = {}
-            for m, coeff in base.terms.items():
-                need = 0
-                for v, e in m:
-                    if v == xi:
-                        need += e
-                    elif v == y4i:
-                        need += 2 * e
-                nm = mono_mul(m, ((si, pole - need),) if pole > need else ())
-                out[nm] = out.get(nm, 0) + coeff
-            return Polynomial(table, {m: co for m, co in out.items() if co}), pole
+            # the pole order in s of each term: 1 per x, 2 per y4
+            need = {m: sum(e * pole_weight.get(v, 0) for v, e in m) for m in base.terms}
+            pole = max(need.values(), default=0)
+            # one-to-one on monomials: the power of s added depends only on
+            # the x and y4 exponents, which it leaves alone
+            terms = {
+                mono_mul(m, ((si, pole - need[m]),) if pole > need[m] else ()): c
+                for m, c in base.terms.items()
+            }
+            return Polynomial(table, terms), pole
 
         targets = {
             (2, 2): y4, (2, 3): y1, (2, 4): y2, (2, 5): zero, (2, 6): x,
@@ -620,11 +578,15 @@ def verify_c_normalization() -> CheckReport:
             (4, 4): -y3, (4, 5): y1, (4, 6): zero,
             (5, 5): -y4, (5, 6): zero, (6, 6): zero, (1, 6): Q,
         }
-        for (i, j), want in targets.items():
-            got, pole = cleared_change(T[i, j])
-            diff = got - s ** (pole + 2) * want
-            if not diff.is_zero():
-                return False, f"({i},{j}): {diff}", ""
+
+        def cells():
+            for (i, j), want in targets.items():
+                got, pole = cleared_change(T[i, j])
+                yield i, j, got, s ** (pole + 2) * want
+
+        witness = _mismatch(cells())
+        if witness:
+            return False, witness, ""
         if T[1, 1].exact_divide(x * x) is None:
             return False, "corner loses its x^2 factor", ""
         for k in (2, 3, 4, 5):
@@ -932,36 +894,19 @@ def verify_closed_form_rc(result: Optional[PipelineResult] = None) -> CheckRepor
     def body():
         run = result or run_pipeline(1, 1)
         table = run.table
-        case = run.case
         g = golden_final_entries(table)
-        x = table.var("x")
-        y1, y2, y3, d = (table.var(n) for n in ("y1", "y2", "y3", "d"))
-        zero = table.zero()
-        dy3 = d * y3
-        rows = [
-            [x * x * g["G"], x * g["q1"], x * g["q2"], x * g["q3"], x * g["q4"], g["Q"]],
-            [x * g["q1"], dy3, y1, y2, zero, x],
-            [x * g["q2"], y1, y3, x * x, y2, zero],
-            [x * g["q3"], y2, x * x, -y3, y1, zero],
-            [x * g["q4"], zero, y2, y1, -dy3, zero],
-            [g["Q"], x, zero, zero, zero, zero],
-        ]
-        alpha = SymPolyMatrix(rows)
+        x, zero = table.var("x"), table.zero()
+        central, _ = central_block(run.case, table)
+        qs = [g[f"q{k}"] for k in range(1, 5)]
+        alpha = bordered_matrix(x, g["G"], qs, g["Q"], central, [x, zero, zero, zero])
         alpha.check_pattern()
-        l0 = build_l_ansatz(alpha, case)
-        residuals = rc_residuals(alpha, l0)
-        system = extract_system(residuals, case)
         # no g/b names: the moduli must stay free
         try:
-            state = driver(system.f, l0.r_names, (), 10)
+            _, system, state, resolved = solve_rank_condition(alpha, run.case, (), 10)
         except EliminationError as err:
             return False, f"{len(err.state.f)} coefficients remain unsolved", ""
-        resolved = resolve_dependencies(state.deps)
-        for res in residuals:
-            need = res.variables() & resolved.keys()
-            val = res.substitute({k: resolved[k] for k in need}) if need else res
-            if not val.is_zero():
-                return False, "a residual does not vanish after solving", ""
+        if any(back_substitute(system.residuals, state.deps, resolved)):
+            return False, "a residual does not vanish after solving", ""
         return True, None, "rank condition solvable; all 15 residuals vanish"
 
     return _timed("closed_form_rc", body)

@@ -1,11 +1,13 @@
 """Independent oracles: dense rational Gaussian elimination for LinElim, a
 plain first-row cofactor expansion for determinants, a dense comparison
 for the canonical monomial order, a form outside the ideal of the
-low-degree surface relations, and the budget-last pivot search."""
+low-degree surface relations, the budget-last pivot search, and the
+ansatz matrix written out case by case."""
 
 from fractions import Fraction
 
-from godeaux2.ring import Polynomial, monomial_basis
+from godeaux2.alpha import SymPolyMatrix
+from godeaux2.ring import Polynomial, generic_poly, lex_descending, monomial_basis
 
 
 def gauss_classify(rows, nvars):
@@ -129,3 +131,88 @@ def find_pivot_reference(p, support, var_idx, n):
         if budget <= n:
             return v, c
     return None
+
+
+# q-monomials dropped by the normalization, per case j and border k
+_DROPPED_REFERENCE = {
+    1: {
+        1: {"x^2*y1", "x^2*y3"},
+        2: set(),
+        3: {"y1^2", "y1*y3", "y3^2"},
+        4: {"x^2*y2", "y1^2", "y2^2"},
+    },
+    2: {
+        1: {"x^2*y1", "x^2*y4"},
+        2: set(),
+        3: {"y1^2"},
+        4: {"x^2*y2", "y2^2", "y1^2", "y1*y4", "y4^2"},
+    },
+}
+_DROPPED_REFERENCE[3] = _DROPPED_REFERENCE[2]
+
+
+def build_ansatz_reference(case, table):
+    """The generic matrix of the family (j, c) and its parameter names, with
+    the slots, the central block and the 6x6 layout written out per case."""
+    geo = list(case.geo4)
+    g_monos = lex_descending(table, monomial_basis(table, 6, -1, geo))
+    assert len(g_monos) == 10
+    slots = {"G": g_monos}
+    dropped = _DROPPED_REFERENCE[case.j]
+    for k, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
+        monos = lex_descending(table, monomial_basis(table, 4, sign, geo))
+        slots[f"q{k}"] = [m for m in monos if table.mono_str(m) not in dropped[k]]
+    assert sum(len(slots[f"q{k}"]) for k in (1, 2, 3, 4)) == 12
+    g_names = [f"g{k}" for k in range(1, 11)]
+    b_names = [f"b{k}" for k in range(1, 13)]
+    G = generic_poly(table, g_names, slots["G"])
+    qs = []
+    used = 0
+    for k in (1, 2, 3, 4):
+        monos = slots[f"q{k}"]
+        qs.append(generic_poly(table, b_names[used : used + len(monos)], monos))
+        used += len(monos)
+    x = table.var("x")
+    y1 = table.var("y1")
+    y2 = table.var("y2")
+    w = table.var(case.w_name)
+    d = table.var("d")
+    cx2 = table.const(case.c) * x * x
+    zero = table.zero()
+    if case.j == 1:
+        central = [
+            [d * w, y1, y2, zero],
+            [y1, w, cx2, y2],
+            [y2, cx2, -w, y1],
+            [zero, y2, y1, -(d * w)],
+        ]
+        Q = y1 * y1 - y2 * y2 - d * w * w
+        params = g_names + b_names + ["d"]
+    elif case.j == 2:
+        central = [
+            [w, y1, y2, zero],
+            [y1, -2 * d * y1, cx2, y2],
+            [y2, cx2, 2 * d * y1, y1],
+            [zero, y2, y1, -w],
+        ]
+        Q = y1 * y1 - y2 * y2 + 2 * d * y1 * w
+        params = g_names + b_names + ["d"]
+    else:
+        central = [
+            [w, y1, y2, zero],
+            [y1, zero, cx2, y2],
+            [y2, cx2, zero, y1],
+            [zero, y2, y1, -w],
+        ]
+        Q = y1 * y1 - y2 * y2
+        params = g_names + b_names
+    xqs = [x * q for q in qs]
+    rows = [
+        [x * x * G] + xqs + [Q],
+        [xqs[0]] + central[0] + [x],
+        [xqs[1]] + central[1] + [zero],
+        [xqs[2]] + central[2] + [zero],
+        [xqs[3]] + central[3] + [zero],
+        [Q, x, zero, zero, zero, zero],
+    ]
+    return SymPolyMatrix(rows), params

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from godeaux2 import alpha
 from godeaux2.alpha import (
     AlphaCase,
     PatternError,
@@ -17,7 +18,7 @@ from godeaux2.alpha import (
 )
 from godeaux2.ring import GEOMETRIC, PARAMETER, Polynomial, VariableTable
 
-from _oracle import first_row_det
+from _oracle import build_ansatz_reference, first_row_det
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,33 @@ def test_ansatz_parameter_counts():
         M, params = build_ansatz(AlphaCase(j, 1))
         assert len(params) == expected
         M.check_pattern()
+
+
+@pytest.mark.parametrize("j,c", [(j, c) for j in (1, 2, 3) for c in (0, 1)])
+def test_build_ansatz_matches_the_written_out_reference(j, c):
+    # bordered_matrix, generic_border and central_block against the layout
+    # written out case by case
+    case, table = AlphaCase(j, c), make_table(j)
+    M, params = build_ansatz(case, table)
+    M_ref, params_ref = build_ansatz_reference(case, table)
+    assert M == M_ref
+    assert params == params_ref
+
+
+@pytest.mark.parametrize(
+    "change,message", [("one_short", "3 slot monomials but 2 names left"), ("one_extra", "12 slots")]
+)
+def test_ansatz_rejects_a_wrong_q_slot_count(monkeypatch, change, message):
+    # a normalization table one monomial short leaves 13 q slots for 12
+    # names; one extra leaves 11 slots
+    dropped = {k: set(v) for k, v in alpha._DROPPED[1].items()}
+    if change == "one_short":
+        dropped[3].discard("y3^2")
+    else:
+        dropped[2].add("x^2*y1")
+    monkeypatch.setitem(alpha._DROPPED, 1, dropped)
+    with pytest.raises(PatternError, match=message):
+        build_ansatz(AlphaCase(1, 1))
 
 
 def test_ansatz_q_slots_match_expected_layout(case11):

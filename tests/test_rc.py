@@ -74,7 +74,6 @@ def test_residual_count_and_zero_l(rc11):
         {key: table.zero() for key in l.polys},
         0,
         [],
-        {},
         l.cofactors,
     )
     bare = rc_residuals(M, zero_l)
@@ -153,7 +152,7 @@ def test_exact_multipliers_give_zero_residuals():
     for (i, j) in PAIRS:
         for k in range(1, 7):
             polys[(i, j, k)] = L[i - 1][j - 1] if k == 6 else zero
-    exact = LAnsatz(polys, 0, [], {}, betas)
+    exact = LAnsatz(polys, 0, [], betas)
     for res in rc_residuals(M, exact):
         assert res.is_zero()
 

@@ -53,3 +53,28 @@ def test_traced_driver_rounds_match_the_round_log():
     stages = "".join(rec["stage"] for rec in tracer.spans if "stage" in rec)
     assert stages == "".join(r.stage for r in err.value.state.round_log) == "ABCDEABCD"
     assert tracer.layer_metrics({})["elim.rounds"] == 9
+
+
+def test_traced_closed_form_rc_counts_its_driver_rounds(monkeypatch, run11):
+    # closed_form_rc solves the rank condition through pipeline.driver, so
+    # the tracer sees its rounds as it sees a pipeline run's
+    logs = []
+    real = pipeline.driver
+
+    def spy(*args, **kwargs):
+        state = real(*args, **kwargs)
+        logs.append(state.round_log)
+        return state
+
+    monkeypatch.setattr(pipeline, "driver", spy)
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        rep = verify.verify_closed_form_rc(result=run11)
+    finally:
+        tracer.uninstall()
+    assert rep.status == "pass"
+    assert len(logs) == 1 and logs[0]
+    stages = "".join(rec["stage"] for rec in tracer.spans if "stage" in rec)
+    assert stages == "".join(r.stage for r in logs[0])
+    assert tracer.layer_metrics({})["elim.rounds"] == len(logs[0])

@@ -26,6 +26,7 @@ from godeaux2.verify import (
     verify_scaling,
     verify_special,
     verify_extension_shuffle,
+    verify_c_normalization,
 )
 
 from _oracle import outside_low_degree_ideal
@@ -61,6 +62,36 @@ def test_identity_suite_negative_controls():
     assert rep.status == "fail"
     assert "r^4" in rep.witness or "r^" in rep.witness
     assert verify_imaginary_unit_congruence(perturb=True).status == "fail"
+
+
+def _perturb_bordered(monkeypatch, where):
+    """Make verify.bordered_matrix add y1 to one central entry (the (3,3)
+    entry of the matrix) or double its first tail entry (the (2,6) one)."""
+    from godeaux2 import verify
+
+    real = verify.bordered_matrix
+
+    def perturbed(x, G, qs, Q, central, tail):
+        central, tail = [list(row) for row in central], list(tail)
+        if where == "central":
+            central[1][1] = central[1][1] + Q.table.var("y1")
+        else:
+            tail[0] = 2 * tail[0]
+        return real(x, G, qs, Q, central, tail)
+
+    monkeypatch.setattr(verify, "bordered_matrix", perturbed)
+
+
+@pytest.mark.parametrize("where", ["central", "tail"])
+@pytest.mark.parametrize("check", [verify_extension_shuffle, verify_c_normalization])
+def test_bordered_congruences_fail_on_a_perturbed_entry(monkeypatch, check, where):
+    # negative control: one wrong entry of the bordered matrix shows up as
+    # an entry of the transformed matrix that misses its target
+    assert check().status == "pass"
+    _perturb_bordered(monkeypatch, where)
+    rep = check()
+    assert rep.status == "fail"
+    assert rep.witness.startswith("(") and "): " in rep.witness, rep.witness
 
 
 def test_case2_transform_specialized_root():

@@ -41,6 +41,20 @@ from .ring import (
 ROW_WEIGHTS = (4, 1, 1, 1, 1, 0)
 ROW_SIGNS = (1, -1, -1, 1, 1, -1)
 
+# weighted degree and involution sign of each geometric coordinate
+GRADING = {
+    "x": (1, -1),
+    "y1": (2, -1),
+    "y2": (2, 1),
+    "y3": (2, -1),
+    "y4": (2, -1),
+    "z1": (3, -1),
+    "z2": (3, -1),
+    "z3": (3, 1),
+    "z4": (3, 1),
+    "t": (4, -1),
+}
+
 # r-slots in the pipeline table: the 371 multipliers of the ansatz plus spares
 MULTIPLIER_SLOTS = 380
 
@@ -84,6 +98,12 @@ class AlphaCase:
         return f"alpha_{self.j}_c_{self.c}"
 
 
+def coordinate_entries(names) -> list:
+    """VariableTable entries of the named geometric coordinates, graded by
+    GRADING."""
+    return [(n, *GRADING[n], GEOMETRIC) for n in names]
+
+
 def make_table(j: int) -> VariableTable:
     """Pipeline variable table for case j.
 
@@ -93,18 +113,8 @@ def make_table(j: int) -> VariableTable:
     substitutions on the same table.
     """
     w = "y3" if j == 1 else "y4"
-    entries = [
-        ("x", 1, -1, GEOMETRIC),
-        ("y1", 2, -1, GEOMETRIC),
-        ("y2", 2, 1, GEOMETRIC),
-        (w, 2, -1, GEOMETRIC),
-        ("z1", 3, -1, GEOMETRIC),
-        ("z2", 3, -1, GEOMETRIC),
-        ("z3", 3, 1, GEOMETRIC),
-        ("z4", 3, 1, GEOMETRIC),
-        ("t", 4, -1, GEOMETRIC),
-        ("d", 0, 1, PARAMETER),
-    ]
+    entries = coordinate_entries(("x", "y1", "y2", w, "z1", "z2", "z3", "z4", "t"))
+    entries += [("d", 0, 1, PARAMETER)]
     entries += [(f"g{k}", 0, 1, PARAMETER) for k in range(1, 11)]
     entries += [(f"b{k}", 0, 1, PARAMETER) for k in range(1, 13)]
     entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_SLOTS + 1)]

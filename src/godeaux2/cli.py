@@ -9,13 +9,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .elim import EliminationError
 from .pipeline import alpha_to_json, equations_to_json, run_pipeline, stats_dict, write_artifacts
 from .verify import (
     BF_SURFACE,
     BY_SURFACE,
+    CheckFailed,
+    CheckSkipped,
     all_checks,
+    check,
     verify_special,
 )
 
@@ -54,33 +58,29 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+@check("golden_file")
+def golden_file(golden: Optional[Path]) -> str:
+    """The (1,1) pipeline output is byte-equal to the golden alpha file (the
+    packaged one, or `golden`) and, for the packaged data, to the golden
+    equations file."""
+    result = run_pipeline(1, 1)
+    targets = [(golden or packaged_golden(), json.dumps(alpha_to_json(result), indent=1) + "\n")]
+    if golden is None:
+        targets.append(
+            (packaged_golden_equations(), json.dumps(equations_to_json(result), indent=1) + "\n")
+        )
+    for path, current in targets:
+        if not path.exists():
+            raise CheckSkipped(f"no golden file at {path}")
+        if current != path.read_text():
+            raise CheckFailed(f"pipeline output differs from {path}")
+    return ""
+
+
 def _golden_file_check(args: argparse.Namespace):
-    from .verify import CheckReport
-    import time
-
-    def check() -> CheckReport:
-        t0 = time.monotonic()
-        result = run_pipeline(1, 1, args.max_rounds)
-        targets = [(args.golden or packaged_golden(), json.dumps(alpha_to_json(result), indent=1) + "\n")]
-        if args.golden is None:
-            targets.append(
-                (packaged_golden_equations(), json.dumps(equations_to_json(result), indent=1) + "\n")
-            )
-        for path, current in targets:
-            if not path.exists():
-                return CheckReport(
-                    "golden_file", "skipped", note=f"no golden file at {path}", timing=time.monotonic() - t0
-                )
-            if current != path.read_text():
-                return CheckReport(
-                    "golden_file",
-                    "fail",
-                    witness=f"pipeline output differs from {path}",
-                    timing=time.monotonic() - t0,
-                )
-        return CheckReport("golden_file", "pass", timing=time.monotonic() - t0)
-
-    return check
+    """The golden_file check bound to the --golden option, as cmd_verify adds
+    it to the registry (perfbench/tracing.py wraps this name)."""
+    return lambda: golden_file(args.golden)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seeds the evaluation points of the scaling check only",
     )
-    v.add_argument("--max-rounds", type=int, default=10)
     v.add_argument("--golden", type=Path, default=None)
 
     s = sub.add_parser("special", help="check a known special surface")

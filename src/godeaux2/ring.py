@@ -715,19 +715,6 @@ class Polynomial:
             prev = tm
         return s
 
-    # -- cross-table transport --------------------------------------------------
-
-    def convert_to(self, other: VariableTable) -> "Polynomial":
-        """Re-express on another table by matching variable names."""
-        if other is self.table:
-            return self
-        mapping = [other.index[n] for n in self.table.names]
-        terms = {}
-        for m, c in self.terms.items():
-            nm = tuple(sorted((mapping[v], e) for v, e in m))
-            terms[nm] = c
-        return Polynomial(other, other.reduce_terms(terms))
-
 
 def _check_acyclic(table: VariableTable, images: Mapping) -> None:
     bound = set(images)

@@ -1,18 +1,25 @@
 """Machine verification of the polynomial identities the construction rests on.
 
 Every check is an exact symbolic zero-test: pass means the difference
-polynomial is identically zero.  Negative controls (deliberately perturbed
-inputs) are exercised by the test suite to guard against vacuous passes.
-Denominators in the congruence checks are cleared by explicit monomial
-factors, recorded in the check's note, never by a fraction-field type.
+polynomial is identically zero.  Each check is one function under
+`@check(name)`: its body returns the pass note, or raises `CheckFailed` with a
+witness.  The checks take no test-only options; their negative controls live
+in the test suite (`tests/test_verify.py`, `tests/test_acceptance.py`), where
+each one monkeypatches a module-level name of this module (a matrix builder,
+`_at_x0`, `RewriteRule`, `run_pipeline`, `SCALING_WEIGHTS`) and asserts that
+the check then fails.  Denominators in the congruence checks are cleared by
+explicit monomial factors, recorded in the check's note, never by a
+fraction-field type.
 """
 
 from __future__ import annotations
 
+import functools
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .alpha import (
     AlphaCase,
@@ -20,12 +27,13 @@ from .alpha import (
     bordered_matrix,
     central_block,
     cofactor_any,
+    coordinate_entries,
     det_any,
     generic_border,
 )
 from .elim import EliminationError, back_substitute
-from .pipeline import PipelineResult, run_pipeline, solve_rank_condition
-from .ring import ALGEBRAIC, GEOMETRIC, PARAMETER, Polynomial, RewriteRule, VariableTable, mono_mul
+from .pipeline import run_pipeline, solve_rank_condition
+from .ring import ALGEBRAIC, PARAMETER, Polynomial, RewriteRule, VariableTable, mono_mul
 from .surface import membership_check
 
 # not called here (solve_rank_condition runs the rank-condition front end);
@@ -48,18 +56,55 @@ class CheckReport:
             raise ValueError("fail status and witness must appear together")
 
 
+class CheckFailed(Exception):
+    """Raised by a check body; the message is the failure witness."""
+
+
+class CheckSkipped(Exception):
+    """Raised by a check body that does not apply; the message is the note."""
+
+
+def check(name: str):
+    """Decorate a check body into a callable that returns a timed CheckReport.
+
+    The report's name is `name` formatted with the call's arguments.  The
+    body's return value is the pass note; `CheckFailed` and `CheckSkipped`
+    carry the witness and the skip note.  Any other exception raised inside
+    the body is a structural failure, reported with its repr as witness.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CheckReport:
+            status, witness, note = "pass", None, ""
+            t0 = time.monotonic()
+            try:
+                note = body(*args, **kwargs)
+            except CheckFailed as exc:
+                status, witness = "fail", str(exc)
+            except CheckSkipped as exc:
+                status, note = "skipped", str(exc)
+            except Exception as exc:  # structural failure inside a check is a failure
+                status, witness = "fail", repr(exc)
+            dt = time.monotonic() - t0
+            return CheckReport(name.format(*args, **kwargs), status, witness, dt, note)
+
+        return run
+
+    return decorate
+
+
 # the upper triangle of a symmetric 6x6 matrix, 1-based
 _UPPER = tuple((i, j) for i in range(1, 7) for j in range(i, 7))
 
 
-def _mismatch(cells) -> Optional[str]:
-    """The witness "(i,j): got - want" of the first (i, j, got, want) cell
-    whose two sides differ, or None when every cell agrees."""
+def _expect_equal(cells) -> None:
+    """Raise CheckFailed with the witness "(i,j): got - want" of the first
+    (i, j, got, want) cell whose two sides differ."""
     for i, j, got, want in cells:
         diff = got - want
         if not diff.is_zero():
-            return f"({i},{j}): {diff}"
-    return None
+            raise CheckFailed(f"({i},{j}): {diff}")
 
 
 def _at_x0(Q: Polynomial, central) -> SymPolyMatrix:
@@ -69,32 +114,14 @@ def _at_x0(Q: Polynomial, central) -> SymPolyMatrix:
     return bordered_matrix(zero, zero, [zero] * 4, Q, central, [zero] * 4)
 
 
-def _timed(name: str, fn: Callable[[], tuple]) -> CheckReport:
-    t0 = time.monotonic()
-    try:
-        ok, witness, note = fn()
-    except Exception as exc:  # structural failure inside a check is a failure
-        return CheckReport(name, "fail", witness=repr(exc), timing=time.monotonic() - t0)
-    dt = time.monotonic() - t0
-    if ok:
-        return CheckReport(name, "pass", timing=dt, note=note)
-    return CheckReport(name, "fail", witness=witness or "nonzero difference", timing=dt, note=note)
-
-
 # ---------------------------------------------------------------------------
 # small bespoke tables
 
 
-def curve_table(extra_params=(), rules=(), extra_algebraic=()) -> VariableTable:
-    entries = [
-        ("y1", 2, -1, GEOMETRIC),
-        ("y2", 2, 1, GEOMETRIC),
-        ("y3", 2, -1, GEOMETRIC),
-        ("d", 0, 1, PARAMETER),
-    ]
-    entries += [(p, 0, 1, PARAMETER) for p in extra_params]
+def curve_table(extra_params=(), rules=()) -> VariableTable:
+    entries = coordinate_entries(("y1", "y2", "y3"))
+    entries += [(p, 0, 1, PARAMETER) for p in ("d", *extra_params)]
     entries += [(r.variable, 0, 1, ALGEBRAIC) for r in rules]
-    entries += [(a, 0, 1, ALGEBRAIC) for a in extra_algebraic]
     return VariableTable(entries, rules=rules)
 
 
@@ -128,24 +155,17 @@ def excluded_diagonal_multipliers(table: VariableTable) -> list:
     ]
 
 
-def verify_excluded_diagonal_rc(perturb: bool = False) -> CheckReport:
+@check("excluded_diagonal_rc")
+def verify_excluded_diagonal_rc() -> str:
     """At x = 0 the excluded diagonal-type matrix satisfies the rank condition
     with the stated single-column multipliers: beta_ij = l_ij^6 * beta_16."""
-
-    def body():
-        table = curve_table()
-        M = excluded_diagonal_matrix(table)
-        L = excluded_diagonal_multipliers(table)
-        if perturb:
-            L[1][1] = L[1][1] + table.var("y2")  # negative control
-        memo: dict = {}
-        b16 = M.cofactor(1, 6, memo)
-        witness = _mismatch((i, j, M.cofactor(i, j, memo), L[i - 1][j - 1] * b16) for i, j in _UPPER)
-        if witness:
-            return False, witness, ""
-        return True, None, "all 21 cofactor identities hold"
-
-    return _timed("excluded_diagonal_rc", body)
+    table = curve_table()
+    M = excluded_diagonal_matrix(table)
+    L = excluded_diagonal_multipliers(table)
+    memo: dict = {}
+    b16 = M.cofactor(1, 6, memo)
+    _expect_equal((i, j, M.cofactor(i, j, memo), L[i - 1][j - 1] * b16) for i, j in _UPPER)
+    return "all 21 cofactor identities hold"
 
 
 def _restriction_block(table: VariableTable, case: int) -> list:
@@ -168,444 +188,390 @@ def _restriction_block(table: VariableTable, case: int) -> list:
     ]
 
 
-def verify_restriction_cofactors(case: int) -> CheckReport:
+@check("restriction_cofactors_{}")
+def verify_restriction_cofactors(case: int) -> str:
     """The closed-form cofactor identities of the central 4x4 block, per
     restriction case, plus (case 1) the coefficient solution making the three
     divided identities (Q, 0, 0)."""
-
-    def body():
-        table = curve_table(extra_params=[f"a{k}" for k in range(1, 7)] + [f"b{k}" for k in range(1, 7)])
-        y1, y2, y3 = (table.var(n) for n in ("y1", "y2", "y3"))
-        a = {k: table.var(f"a{k}") for k in range(1, 7)}
-        b = {k: table.var(f"b{k}") for k in range(1, 7)}
-        N = _restriction_block(table, case)
-        checks = []
-        if case == 1:
-            checks = [
-                (
-                    "-C13/y2",
-                    -cofactor_any(N, 1, 3),
-                    a[5] * y1 ** 2 + (b[5] + a[6]) * y1 * y3 - y2 ** 2 + b[6] * y3 ** 2,
-                ),
-                (
-                    "C14/y2",
-                    cofactor_any(N, 1, 4),
-                    a[4] * y1 ** 2 + (b[4] + a[5]) * y1 * y3 + b[5] * y3 ** 2,
-                ),
-                (
-                    "C23/y2",
-                    cofactor_any(N, 2, 3),
-                    (a[1] * a[5] + a[6]) * y1 ** 2
-                    + (a[1] * b[5] + b[1] * a[5] + b[6]) * y1 * y3
-                    + b[1] * b[5] * y3 ** 2,
-                ),
-            ]
-        elif case == 2:
-            checks = [
-                (
-                    "-C13/y2",
-                    -cofactor_any(N, 1, 3),
-                    a[6] * y1 ** 2 + (a[5] + b[6]) * y1 * y3 - y2 ** 2 + b[5] * y3 ** 2,
-                ),
-                (
-                    "C14/y2",
-                    cofactor_any(N, 1, 4),
-                    a[5] * y1 ** 2 + (a[4] + b[5]) * y1 * y3 + b[4] * y3 ** 2,
-                ),
-                (
-                    # in this row/column numbering the quadric of the third
-                    # identity sits at the (2,4) cofactor (case 3 has the
-                    # same shape there)
-                    "-C24/y2",
-                    -cofactor_any(N, 2, 4),
-                    a[1] * a[4] * y1 ** 2
-                    + (a[1] * b[4] + b[1] * a[4] + a[5]) * y1 * y3
-                    - y2 ** 2
-                    + (b[1] * b[4] + b[5]) * y3 ** 2,
-                ),
-            ]
-        else:
-            checks = [
-                (
-                    "-C12/y2",
-                    -cofactor_any(N, 1, 2),
-                    y2 * (a[5] * y1 + b[5] * y3),
-                ),
-                (
-                    "-C13/y2",
-                    -cofactor_any(N, 1, 3),
-                    a[3] * a[6] * y1 ** 2
-                    + (b[3] * a[6] + a[3] * b[6]) * y1 * y3
-                    - y2 ** 2
-                    + b[3] * b[6] * y3 ** 2,
-                ),
-                (
-                    "-C24/y2",
-                    -cofactor_any(N, 2, 4),
-                    a[1] * a[4] * y1 ** 2
-                    + (b[1] * a[4] + a[1] * b[4]) * y1 * y3
-                    - y2 ** 2
-                    + b[1] * b[4] * y3 ** 2,
-                ),
-            ]
-        for label, cof, expected in checks:
-            got = cof.exact_divide(y2)
-            if got is None:
-                return False, f"{label}: not divisible by y2", ""
-            if got != expected:
-                return False, f"{label}: {got - expected}", ""
-        note = "closed-form cofactor identities hold"
-        if case == 1:
-            d = table.var("d")
-            spec = {
-                "a1": table.zero(), "b1": d * d,
-                "a4": table.zero(), "b4": table.const(-1),
-                "a5": table.one(), "b5": table.zero(),
-                "a6": table.zero(), "b6": -(d * d),
-            }
-            Q = y1 ** 2 - y2 ** 2 - d * d * y3 ** 2
-            vals = [c.substitute(spec) for _, c, _ in checks]
-            # vals are (-C13, C14, C23); the solved coefficients make the
-            # divided identities (Q, 0, 0), so -C13 = Q*y2 and the rest vanish
-            wanted = [Q * y2, table.zero(), table.zero()]
-            if [v for v in vals] != wanted:
-                return False, "case-1 specialization is not (Q, 0, 0)", ""
-            note += "; case-1 specialization gives (Q, 0, 0)"
-        return True, None, note
-
-    return _timed(f"restriction_cofactors_{case}", body)
-
-
-def verify_y2_quartic_coefficient() -> CheckReport:
-    """The y2^4 coefficient of det(central block) is (r1 r4 - r2 r3)^2."""
-
-    def body():
-        table = curve_table(
-            extra_params=[f"a{k}" for k in range(1, 7)]
-            + [f"b{k}" for k in range(1, 7)]
-            + [f"r{k}" for k in range(1, 5)]
-        )
-        y1, y2, y3 = (table.var(n) for n in ("y1", "y2", "y3"))
-        m = {k: table.var(f"a{k}") * y1 + table.var(f"b{k}") * y3 for k in range(1, 7)}
-        r = {k: table.var(f"r{k}") for k in range(1, 5)}
-        N = [
-            [m[1], m[2], r[1] * y2, r[2] * y2],
-            [m[2], m[3], r[3] * y2, r[4] * y2],
-            [r[1] * y2, r[3] * y2, m[4], m[5]],
-            [r[2] * y2, r[4] * y2, m[5], m[6]],
+    table = curve_table(extra_params=[f"a{k}" for k in range(1, 7)] + [f"b{k}" for k in range(1, 7)])
+    y1, y2, y3 = (table.var(n) for n in ("y1", "y2", "y3"))
+    a = {k: table.var(f"a{k}") for k in range(1, 7)}
+    b = {k: table.var(f"b{k}") for k in range(1, 7)}
+    N = _restriction_block(table, case)
+    checks = []
+    if case == 1:
+        checks = [
+            (
+                "-C13/y2",
+                -cofactor_any(N, 1, 3),
+                a[5] * y1 ** 2 + (b[5] + a[6]) * y1 * y3 - y2 ** 2 + b[6] * y3 ** 2,
+            ),
+            (
+                "C14/y2",
+                cofactor_any(N, 1, 4),
+                a[4] * y1 ** 2 + (b[4] + a[5]) * y1 * y3 + b[5] * y3 ** 2,
+            ),
+            (
+                "C23/y2",
+                cofactor_any(N, 2, 3),
+                (a[1] * a[5] + a[6]) * y1 ** 2
+                + (a[1] * b[5] + b[1] * a[5] + b[6]) * y1 * y3
+                + b[1] * b[5] * y3 ** 2,
+            ),
         ]
-        D = det_any(N)
-        coeff = None
-        for mono, c in D.coefficients_wrt(["y1", "y2", "y3"]):
-            if table.mono_str(mono) == "y2^4":
-                coeff = c
-                break
-        if coeff is None:
-            return False, "no y2^4 term in det", ""
-        expected = (r[1] * r[4] - r[2] * r[3]) ** 2
-        if coeff != expected:
-            return False, str(coeff - expected), ""
-        unit = {"r1": 1, "r4": 1, "r2": 0, "r3": 0}
-        if coeff.substitute(unit) != table.one():
-            return False, "specialization r=(1,0,0,1) is not 1", ""
-        if not coeff.substitute({"r1": 0, "r2": 0, "r3": 0, "r4": 0}).is_zero():
-            return False, "specialization r=0 is not 0", ""
-        return True, None, "coefficient equals (r1*r4 - r2*r3)^2"
+    elif case == 2:
+        checks = [
+            (
+                "-C13/y2",
+                -cofactor_any(N, 1, 3),
+                a[6] * y1 ** 2 + (a[5] + b[6]) * y1 * y3 - y2 ** 2 + b[5] * y3 ** 2,
+            ),
+            (
+                "C14/y2",
+                cofactor_any(N, 1, 4),
+                a[5] * y1 ** 2 + (a[4] + b[5]) * y1 * y3 + b[4] * y3 ** 2,
+            ),
+            (
+                # in this row/column numbering the quadric of the third
+                # identity sits at the (2,4) cofactor (case 3 has the
+                # same shape there)
+                "-C24/y2",
+                -cofactor_any(N, 2, 4),
+                a[1] * a[4] * y1 ** 2
+                + (a[1] * b[4] + b[1] * a[4] + a[5]) * y1 * y3
+                - y2 ** 2
+                + (b[1] * b[4] + b[5]) * y3 ** 2,
+            ),
+        ]
+    else:
+        checks = [
+            (
+                "-C12/y2",
+                -cofactor_any(N, 1, 2),
+                y2 * (a[5] * y1 + b[5] * y3),
+            ),
+            (
+                "-C13/y2",
+                -cofactor_any(N, 1, 3),
+                a[3] * a[6] * y1 ** 2
+                + (b[3] * a[6] + a[3] * b[6]) * y1 * y3
+                - y2 ** 2
+                + b[3] * b[6] * y3 ** 2,
+            ),
+            (
+                "-C24/y2",
+                -cofactor_any(N, 2, 4),
+                a[1] * a[4] * y1 ** 2
+                + (b[1] * a[4] + a[1] * b[4]) * y1 * y3
+                - y2 ** 2
+                + b[1] * b[4] * y3 ** 2,
+            ),
+        ]
+    for label, cof, expected in checks:
+        got = cof.exact_divide(y2)
+        if got is None:
+            raise CheckFailed(f"{label}: not divisible by y2")
+        if got != expected:
+            raise CheckFailed(f"{label}: {got - expected}")
+    note = "closed-form cofactor identities hold"
+    if case == 1:
+        d = table.var("d")
+        spec = {
+            "a1": table.zero(), "b1": d * d,
+            "a4": table.zero(), "b4": table.const(-1),
+            "a5": table.one(), "b5": table.zero(),
+            "a6": table.zero(), "b6": -(d * d),
+        }
+        Q = y1 ** 2 - y2 ** 2 - d * d * y3 ** 2
+        vals = [c.substitute(spec) for _, c, _ in checks]
+        # vals are (-C13, C14, C23); the solved coefficients make the
+        # divided identities (Q, 0, 0), so -C13 = Q*y2 and the rest vanish
+        wanted = [Q * y2, table.zero(), table.zero()]
+        if [v for v in vals] != wanted:
+            raise CheckFailed("case-1 specialization is not (Q, 0, 0)")
+        note += "; case-1 specialization gives (Q, 0, 0)"
+    return note
 
-    return _timed("y2_quartic_coefficient", body)
+
+@check("y2_quartic_coefficient")
+def verify_y2_quartic_coefficient() -> str:
+    """The y2^4 coefficient of det(central block) is (r1 r4 - r2 r3)^2."""
+    table = curve_table(
+        extra_params=[f"a{k}" for k in range(1, 7)]
+        + [f"b{k}" for k in range(1, 7)]
+        + [f"r{k}" for k in range(1, 5)]
+    )
+    y1, y2, y3 = (table.var(n) for n in ("y1", "y2", "y3"))
+    m = {k: table.var(f"a{k}") * y1 + table.var(f"b{k}") * y3 for k in range(1, 7)}
+    r = {k: table.var(f"r{k}") for k in range(1, 5)}
+    N = [
+        [m[1], m[2], r[1] * y2, r[2] * y2],
+        [m[2], m[3], r[3] * y2, r[4] * y2],
+        [r[1] * y2, r[3] * y2, m[4], m[5]],
+        [r[2] * y2, r[4] * y2, m[5], m[6]],
+    ]
+    D = det_any(N)
+    coeff = None
+    for mono, c in D.coefficients_wrt(["y1", "y2", "y3"]):
+        if table.mono_str(mono) == "y2^4":
+            coeff = c
+            break
+    if coeff is None:
+        raise CheckFailed("no y2^4 term in det")
+    expected = (r[1] * r[4] - r[2] * r[3]) ** 2
+    if coeff != expected:
+        raise CheckFailed(str(coeff - expected))
+    unit = {"r1": 1, "r4": 1, "r2": 0, "r3": 0}
+    if coeff.substitute(unit) != table.one():
+        raise CheckFailed("specialization r=(1,0,0,1) is not 1")
+    if not coeff.substitute({"r1": 0, "r2": 0, "r3": 0, "r4": 0}).is_zero():
+        raise CheckFailed("specialization r=0 is not 0")
+    return "coefficient equals (r1*r4 - r2*r3)^2"
 
 
-def _quartic_root_table(d_value=None, with_rule=True):
-    if not with_rule:
-        # negative control: r present but no quartic relation imposed
-        return curve_table(extra_algebraic=("r",))
-    rules = [RewriteRule("r", 4, {((("d"), 2),): -1})]
-    if d_value is not None:
-        rules = [RewriteRule("r", 4, {(): -(d_value ** 2)})]
-    return curve_table(rules=rules)
-
-
-def verify_quartic_root_congruence(with_rule: bool = True, d_value=None) -> CheckReport:
+@check("quartic_root_congruence")
+def verify_quartic_root_congruence() -> str:
     """The quartic-root congruence: with r^4 = -d^2 the change of variables
     (y1, y2, y3) -> (-r^2 y3, y2, -r^2 d^-2 y1) sends the restricted matrix to
     P M P^T.  All d^-2 entries are cleared by the factors d^2 P and d^2 M, so
     the asserted identity is (d^2 P)(d^2 M)(d^2 P)^T = d^6 P M P^T entrywise.
     """
-
-    def body():
-        table = _quartic_root_table(d_value=d_value, with_rule=with_rule)
-        y1, y2, y3 = (table.var(n) for n in ("y1", "y2", "y3"))
-        d = table.const(d_value) if d_value is not None else table.var("d")
-        r = table.var("r")
-        zero = table.zero()
-        Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
-        T = _at_x0(
-            Q,
-            [
-                [d * d * y3, y1, y2, zero],
-                [y1, y3, zero, y2],
-                [y2, zero, -y3, y1],
-                [zero, y2, y1, -(d * d * y3)],
-            ],
-        )
-        # d^2 * M for the case-2 coefficient solution
-        M2 = _at_x0(
-            d * d * Q,
-            [
-                [y1, d * d * y3, d * d * y2, zero],
-                [d * d * y3, d * d * y1, zero, d * d * y2],
-                [d * d * y2, zero, d ** 4 * y1, -(d ** 4) * y3],
-                [zero, d * d * y2, -(d ** 4) * y3, d * d * y1],
-            ],
-        )
-        P2 = [
-            [d * d, zero, zero, zero, zero, zero],
-            [zero, d * d * r ** 3, zero, zero, zero, zero],
-            [zero, zero, r ** 3, zero, zero, zero],
-            [zero, zero, zero, -r, zero, zero],
-            [zero, zero, zero, zero, -(d * d) * r, zero],
-            [zero, zero, zero, zero, zero, d * d],
-        ]
-        lhs = M2.congruence(P2)
-        phi = {"y1": -(d * d) * r * r * y3, "y2": d * d * y2, "y3": -(r * r) * y1}
-        # an entry of y-degree k = weighted degree / 2 is cleared by d^(6-2k)
-        rhs = T.map_entries(
-            lambda e: e if e.is_zero() else d ** (6 - 2 * (e.weighted_degree() // 2)) * e.change_vars(phi)
-        )
-        witness = _mismatch((i, j, lhs[i, j], rhs[i, j]) for i, j in _UPPER)
-        if witness:
-            return False, witness, ""
-        return True, None, "cleared by d^2 per factor (overall d^6)"
-
-    return _timed("quartic_root_congruence", body)
-
-
-def verify_imaginary_unit_congruence(perturb: bool = False) -> CheckReport:
-    """With i^2 = -1 the product (2d R) M_2 (2d R)^T equals the restricted
-    matrix form in rescaled coordinates; M_1 is the excluded diagonal type."""
-
-    def body():
-        table = curve_table(rules=[RewriteRule("i", 2, {(): -1})])
-        y1, y2, y3, d = (table.var(n) for n in ("y1", "y2", "y3", "d"))
-        ii = table.var("i")
-        zero = table.zero()
-        Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
-
-        def M_j(j):
-            s = -1 if j % 2 == 0 else 1  # -(-1)^j
-            return _at_x0(
-                Q,
-                [
-                    [y1 + d * y3, zero, y2, zero],
-                    [zero, y1 + s * d * y3, zero, y2],
-                    [y2, zero, y1 - d * y3, zero],
-                    [zero, y2, zero, y1 - s * d * y3],
-                ],
-            )
-
-        M1, M2 = M_j(1), M_j(2)
-        if M1 != excluded_diagonal_matrix(table):
-            return False, "M_1 does not match the excluded diagonal type", ""
-        flip = -1 if perturb else 1  # negative control: one wrong sign in R
-        two_d_R = [
-            [2 * d, zero, zero, zero, zero, zero],
-            [zero, flip * 2 * d * ii, d * d, zero, zero, zero],
-            [zero, -2 * ii, d, zero, zero, zero],
-            [zero, zero, zero, -d * ii, 2 * table.one(), zero],
-            [zero, zero, zero, ii * d * d, 2 * d, zero],
-            [zero, zero, zero, zero, zero, 2 * d],
-        ]
-        C = M2.congruence(two_d_R)
-        W3 = (d * d - 4) * y1 - (4 * d + d ** 3) * y3
-        W1 = (4 + d * d) * y1 + (4 * d - d ** 3) * y3
-        fy2 = 4 * d * d * y2
-        expected = _at_x0(
-            4 * d * d * Q,
-            [
-                [d * d * W3, d * W1, fy2, zero],
-                [d * W1, W3, zero, fy2],
-                [fy2, zero, -W3, d * W1],
-                [zero, fy2, d * W1, -(d * d) * W3],
-            ],
-        )
-        witness = _mismatch((i, j, C[i, j], expected[i, j]) for i, j in _UPPER)
-        if witness:
-            return False, witness, ""
-        # the rescaled coordinates still cut out the same conic
-        conic = W1 * W1 - 16 * d * d * y2 * y2 - W3 * W3 - 16 * d * d * Q
-        if not conic.is_zero():
-            return False, f"conic identity fails: {conic}", ""
-        return True, None, "denominators cleared by 2d per factor (overall 4d^2)"
-
-    return _timed("imaginary_unit_congruence", body)
-
-
-def verify_extension_shuffle() -> CheckReport:
-    """The unimodular row shuffle turns the c5 = d, c6 = 1 extension matrix
-    into the j=2 shape (and the j=3 shape at d = 0)."""
-
-    def body():
-        params = (
-            ["c2"]
-            + [f"h{k}" for k in range(1, 11)]
-            + [f"k{k}" for k in range(1, 21)]
-        )
-        entries = [
-            ("x", 1, -1, GEOMETRIC),
-            ("y1", 2, -1, GEOMETRIC),
-            ("y2", 2, 1, GEOMETRIC),
-            ("y3", 2, -1, GEOMETRIC),
-            ("d", 0, 1, PARAMETER),
-        ] + [(p, 0, 1, PARAMETER) for p in params]
-        table = VariableTable(entries)
-        x, y1, y2, y3, d, c2 = (table.var(n) for n in ("x", "y1", "y2", "y3", "d", "c2"))
-        G, qs = generic_border(table, ["x", "y1", "y2", "y3"], iter(params[1:]))
-        Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
-        zero = table.zero()
-        central = [
-            [d * d * y3, y1, y2, c2 * x * x],
+    table = curve_table(rules=[RewriteRule("r", 4, {(("d", 2),): -1})])
+    y1, y2, y3, d, r = (table.var(n) for n in ("y1", "y2", "y3", "d", "r"))
+    zero = table.zero()
+    Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
+    T = _at_x0(
+        Q,
+        [
+            [d * d * y3, y1, y2, zero],
             [y1, y3, zero, y2],
             [y2, zero, -y3, y1],
-            [c2 * x * x, y2, y1, -(d * d) * y3],
-        ]
-        alpha = bordered_matrix(x, G, qs, Q, central, [d * x, x, zero, zero])
-        P = [
-            [1, 0, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0],
-            [0, 1, -d, 0, 0, 0],
-            [0, 0, 0, d, 1, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 0, 1],
-        ]
-        detP = det_any(P)
-        if detP != table.one() and detP != table.const(-1):
-            return False, f"P' not unimodular: det = {detP}", ""
-        B = alpha.congruence(P)
-        w1 = y1 - d * y3  # the new anti-invariant coordinate
-        w3 = -2 * d * w1  # the new third coordinate: the j=2 constraint
-        expectations = {
-            (2, 2): y3,
-            (2, 3): w1,
-            (2, 4): y2,
-            (2, 5): zero,
-            (2, 6): x,
-            (3, 3): w3,
-            (3, 4): c2 * x * x,
-            (3, 5): y2,
-            (3, 6): zero,
-            (4, 4): -w3,
-            (4, 5): w1,
-            (4, 6): zero,
-            (5, 5): -y3,
-            (5, 6): zero,
-            (6, 6): zero,
-            (1, 6): Q,
-        }
-        witness = _mismatch((i, j, B[i, j], want) for (i, j), want in expectations.items())
-        if witness:
-            return False, witness, ""
-        # conic in the new coordinates: w1^2 - y2^2 - w3*y3 = Q
-        if not (w1 * w1 - y2 * y2 - w3 * y3 - Q).is_zero():
-            return False, "conic identity fails", ""
-        # border stays divisible by x (x^2 at the corner)
-        if B[1, 1].exact_divide(x * x) is None:
-            return False, "corner not divisible by x^2", ""
-        for k in (2, 3, 4, 5):
-            if B[1, k].exact_divide(x) is None:
-                return False, f"border (1,{k}) not divisible by x", ""
-        # d -> 0 specialization has the j=3 shape: the (3,3)/(4,4) entries die
-        B0 = B.substitute({"d": zero})
-        if not (B0[3, 3].is_zero() and B0[4, 4].is_zero()):
-            return False, "d=0 specialization is not of the j=3 shape", ""
-        return True, None, "P' unimodular; j=2 shape symbolically, j=3 at d=0"
-
-    return _timed("extension_shuffle", body)
+            [zero, y2, y1, -(d * d * y3)],
+        ],
+    )
+    # d^2 * M for the case-2 coefficient solution
+    M2 = _at_x0(
+        d * d * Q,
+        [
+            [y1, d * d * y3, d * d * y2, zero],
+            [d * d * y3, d * d * y1, zero, d * d * y2],
+            [d * d * y2, zero, d ** 4 * y1, -(d ** 4) * y3],
+            [zero, d * d * y2, -(d ** 4) * y3, d * d * y1],
+        ],
+    )
+    P2 = [
+        [d * d, zero, zero, zero, zero, zero],
+        [zero, d * d * r ** 3, zero, zero, zero, zero],
+        [zero, zero, r ** 3, zero, zero, zero],
+        [zero, zero, zero, -r, zero, zero],
+        [zero, zero, zero, zero, -(d * d) * r, zero],
+        [zero, zero, zero, zero, zero, d * d],
+    ]
+    lhs = M2.congruence(P2)
+    phi = {"y1": -(d * d) * r * r * y3, "y2": d * d * y2, "y3": -(r * r) * y1}
+    # an entry of y-degree k = weighted degree / 2 is cleared by d^(6-2k)
+    rhs = T.map_entries(
+        lambda e: e if e.is_zero() else d ** (6 - 2 * (e.weighted_degree() // 2)) * e.change_vars(phi)
+    )
+    _expect_equal((i, j, lhs[i, j], rhs[i, j]) for i, j in _UPPER)
+    return "cleared by d^2 per factor (overall d^6)"
 
 
-def verify_c_normalization() -> CheckReport:
+@check("imaginary_unit_congruence")
+def verify_imaginary_unit_congruence() -> str:
+    """With i^2 = -1 the product (2d R) M_2 (2d R)^T equals the restricted
+    matrix form in rescaled coordinates; M_1 is the excluded diagonal type."""
+    table = curve_table(rules=[RewriteRule("i", 2, {(): -1})])
+    y1, y2, y3, d = (table.var(n) for n in ("y1", "y2", "y3", "d"))
+    ii = table.var("i")
+    zero = table.zero()
+    Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
+
+    def M_j(j):
+        s = -1 if j % 2 == 0 else 1  # -(-1)^j
+        return _at_x0(
+            Q,
+            [
+                [y1 + d * y3, zero, y2, zero],
+                [zero, y1 + s * d * y3, zero, y2],
+                [y2, zero, y1 - d * y3, zero],
+                [zero, y2, zero, y1 - s * d * y3],
+            ],
+        )
+
+    M1, M2 = M_j(1), M_j(2)
+    if M1 != excluded_diagonal_matrix(table):
+        raise CheckFailed("M_1 does not match the excluded diagonal type")
+    two_d_R = [
+        [2 * d, zero, zero, zero, zero, zero],
+        [zero, 2 * d * ii, d * d, zero, zero, zero],
+        [zero, -2 * ii, d, zero, zero, zero],
+        [zero, zero, zero, -d * ii, 2 * table.one(), zero],
+        [zero, zero, zero, ii * d * d, 2 * d, zero],
+        [zero, zero, zero, zero, zero, 2 * d],
+    ]
+    C = M2.congruence(two_d_R)
+    W3 = (d * d - 4) * y1 - (4 * d + d ** 3) * y3
+    W1 = (4 + d * d) * y1 + (4 * d - d ** 3) * y3
+    fy2 = 4 * d * d * y2
+    expected = _at_x0(
+        4 * d * d * Q,
+        [
+            [d * d * W3, d * W1, fy2, zero],
+            [d * W1, W3, zero, fy2],
+            [fy2, zero, -W3, d * W1],
+            [zero, fy2, d * W1, -(d * d) * W3],
+        ],
+    )
+    _expect_equal((i, j, C[i, j], expected[i, j]) for i, j in _UPPER)
+    # the rescaled coordinates still cut out the same conic
+    conic = W1 * W1 - 16 * d * d * y2 * y2 - W3 * W3 - 16 * d * d * Q
+    if not conic.is_zero():
+        raise CheckFailed(f"conic identity fails: {conic}")
+    return "denominators cleared by 2d per factor (overall 4d^2)"
+
+
+@check("extension_shuffle")
+def verify_extension_shuffle() -> str:
+    """The unimodular row shuffle turns the c5 = d, c6 = 1 extension matrix
+    into the j=2 shape (and the j=3 shape at d = 0)."""
+    params = (
+        ["c2"]
+        + [f"h{k}" for k in range(1, 11)]
+        + [f"k{k}" for k in range(1, 21)]
+    )
+    entries = coordinate_entries(("x", "y1", "y2", "y3"))
+    table = VariableTable(entries + [(p, 0, 1, PARAMETER) for p in ["d"] + params])
+    x, y1, y2, y3, d, c2 = (table.var(n) for n in ("x", "y1", "y2", "y3", "d", "c2"))
+    G, qs = generic_border(table, ["x", "y1", "y2", "y3"], iter(params[1:]))
+    Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
+    zero = table.zero()
+    central = [
+        [d * d * y3, y1, y2, c2 * x * x],
+        [y1, y3, zero, y2],
+        [y2, zero, -y3, y1],
+        [c2 * x * x, y2, y1, -(d * d) * y3],
+    ]
+    alpha = bordered_matrix(x, G, qs, Q, central, [d * x, x, zero, zero])
+    P = [
+        [1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+        [0, 1, -d, 0, 0, 0],
+        [0, 0, 0, d, 1, 0],
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 1],
+    ]
+    detP = det_any(P)
+    if detP != table.one() and detP != table.const(-1):
+        raise CheckFailed(f"P' not unimodular: det = {detP}")
+    B = alpha.congruence(P)
+    w1 = y1 - d * y3  # the new anti-invariant coordinate
+    w3 = -2 * d * w1  # the new third coordinate: the j=2 constraint
+    expectations = {
+        (2, 2): y3,
+        (2, 3): w1,
+        (2, 4): y2,
+        (2, 5): zero,
+        (2, 6): x,
+        (3, 3): w3,
+        (3, 4): c2 * x * x,
+        (3, 5): y2,
+        (3, 6): zero,
+        (4, 4): -w3,
+        (4, 5): w1,
+        (4, 6): zero,
+        (5, 5): -y3,
+        (5, 6): zero,
+        (6, 6): zero,
+        (1, 6): Q,
+    }
+    _expect_equal((i, j, B[i, j], want) for (i, j), want in expectations.items())
+    # conic in the new coordinates: w1^2 - y2^2 - w3*y3 = Q
+    if not (w1 * w1 - y2 * y2 - w3 * y3 - Q).is_zero():
+        raise CheckFailed("conic identity fails")
+    # border stays divisible by x (x^2 at the corner)
+    if B[1, 1].exact_divide(x * x) is None:
+        raise CheckFailed("corner not divisible by x^2")
+    for k in (2, 3, 4, 5):
+        if B[1, k].exact_divide(x) is None:
+            raise CheckFailed(f"border (1,{k}) not divisible by x")
+    # d -> 0 specialization has the j=3 shape: the (3,3)/(4,4) entries die
+    B0 = B.substitute({"d": zero})
+    if not (B0[3, 3].is_zero() and B0[4, 4].is_zero()):
+        raise CheckFailed("d=0 specialization is not of the j=3 shape")
+    return "P' unimodular; j=2 shape symbolically, j=3 at d=0"
+
+
+@check("c_normalization")
+def verify_c_normalization() -> str:
     """A nonzero central coefficient c can be scaled to 1: writing c = s^4,
     the congruence by Diag(1, s, 1/s, 1/s, s, 1) followed by x -> x/s,
     y3 -> s^2 y3, y4 -> y4/s^2 recovers the c = 1 shape.  Denominators are
     cleared by the factor s per congruence row and a per-entry power of s for
     the variable change."""
+    params = [f"h{k}" for k in range(1, 16)] + [f"k{k}" for k in range(1, 41)]
+    entries = coordinate_entries(("x", "y1", "y2", "y3", "y4"))
+    entries += [(p, 0, 1, PARAMETER) for p in params] + [("s", 0, 1, ALGEBRAIC)]
+    table = VariableTable(entries)
+    x, y1, y2, y3, y4, s = (table.var(n) for n in ("x", "y1", "y2", "y3", "y4", "s"))
+    G, qs = generic_border(table, ["x", "y1", "y2", "y3", "y4"], iter(params))
+    Q = y1 * y1 - y2 * y2 - y3 * y4
+    zero = table.zero()
+    cx2 = s ** 4 * x * x
+    central = [[y4, y1, y2, zero], [y1, y3, cx2, y2], [y2, cx2, -y3, y1], [zero, y2, y1, -y4]]
+    alpha = bordered_matrix(x, G, qs, Q, central, [x, zero, zero, zero])
+    sP = [
+        [s, zero, zero, zero, zero, zero],
+        [zero, s * s, zero, zero, zero, zero],
+        [zero, zero, table.one(), zero, zero, zero],
+        [zero, zero, zero, table.one(), zero, zero],
+        [zero, zero, zero, zero, s * s, zero],
+        [zero, zero, zero, zero, zero, s],
+    ]
+    T = alpha.congruence(sP)
+    pole_weight = {table.index["x"]: 1, table.index["y4"]: 2}
+    si = table.index["s"]
 
-    def body():
-        params = [f"h{k}" for k in range(1, 16)] + [f"k{k}" for k in range(1, 41)]
-        entries = [
-            ("x", 1, -1, GEOMETRIC),
-            ("y1", 2, -1, GEOMETRIC),
-            ("y2", 2, 1, GEOMETRIC),
-            ("y3", 2, -1, GEOMETRIC),
-            ("y4", 2, -1, GEOMETRIC),
-        ] + [(p, 0, 1, PARAMETER) for p in params] + [("s", 0, 1, ALGEBRAIC)]
-        table = VariableTable(entries)
-        x, y1, y2, y3, y4, s = (table.var(n) for n in ("x", "y1", "y2", "y3", "y4", "s"))
-        G, qs = generic_border(table, ["x", "y1", "y2", "y3", "y4"], iter(params))
-        Q = y1 * y1 - y2 * y2 - y3 * y4
-        zero = table.zero()
-        cx2 = s ** 4 * x * x
-        central = [[y4, y1, y2, zero], [y1, y3, cx2, y2], [y2, cx2, -y3, y1], [zero, y2, y1, -y4]]
-        alpha = bordered_matrix(x, G, qs, Q, central, [x, zero, zero, zero])
-        sP = [
-            [s, zero, zero, zero, zero, zero],
-            [zero, s * s, zero, zero, zero, zero],
-            [zero, zero, table.one(), zero, zero, zero],
-            [zero, zero, zero, table.one(), zero, zero],
-            [zero, zero, zero, zero, s * s, zero],
-            [zero, zero, zero, zero, zero, s],
-        ]
-        T = alpha.congruence(sP)
-        pole_weight = {table.index["x"]: 1, table.index["y4"]: 2}
-        si = table.index["s"]
-
-        def cleared_change(E):
-            """s^M * (E with x -> x/s, y3 -> s^2 y3, y4 -> y4/s^2), M minimal."""
-            base = E.change_vars({"y3": s * s * y3})
-            # the pole order in s of each term: 1 per x, 2 per y4
-            need = {m: sum(e * pole_weight.get(v, 0) for v, e in m) for m in base.terms}
-            pole = max(need.values(), default=0)
-            # one-to-one on monomials: the power of s added depends only on
-            # the x and y4 exponents, which it leaves alone
-            terms = {
-                mono_mul(m, ((si, pole - need[m]),) if pole > need[m] else ()): c
-                for m, c in base.terms.items()
-            }
-            return Polynomial(table, terms), pole
-
-        targets = {
-            (2, 2): y4, (2, 3): y1, (2, 4): y2, (2, 5): zero, (2, 6): x,
-            (3, 3): y3, (3, 4): x * x, (3, 5): y2, (3, 6): zero,
-            (4, 4): -y3, (4, 5): y1, (4, 6): zero,
-            (5, 5): -y4, (5, 6): zero, (6, 6): zero, (1, 6): Q,
+    def cleared_change(E):
+        """s^M * (E with x -> x/s, y3 -> s^2 y3, y4 -> y4/s^2), M minimal."""
+        base = E.change_vars({"y3": s * s * y3})
+        # the pole order in s of each term: 1 per x, 2 per y4
+        need = {m: sum(e * pole_weight.get(v, 0) for v, e in m) for m in base.terms}
+        pole = max(need.values(), default=0)
+        # one-to-one on monomials: the power of s added depends only on
+        # the x and y4 exponents, which it leaves alone
+        terms = {
+            mono_mul(m, ((si, pole - need[m]),) if pole > need[m] else ()): c
+            for m, c in base.terms.items()
         }
+        return Polynomial(table, terms), pole
 
-        def cells():
-            for (i, j), want in targets.items():
-                got, pole = cleared_change(T[i, j])
-                yield i, j, got, s ** (pole + 2) * want
+    targets = {
+        (2, 2): y4, (2, 3): y1, (2, 4): y2, (2, 5): zero, (2, 6): x,
+        (3, 3): y3, (3, 4): x * x, (3, 5): y2, (3, 6): zero,
+        (4, 4): -y3, (4, 5): y1, (4, 6): zero,
+        (5, 5): -y4, (5, 6): zero, (6, 6): zero, (1, 6): Q,
+    }
 
-        witness = _mismatch(cells())
-        if witness:
-            return False, witness, ""
-        if T[1, 1].exact_divide(x * x) is None:
-            return False, "corner loses its x^2 factor", ""
-        for k in (2, 3, 4, 5):
-            quo = T[1, k].exact_divide(x)
-            if quo is None:
-                return False, f"border (1,{k}) loses its x factor", ""
-        return True, None, "c = s^4 rescales to c = 1; borders keep their x factors"
+    def cells():
+        for (i, j), want in targets.items():
+            got, pole = cleared_change(T[i, j])
+            yield i, j, got, s ** (pole + 2) * want
 
-    return _timed("c_normalization", body)
+    _expect_equal(cells())
+    if T[1, 1].exact_divide(x * x) is None:
+        raise CheckFailed("corner loses its x^2 factor")
+    for k in (2, 3, 4, 5):
+        if T[1, k].exact_divide(x) is None:
+            raise CheckFailed(f"border (1,{k}) loses its x factor")
+    return "c = s^4 rescales to c = 1; borders keep their x factors"
 
 
-def extension_cases12_skip() -> CheckReport:
-    return CheckReport(
-        "extension_cases_1_2",
-        "skipped",
-        note=(
-            "the case-1/2 normalizations need rational-function entries "
-            "(r^2 = c5^2/(c5^2 - d^2 c6^2)); out of scope by design"
-        ),
+@check("extension_cases_1_2")
+def extension_cases12_skip() -> str:
+    raise CheckSkipped(
+        "the case-1/2 normalizations need rational-function entries "
+        "(r^2 = c5^2/(c5^2 - d^2 c6^2)); out of scope by design"
     )
 
 
@@ -625,164 +591,146 @@ SCALING_WEIGHTS = {
     "b12": 4,
 }
 
+# the values of u at which `scaling` also evaluates the identity exactly
+SCALING_U_VALUES = (1, 2, 3, Fraction(7, 5))
 
-def verify_scaling(
-    u_values=(1, 2, 3, Fraction(7, 5)),
-    result: Optional[PipelineResult] = None,
-    seed: int = 0,
-) -> CheckReport:
+
+@check("scaling")
+def verify_scaling(seed: int = 0) -> str:
     """The determinant is invariant under (y0, y3) -> (y0/u, y3/u) combined
     with the weighted parameter rescaling; checked symbolically on the
     grading of every term and by exact evaluation at rational points."""
+    run = run_pipeline(1, 1)
+    D = run.det_final()
+    table = run.table
+    xi = table.index["x"]
+    y3i = table.index["y3"]
+    widx = {table.index[k]: w for k, w in SCALING_WEIGHTS.items()}
+    for m in D.terms:
+        s = 0
+        for v, e in m:
+            if v == xi:
+                if e % 2:
+                    raise CheckFailed("odd power of x in det")
+                s -= e // 2
+            elif v == y3i:
+                s -= e
+            else:
+                s += widx.get(v, 0) * e
+        if s != 0:
+            raise CheckFailed(f"term {table.mono_str(m)} scales by u^{s}")
+    # independent route: exact evaluation at random rational points
+    rng = random.Random(20260 + seed)
 
-    def body():
-        run = result or run_pipeline(1, 1)
-        D = run.det_final()
-        table = run.table
-        xi = table.index["x"]
-        y3i = table.index["y3"]
-        widx = {table.index[k]: w for k, w in SCALING_WEIGHTS.items()}
-        for m in D.terms:
-            s = 0
+    def evaluate(y0, ys, pvals):
+        total = Fraction(0)
+        for m, c in D.terms.items():
+            val = Fraction(c)
             for v, e in m:
                 if v == xi:
-                    if e % 2:
-                        return False, "odd power of x in det", ""
-                    s -= e // 2
+                    val *= y0 ** (e // 2)
                 elif v == y3i:
-                    s -= e
+                    val *= ys[2] ** e
+                elif v == table.index["y1"]:
+                    val *= ys[0] ** e
+                elif v == table.index["y2"]:
+                    val *= ys[1] ** e
                 else:
-                    s += widx.get(v, 0) * e
-            if s != 0:
-                return False, f"term {table.mono_str(m)} scales by u^{s}", ""
-        # independent route: exact evaluation at random rational points
-        import random
+                    val *= pvals[table.names[v]] ** e
+            total += val
+        return total
 
-        rng = random.Random(20260 + seed)
-
-        def evaluate(y0, ys, pvals):
-            total = Fraction(0)
-            for m, c in D.terms.items():
-                val = Fraction(c)
-                for v, e in m:
-                    if v == xi:
-                        val *= y0 ** (e // 2)
-                    elif v == y3i:
-                        val *= ys[2] ** e
-                    elif v == table.index["y1"]:
-                        val *= ys[0] ** e
-                    elif v == table.index["y2"]:
-                        val *= ys[1] ** e
-                    else:
-                        val *= pvals[table.names[v]] ** e
-                total += val
-            return total
-
-        for u in u_values:
-            u = Fraction(u)
-            if u == 0:
-                return False, "u must be nonzero", ""
-            y0 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-            ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
-            pvals = {
-                k: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                for k in SCALING_WEIGHTS
-            }
-            scaled = {k: v * u ** SCALING_WEIGHTS[k] for k, v in pvals.items()}
-            lhs = evaluate(y0 / u, [ys[0], ys[1], ys[2] / u], scaled)
-            rhs = evaluate(y0, ys, pvals)
-            if lhs != rhs:
-                return False, f"evaluation mismatch at u = {u}", ""
-        return True, None, f"graded symbolically; evaluated at u in {tuple(map(str, u_values))}"
-
-    return _timed("scaling", body)
+    for u in SCALING_U_VALUES:
+        u = Fraction(u)
+        y0 = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+        pvals = {
+            k: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            for k in SCALING_WEIGHTS
+        }
+        scaled = {k: v * u ** SCALING_WEIGHTS[k] for k, v in pvals.items()}
+        lhs = evaluate(y0 / u, [ys[0], ys[1], ys[2] / u], scaled)
+        rhs = evaluate(y0, ys, pvals)
+        if lhs != rhs:
+            raise CheckFailed(f"evaluation mismatch at u = {u}")
+    return f"graded symbolically; evaluated at u in {tuple(map(str, SCALING_U_VALUES))}"
 
 
-def verify_alpha3_square() -> CheckReport:
+@check("alpha3_square")
+def verify_alpha3_square() -> str:
     """det(alpha_3, c=0) is a perfect square, both for the raw generic matrix
     and for the eliminated family; det(alpha_1, c=1) is not (control)."""
+    from .alpha import build_ansatz, make_table
 
-    def body():
-        from .alpha import build_ansatz, make_table
+    def square_root_up_to_sign(p):
+        s = p.poly_sqrt()
+        if s is not None:
+            return s, 1
+        s = (-p).poly_sqrt()
+        if s is not None:
+            return s, -1
+        return None, 0
 
-        def square_root_up_to_sign(p):
-            s = p.poly_sqrt()
-            if s is not None:
-                return s, 1
-            s = (-p).poly_sqrt()
-            if s is not None:
-                return s, -1
-            return None, 0
-
-        raw, _ = build_ansatz(AlphaCase(3, 0), make_table(3))
-        run = run_pipeline(3, 0)
-        signs = []
-        for which, det in (("final", run.det_final()), ("raw generic", raw.determinant())):
-            sq, sign = square_root_up_to_sign(det)
-            if sq is None:
-                return False, f"{which} det(alpha_3, c=0) is not a square up to sign", ""
-            if sign * (sq * sq) != det:
-                return False, f"{which} square root verification failed", ""
-            signs.append(f"{which} det = {'-' if sign < 0 else ''}(...)^2")
-        # the coefficient field is Q; over C the sign is itself a square
-        note = "; ".join(signs)
-        run11 = run_pipeline(1, 1)
-        d11 = run11.det_final()
-        if d11.poly_sqrt() is not None or (-d11).poly_sqrt() is not None:
-            return False, "control failed: det(alpha_1, c=1) is a square", ""
-        return True, None, note + "; alpha_1 c=1 control is not a square"
-
-    return _timed("alpha3_square", body)
+    raw, _ = build_ansatz(AlphaCase(3, 0), make_table(3))
+    run = run_pipeline(3, 0)
+    signs = []
+    for which, det in (("final", run.det_final()), ("raw generic", raw.determinant())):
+        sq, sign = square_root_up_to_sign(det)
+        if sq is None:
+            raise CheckFailed(f"{which} det(alpha_3, c=0) is not a square up to sign")
+        if sign * (sq * sq) != det:
+            raise CheckFailed(f"{which} square root verification failed")
+        signs.append(f"{which} det = {'-' if sign < 0 else ''}(...)^2")
+    # the coefficient field is Q; over C the sign is itself a square
+    note = "; ".join(signs)
+    run11 = run_pipeline(1, 1)
+    d11 = run11.det_final()
+    if d11.poly_sqrt() is not None or (-d11).poly_sqrt() is not None:
+        raise CheckFailed("control failed: det(alpha_1, c=1) is a square")
+    return note + "; alpha_1 c=1 control is not a square"
 
 
 BASE_POINT = {"x": 0, "y1": 0, "y2": 0, "z1": 0, "z2": 0, "z3": 0, "z4": 0, "t": 0}
 
 
-def verify_alpha2_basepoint() -> CheckReport:
+@check("alpha2_basepoint")
+def verify_alpha2_basepoint() -> str:
     """Every equation of the (alpha_2, c=0) family vanishes identically at the
     point with the surviving degree-2 coordinate set to 1 and all other
     geometric coordinates 0."""
-
-    def body():
-        run = run_pipeline(2, 0, max_rounds=16)
-        table = run.table
-        point = dict(BASE_POINT)
-        point["y4"] = 1
-        for eq in run.equations.eqs:
-            val = eq.poly.substitute(point)
-            if not val.is_zero():
-                return False, f"{eq.label}: {val}", ""
-        # control: the coordinate point with t = 1 is not on the surface
-        other = dict(BASE_POINT)
-        other["y4"] = 0
-        other["t"] = 1
-        if all(eq.poly.substitute(other).is_zero() for eq in run.equations.eqs):
-            return False, "control point t=1 annihilates all equations", ""
-        return True, None, "all 21 equations vanish identically (symbolic parameters)"
-
-    return _timed("alpha2_basepoint", body)
+    run = run_pipeline(2, 0, max_rounds=16)
+    point = dict(BASE_POINT)
+    point["y4"] = 1
+    for eq in run.equations.eqs:
+        val = eq.poly.substitute(point)
+        if not val.is_zero():
+            raise CheckFailed(f"{eq.label}: {val}")
+    # control: the coordinate point with t = 1 is not on the surface
+    other = dict(BASE_POINT)
+    other["y4"] = 0
+    other["t"] = 1
+    if all(eq.poly.substitute(other).is_zero() for eq in run.equations.eqs):
+        raise CheckFailed("control point t=1 annihilates all equations")
+    return "all 21 equations vanish identically (symbolic parameters)"
 
 
-def verify_r_removal(result: Optional[PipelineResult] = None) -> CheckReport:
+@check("r_removal")
+def verify_r_removal() -> str:
     """Degree <= 5 equations are r-free and every r-coefficient lies in the
     ideal of the five low-degree relations, certified by exact cofactors over
     Q[moduli] (surface.membership_check)."""
-
-    def body():
-        run = result or run_pipeline(1, 1)
-        for eq in run.equations_raw.low_degree(5):
-            bad = eq.poly.multipliers()
-            if bad:
-                return False, f"{eq.label} depends on {sorted(bad)}", ""
-        F = [eq.poly for eq in run.equations_raw.low_degree(5)]
-        for rname, occurrences in sorted(run.gm.items(), key=lambda kv: run.table.index[kv[0]]):
-            for label, G in occurrences:
-                if membership_check(G, F) != "verified":
-                    return False, f"G[{rname}] in {label} is not in the ideal", ""
-        n = sum(len(v) for v in run.gm.values())
-        return True, None, f"all {n} r-coefficients certified by exact cofactors over Q[moduli]"
-
-    return _timed("r_removal", body)
+    run = run_pipeline(1, 1)
+    for eq in run.equations_raw.low_degree(5):
+        bad = eq.poly.multipliers()
+        if bad:
+            raise CheckFailed(f"{eq.label} depends on {sorted(bad)}")
+    F = [eq.poly for eq in run.equations_raw.low_degree(5)]
+    for rname, occurrences in sorted(run.gm.items(), key=lambda kv: run.table.index[kv[0]]):
+        for label, G in occurrences:
+            if membership_check(G, F) != "verified":
+                raise CheckFailed(f"G[{rname}] in {label} is not in the ideal")
+    n = sum(len(v) for v in run.gm.values())
+    return f"all {n} r-coefficients certified by exact cofactors over Q[moduli]"
 
 
 def _conic_witness(M: SymPolyMatrix) -> Optional[str]:
@@ -803,18 +751,15 @@ def _conic_witness(M: SymPolyMatrix) -> Optional[str]:
     return None
 
 
-def verify_central_minors(result: Optional[PipelineResult] = None) -> CheckReport:
+@check("central_minors")
+def verify_central_minors() -> str:
     """At x = 0, every 3x3 minor of the central block divides by the conic and
     the 4x4 determinant divides by its square."""
-
-    def body():
-        run = result or run_pipeline(1, 1)
-        failure = _conic_witness(run.alpha_final)
-        if failure:
-            return False, failure, ""
-        return True, None, "all 3x3 minors divide by Q, det by Q^2"
-
-    return _timed("central_minors", body)
+    run = run_pipeline(1, 1)
+    failure = _conic_witness(run.alpha_final)
+    if failure:
+        raise CheckFailed(failure)
+    return "all 3x3 minors divide by Q, det by Q^2"
 
 
 # ---------------------------------------------------------------------------
@@ -861,55 +806,49 @@ def golden_final_entries(table) -> dict:
     }
 
 
-def verify_golden_match(result: Optional[PipelineResult] = None) -> CheckReport:
+@check("golden_match")
+def verify_golden_match() -> str:
     """Textual match of the back-substituted family against the closed-form
     entries; a divergent entry fails the check."""
-
-    def body():
-        run = result or run_pipeline(1, 1)
-        table = run.table
-        x = table.var("x")
-        golden = golden_final_entries(table)
-        got = {
-            "G": run.alpha_final[1, 1].exact_divide(x * x),
-            "q1": run.alpha_final[1, 2].exact_divide(x),
-            "q2": run.alpha_final[1, 3].exact_divide(x),
-            "q3": run.alpha_final[1, 4].exact_divide(x),
-            "q4": run.alpha_final[1, 5].exact_divide(x),
-            "Q": run.alpha_final[1, 6],
-        }
-        diffs = [k for k in golden if str(got[k]) != str(golden[k])]
-        if diffs:
-            return False, f"divergent entries: {diffs}", ""
-        return True, None, "back-substituted entries match the closed form textually"
-
-    return _timed("golden_match", body)
+    run = run_pipeline(1, 1)
+    table = run.table
+    x = table.var("x")
+    golden = golden_final_entries(table)
+    got = {
+        "G": run.alpha_final[1, 1].exact_divide(x * x),
+        "q1": run.alpha_final[1, 2].exact_divide(x),
+        "q2": run.alpha_final[1, 3].exact_divide(x),
+        "q3": run.alpha_final[1, 4].exact_divide(x),
+        "q4": run.alpha_final[1, 5].exact_divide(x),
+        "Q": run.alpha_final[1, 6],
+    }
+    diffs = [k for k in golden if str(got[k]) != str(golden[k])]
+    if diffs:
+        raise CheckFailed(f"divergent entries: {diffs}")
+    return "back-substituted entries match the closed form textually"
 
 
-def verify_closed_form_rc(result: Optional[PipelineResult] = None) -> CheckReport:
+@check("closed_form_rc")
+def verify_closed_form_rc() -> str:
     """The closed-form family satisfies the rank condition: with its entries
     substituted, the elimination driver solves the multiplier system to
     empty with no g/b moves, and the residuals vanish identically."""
-
-    def body():
-        run = result or run_pipeline(1, 1)
-        table = run.table
-        g = golden_final_entries(table)
-        x, zero = table.var("x"), table.zero()
-        central, _ = central_block(run.case, table)
-        qs = [g[f"q{k}"] for k in range(1, 5)]
-        alpha = bordered_matrix(x, g["G"], qs, g["Q"], central, [x, zero, zero, zero])
-        alpha.check_pattern()
-        # no g/b names: the moduli must stay free
-        try:
-            _, system, state, resolved = solve_rank_condition(alpha, run.case, (), 10)
-        except EliminationError as err:
-            return False, f"{len(err.state.f)} coefficients remain unsolved", ""
-        if any(back_substitute(system.residuals, state.deps, resolved)):
-            return False, "a residual does not vanish after solving", ""
-        return True, None, "rank condition solvable; all 15 residuals vanish"
-
-    return _timed("closed_form_rc", body)
+    run = run_pipeline(1, 1)
+    table = run.table
+    g = golden_final_entries(table)
+    x, zero = table.var("x"), table.zero()
+    central, _ = central_block(run.case, table)
+    qs = [g[f"q{k}"] for k in range(1, 5)]
+    alpha = bordered_matrix(x, g["G"], qs, g["Q"], central, [x, zero, zero, zero])
+    alpha.check_pattern()
+    # no g/b names: the moduli must stay free
+    try:
+        _, system, state, resolved = solve_rank_condition(alpha, run.case, (), 10)
+    except EliminationError as err:
+        raise CheckFailed(f"{len(err.state.f)} coefficients remain unsolved") from None
+    if any(back_substitute(system.residuals, state.deps, resolved)):
+        raise CheckFailed("a residual does not vanish after solving")
+    return "rank condition solvable; all 15 residuals vanish"
 
 
 # ---------------------------------------------------------------------------
@@ -970,35 +909,32 @@ BF_SURFACE = SpecialSurface(
 )
 
 
-def verify_special(surface: SpecialSurface, result: Optional[PipelineResult] = None) -> CheckReport:
+@check("special_{0.name}")
+def verify_special(surface: SpecialSurface) -> str:
     """Substitute the surface's moduli into the family and check the
     structural invariants survive the specialization."""
-
-    def body():
-        run = result or run_pipeline(1, 1)
-        table = run.table
-        bind = surface.bindings(table)
-        d_val = bind["d"]
-        if d_val.is_zero():
-            return False, "conic degenerates: d = 0", ""
-        M = run.alpha_final.substitute(bind)
-        M.check_pattern()
-        det = M.determinant()
-        if det.is_zero():
-            return False, "determinant vanishes at the special point", ""
-        failure = _conic_witness(M)
-        if failure:
-            return False, f"specialized: {failure}", ""
-        for eq in run.equations.eqs:
-            p = eq.poly.substitute(bind)
-            if p.is_zero():
-                return False, f"equation {eq.label} collapses", ""
-            if p.weighted_degree() != eq.degree:
-                return False, f"equation {eq.label} drops degree", ""
-        ext = "Q(sqrt(-15))" if any(isinstance(v, tuple) for v in surface.values.values()) else "Q"
-        return True, None, f"matrix pattern, det != 0, conic divisibility, 21 equations over {ext}"
-
-    return _timed(f"special_{surface.name}", body)
+    run = run_pipeline(1, 1)
+    table = run.table
+    bind = surface.bindings(table)
+    d_val = bind["d"]
+    if d_val.is_zero():
+        raise CheckFailed("conic degenerates: d = 0")
+    M = run.alpha_final.substitute(bind)
+    M.check_pattern()
+    det = M.determinant()
+    if det.is_zero():
+        raise CheckFailed("determinant vanishes at the special point")
+    failure = _conic_witness(M)
+    if failure:
+        raise CheckFailed(f"specialized: {failure}")
+    for eq in run.equations.eqs:
+        p = eq.poly.substitute(bind)
+        if p.is_zero():
+            raise CheckFailed(f"equation {eq.label} collapses")
+        if p.weighted_degree() != eq.degree:
+            raise CheckFailed(f"equation {eq.label} drops degree")
+    ext = "Q(sqrt(-15))" if any(isinstance(v, tuple) for v in surface.values.values()) else "Q"
+    return f"matrix pattern, det != 0, conic divisibility, 21 equations over {ext}"
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +953,7 @@ def all_checks(seed: int = 0) -> dict:
         "extension_shuffle": verify_extension_shuffle,
         "c_normalization": verify_c_normalization,
         "extension_cases_1_2": extension_cases12_skip,
-        "scaling": lambda: verify_scaling(seed=seed),
+        "scaling": lambda: verify_scaling(seed),
         "alpha3_square": verify_alpha3_square,
         "alpha2_basepoint": verify_alpha2_basepoint,
         "r_removal": verify_r_removal,

@@ -27,6 +27,8 @@ from godeaux2.verify import (
     verify_extension_shuffle,
 )
 
+from _controls import perturb_at_x0, perturb_excluded_multipliers, weaken_rewrite_rules
+
 SURVIVORS = {"b5", "b9", "b6", "b8", "d", "b2", "b11", "g9", "b12"}
 
 
@@ -60,18 +62,24 @@ def test_criterion_03_elimination_soundness(run11):
 
 
 def test_criterion_04_closed_form_rc(run11):
-    rep = verify_closed_form_rc(result=run11)
+    rep = verify_closed_form_rc()
     assert _line(4, rep.status == "pass", "closed-form family satisfies the rank condition")
 
 
 def test_criterion_05_golden_match_soft(run11):
-    rep = verify_golden_match(result=run11)
+    rep = verify_golden_match()
     _line(5, rep.status == "pass", "back-substituted entries match the closed form (soft)")
     if rep.status != "pass":
         print(f"  divergence (non-fatal while criteria 2-4 hold): {rep.witness}")
 
 
-def test_criterion_06_identity_suite():
+def _fails_under(monkeypatch, control, check) -> bool:
+    with monkeypatch.context() as m:
+        control(m)
+        return check().status == "fail"
+
+
+def test_criterion_06_identity_suite(monkeypatch):
     reports = [
         verify_excluded_diagonal_rc(),
         verify_restriction_cofactors(1),
@@ -84,9 +92,9 @@ def test_criterion_06_identity_suite():
     ]
     ok = all(r.status == "pass" for r in reports)
     controls_fail = (
-        verify_excluded_diagonal_rc(perturb=True).status == "fail"
-        and verify_quartic_root_congruence(with_rule=False).status == "fail"
-        and verify_imaginary_unit_congruence(perturb=True).status == "fail"
+        _fails_under(monkeypatch, perturb_excluded_multipliers, verify_excluded_diagonal_rc)
+        and _fails_under(monkeypatch, weaken_rewrite_rules, verify_quartic_root_congruence)
+        and _fails_under(monkeypatch, perturb_at_x0, verify_imaginary_unit_congruence)
     )
     assert _line(
         6,
@@ -95,8 +103,11 @@ def test_criterion_06_identity_suite():
     )
 
 
-def test_criterion_07_scaling(run11):
-    rep = verify_scaling(u_values=(1, 2, 3, Fraction(11, 7)), result=run11)
+def test_criterion_07_scaling(monkeypatch, run11):
+    from godeaux2 import verify
+
+    monkeypatch.setattr(verify, "SCALING_U_VALUES", (1, 2, 3, Fraction(11, 7)))
+    rep = verify_scaling()
     assert _line(7, rep.status == "pass", "weighted scaling identity at u = 1, 2, 3, 11/7")
 
 
@@ -110,19 +121,19 @@ def test_criterion_08_emptiness_witnesses(run30, run20):
 
 
 def test_criterion_09_central_minors(run11):
-    rep = verify_central_minors(result=run11)
+    rep = verify_central_minors()
     assert _line(9, rep.status == "pass", "3x3 minors in (x^2, Q); central det in (x^2, Q^2)")
 
 
 def test_criterion_10_special_surfaces(run11):
-    by = verify_special(BY_SURFACE, result=run11)
-    bf = verify_special(BF_SURFACE, result=run11)
+    by = verify_special(BY_SURFACE)
+    bf = verify_special(BF_SURFACE)
     ok = by.status == "pass" and bf.status == "pass"
     assert _line(10, ok, "special surfaces verified over Q and Q(sqrt(-15))")
 
 
 def test_criterion_11_r_removal(run11):
-    rep = verify_r_removal(result=run11)
+    rep = verify_r_removal()
     ok = rep.status == "pass" and rep.note.startswith("all 94 r-coefficients certified by exact cofactors")
     assert _line(11, ok, f"degree<=5 equations r-free; {rep.note}")
 

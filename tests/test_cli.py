@@ -1,8 +1,6 @@
 """CLI behavior: artifacts, determinism, exit codes, negative controls."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -91,21 +89,17 @@ def test_special_by_and_bf(run11):
     assert main(["special", "--surface", "bf"]) == 0
 
 
-def test_special_unknown_surface_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "godeaux2.cli", "special", "--surface", "nope"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "invalid choice" in proc.stderr
+def test_special_unknown_surface_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["special", "--surface", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_missing_subcommand_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "godeaux2.cli"], capture_output=True, text=True
-    )
-    assert proc.returncode == 2
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
 
 
 def test_pipeline_deep_ladder_case(tmp_path, run20):

@@ -242,21 +242,3 @@ def test_multipliers_exclude_algebraic_r():
     assert p.variables() == {"x", "d", "r5", "r"}
     assert p.multipliers() == {"r5"}
     assert table.of_kind(MULTIPLIER) == ["r5"]
-
-
-def test_convert_between_tables(T):
-    other = VariableTable(
-        [
-            ("x", 1, -1, GEOMETRIC),
-            ("y1", 2, -1, GEOMETRIC),
-            ("y2", 2, 1, GEOMETRIC),
-            ("y3", 2, -1, GEOMETRIC),
-            ("extra", 0, 1, PARAMETER),
-            ("d", 0, 1, PARAMETER),
-            ("g9", 0, 1, PARAMETER),
-        ]
-    )
-    p = T.var("x") * T.var("y1") - 5 * T.var("d")
-    q = p.convert_to(other)
-    assert str(q) == str(p)
-    assert q.table is other

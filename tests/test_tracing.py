@@ -70,7 +70,7 @@ def test_traced_closed_form_rc_counts_its_driver_rounds(monkeypatch, run11):
     tracer = load_tracer()
     tracer.install()
     try:
-        rep = verify.verify_closed_form_rc(result=run11)
+        rep = verify.verify_closed_form_rc()
     finally:
         tracer.uninstall()
     assert rep.status == "pass"

@@ -1,6 +1,8 @@
 """Tests for the verification checks, including the negative controls."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,10 @@ from godeaux2.verify import (
     verify_c_normalization,
 )
 
+from _controls import perturb_at_x0, perturb_excluded_multipliers, weaken_rewrite_rules
 from _oracle import outside_low_degree_ideal
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def test_report_invariant():
@@ -37,6 +42,31 @@ def test_report_invariant():
         CheckReport("x", "fail")  # fail without witness
     with pytest.raises(ValueError):
         CheckReport("x", "pass", witness="boom")
+
+
+def test_check_runner_reports_each_outcome():
+    from godeaux2 import verify
+
+    @verify.check("probe_{}_{kind}")
+    def probe(n, kind):
+        if kind == "fail":
+            raise verify.CheckFailed(f"({n},{n}): y1")
+        if kind == "skip":
+            raise verify.CheckSkipped("not applicable")
+        if kind == "crash":
+            return {}[n]
+        return "all good"
+
+    reports = {kind: probe(3, kind=kind) for kind in ("pass", "fail", "skip", "crash")}
+    assert [r.name for r in reports.values()] == ["probe_3_pass", "probe_3_fail", "probe_3_skip", "probe_3_crash"]
+    got = {kind: (r.status, r.witness, r.note) for kind, r in reports.items()}
+    assert got == {
+        "pass": ("pass", None, "all good"),
+        "fail": ("fail", "(3,3): y1", ""),
+        "skip": ("skipped", None, "not applicable"),
+        "crash": ("fail", "KeyError(3)", ""),
+    }
+    assert all(r.timing >= 0 for r in reports.values())
 
 
 def test_identity_suite_passes():
@@ -56,12 +86,25 @@ def test_identity_suite_passes():
         assert rep.status == "pass", f"{rep.name}: {rep.witness}"
 
 
-def test_identity_suite_negative_controls():
-    assert verify_excluded_diagonal_rc(perturb=True).status == "fail"
-    rep = verify_quartic_root_congruence(with_rule=False)
+def _assert_cell_witness(rep):
     assert rep.status == "fail"
-    assert "r^4" in rep.witness or "r^" in rep.witness
-    assert verify_imaginary_unit_congruence(perturb=True).status == "fail"
+    assert rep.witness.startswith("(") and "): " in rep.witness, rep.witness
+
+
+def test_identity_suite_negative_controls(monkeypatch):
+    with monkeypatch.context() as m:
+        perturb_excluded_multipliers(m)
+        _assert_cell_witness(verify_excluded_diagonal_rc())
+    with monkeypatch.context() as m:
+        perturb_at_x0(m)
+        _assert_cell_witness(verify_quartic_root_congruence())
+        _assert_cell_witness(verify_imaginary_unit_congruence())
+    with monkeypatch.context() as m:
+        # without r^4 = -d^2 the r powers of the congruence stay unreduced
+        weaken_rewrite_rules(m)
+        rep = verify_quartic_root_congruence()
+        _assert_cell_witness(rep)
+        assert "r^4" in rep.witness
 
 
 def _perturb_bordered(monkeypatch, where):
@@ -89,17 +132,11 @@ def test_bordered_congruences_fail_on_a_perturbed_entry(monkeypatch, check, wher
     # an entry of the transformed matrix that misses its target
     assert check().status == "pass"
     _perturb_bordered(monkeypatch, where)
-    rep = check()
-    assert rep.status == "fail"
-    assert rep.witness.startswith("(") and "): " in rep.witness, rep.witness
-
-
-def test_case2_transform_specialized_root():
-    assert verify_quartic_root_congruence(d_value=1).status == "pass"
+    _assert_cell_witness(check())
 
 
 def test_scaling(run11):
-    rep = verify_scaling(result=run11)
+    rep = verify_scaling()
     assert rep.status == "pass"
 
 
@@ -108,7 +145,7 @@ def test_scaling_fails_on_a_wrong_weight(monkeypatch, run11):
     from godeaux2 import verify
 
     monkeypatch.setitem(verify.SCALING_WEIGHTS, "b12", 3)
-    rep = verify_scaling(result=run11)
+    rep = verify_scaling()
     assert rep.status == "fail" and "scales by u^" in rep.witness
 
 
@@ -137,34 +174,43 @@ def test_alpha2_basepoint(run20):
 
 
 def test_r_removal(run11):
-    rep = verify_r_removal(result=run11)
+    rep = verify_r_removal()
     assert rep.status == "pass"
     assert rep.note == "all 94 r-coefficients certified by exact cofactors over Q[moduli]"
 
 
-def test_r_removal_fails_on_a_perturbed_coefficient(run11):
+def _feed_run(monkeypatch, run):
+    """Make every run_pipeline call of verify return `run`."""
+    from godeaux2 import verify
+
+    monkeypatch.setattr(verify, "run_pipeline", lambda *args, **kwargs: run)
+
+
+def test_r_removal_fails_on_a_perturbed_coefficient(monkeypatch, run11):
     # negative control: the last coefficient, moved out of the ideal
     rname = max(run11.gm, key=lambda n: run11.table.index[n])
     gm = {k: list(v) for k, v in run11.gm.items()}
     label, G = gm[rname][-1]
     gm[rname][-1] = (label, G + outside_low_degree_ideal(run11, G))
-    rep = verify_r_removal(result=dataclasses.replace(run11, gm=gm))
+    _feed_run(monkeypatch, dataclasses.replace(run11, gm=gm))
+    rep = verify_r_removal()
     assert rep.status == "fail"
     assert rep.witness == f"G[{rname}] in {label} is not in the ideal"
 
 
-def test_central_minors(run11):
-    assert verify_central_minors(result=run11).status == "pass"
+def test_central_minors(monkeypatch, run11):
+    assert verify_central_minors().status == "pass"
     # negative control: a perturbed central entry breaks the divisibility
     rows = [list(r) for r in run11.alpha_final.rows]
     rows[1][1] = rows[1][1] + run11.table.var("y1")
-    rep = verify_central_minors(result=dataclasses.replace(run11, alpha_final=SymPolyMatrix(rows)))
+    _feed_run(monkeypatch, dataclasses.replace(run11, alpha_final=SymPolyMatrix(rows)))
+    rep = verify_central_minors()
     assert rep.status == "fail" and "conic" in rep.witness
 
 
 def test_golden_match_and_closed_form_rc(run11):
-    assert verify_golden_match(result=run11).status == "pass"
-    assert verify_closed_form_rc(result=run11).status == "pass"
+    assert verify_golden_match().status == "pass"
+    assert verify_closed_form_rc().status == "pass"
 
 
 def test_closed_form_rc_fails_on_a_perturbed_entry(monkeypatch, run11):
@@ -178,7 +224,7 @@ def test_closed_form_rc_fails_on_a_perturbed_entry(monkeypatch, run11):
         return g
 
     monkeypatch.setattr(verify, "golden_final_entries", perturbed)
-    rep = verify_closed_form_rc(result=run11)
+    rep = verify_closed_form_rc()
     assert rep.status == "fail"
     assert rep.witness == "141 coefficients remain unsolved"
 
@@ -193,15 +239,16 @@ def test_golden_entries_are_the_survivor_family(run11):
 
 
 def test_special_surfaces(run11):
-    assert verify_special(BY_SURFACE, result=run11).status == "pass"
-    rep = verify_special(BF_SURFACE, result=run11)
+    assert verify_special(BY_SURFACE).status == "pass"
+    rep = verify_special(BF_SURFACE)
     assert rep.status == "pass"
     assert "sqrt(-15)" in rep.note
 
 
 def test_special_surface_degenerate_flag(run11):
     broken = SpecialSurface("by_d0", dict(BY_SURFACE.values, d=0))
-    rep = verify_special(broken, result=run11)
+    rep = verify_special(broken)
+    assert rep.name == "special_by_d0"
     assert rep.status == "fail"
     assert "conic degenerates" in rep.witness
 
@@ -229,6 +276,20 @@ def test_registry_contains_expected_checks():
         "special_by",
         "special_bf",
     } <= names
+
+
+def test_registry_names_its_reports_matches_the_tracer_and_passes(run11, run20, run30):
+    # perfbench/tracing.py lists one per-check metric per registry name,
+    # plus golden_file, which cli.py adds to the registry
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    registry = all_checks()
+    reports = {name: run() for name, run in registry.items()}
+    assert all(rep.name == name for name, rep in reports.items())
+    assert set(registry) | {"golden_file"} == set(tracing.VERIFY_CHECKS)
+    failed = {name: rep.witness for name, rep in reports.items() if rep.status not in ("pass", "skipped")}
+    assert failed == {}
 
 
 def test_skipped_check_is_reported():

@@ -10,7 +10,7 @@ The script reports the smallest residual polynomials for those.
 import argparse
 import time
 
-from godeaux2.alpha import AlphaCase, build_ansatz, make_table
+from godeaux2.alpha import AlphaCase, build_ansatz
 from godeaux2.elim import EliminationError, survivors
 from godeaux2.pipeline import GB_NAMES, solve_rank_condition
 
@@ -20,7 +20,7 @@ def survey(max_rounds: int) -> None:
         for c in (1, 0):
             t0 = time.monotonic()
             case = AlphaCase(j, c)
-            alpha0, params = build_ansatz(case, make_table(j))
+            alpha0, params = build_ansatz(case)
             try:
                 _, system, state, _ = solve_rank_condition(alpha0, case, GB_NAMES, max_rounds)
             except EliminationError as err:

@@ -108,9 +108,8 @@ def make_table(j: int) -> VariableTable:
     """Pipeline variable table for case j.
 
     Geometric: x, y1, y2, y3|y4, z1..z4, t.  Parameters: d, g1..g10, b1..b12.
-    Multipliers: r1..r380.  Trailing algebraic symbols i (i^2 = -1),
-    r (r^2 = -15) and s make quadratic-extension specializations plain
-    substitutions on the same table.
+    Multipliers: r1..r380.  A trailing algebraic symbol r (r^2 = -15) makes
+    specializations over Q(sqrt(-15)) plain substitutions on the same table.
     """
     w = "y3" if j == 1 else "y4"
     entries = coordinate_entries(("x", "y1", "y2", w, "z1", "z2", "z3", "z4", "t"))
@@ -118,12 +117,8 @@ def make_table(j: int) -> VariableTable:
     entries += [(f"g{k}", 0, 1, PARAMETER) for k in range(1, 11)]
     entries += [(f"b{k}", 0, 1, PARAMETER) for k in range(1, 13)]
     entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_SLOTS + 1)]
-    entries += [("i", 0, 1, ALGEBRAIC), ("r", 0, 1, ALGEBRAIC), ("s", 0, 1, ALGEBRAIC)]
-    rules = [
-        RewriteRule("i", 2, {(): -1}),
-        RewriteRule("r", 2, {(): -15}),
-    ]
-    return VariableTable(entries, rules=rules)
+    entries += [("r", 0, 1, ALGEBRAIC)]
+    return VariableTable(entries, rules=[RewriteRule("r", 2, {(): -15})])
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +386,14 @@ def bordered_matrix(x: Polynomial, G: Polynomial, qs, Q: Polynomial, central, ta
     )
 
 
-def build_ansatz(case: AlphaCase, table: Optional[VariableTable] = None):
-    """The generic matrix of the family (j, c).
+def build_ansatz(case: AlphaCase):
+    """The generic matrix of the family (j, c) over a new `make_table(j)`
+    (the matrix's `table`).
 
     Returns (matrix, parameter names).  The parameter list has 23 entries for
     j=1,2 (g1..g10, b1..b12, d) and 22 for j=3 (d does not occur there).
     """
-    if table is None:
-        table = make_table(case.j)
+    table = make_table(case.j)
     params = [f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)]
     G, qs = generic_border(table, case.geo4, iter(params), _DROPPED[case.j])
     if len(G.terms) != 10:

@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .elim import EliminationError
 from .pipeline import alpha_to_json, equations_to_json, run_pipeline, stats_dict, write_artifacts
@@ -22,8 +21,6 @@ from .verify import (
     check,
     verify_special,
 )
-
-EMIT_CHOICES = ("alpha", "equations", "deps", "stats")
 
 
 def packaged_golden() -> Path:
@@ -46,7 +43,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             dump.write_text("\n".join(str(p) for p in state.f) + "\n")
             print(f"residual system dumped to {dump}", file=sys.stderr)
         return 1
-    written = write_artifacts(result, args.out, args.emit)
+    written = write_artifacts(result, args.out)
     stats = stats_dict(result)
     print(
         f"case alpha_{args.alpha} c={args.c}: |f|={stats['initial_f']} over "
@@ -59,16 +56,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 @check("golden_file")
-def golden_file(golden: Optional[Path]) -> str:
-    """The (1,1) pipeline output is byte-equal to the golden alpha file (the
-    packaged one, or `golden`) and, for the packaged data, to the golden
-    equations file."""
+def golden_file() -> str:
+    """The (1,1) pipeline output is byte-equal to the packaged golden alpha
+    and equations files."""
     result = run_pipeline(1, 1)
-    targets = [(golden or packaged_golden(), json.dumps(alpha_to_json(result), indent=1) + "\n")]
-    if golden is None:
-        targets.append(
-            (packaged_golden_equations(), json.dumps(equations_to_json(result), indent=1) + "\n")
-        )
+    targets = [
+        (packaged_golden(), json.dumps(alpha_to_json(result), indent=1) + "\n"),
+        (packaged_golden_equations(), json.dumps(equations_to_json(result), indent=1) + "\n"),
+    ]
     for path, current in targets:
         if not path.exists():
             raise CheckSkipped(f"no golden file at {path}")
@@ -77,15 +72,15 @@ def golden_file(golden: Optional[Path]) -> str:
     return ""
 
 
-def _golden_file_check(args: argparse.Namespace):
-    """The golden_file check bound to the --golden option, as cmd_verify adds
-    it to the registry (perfbench/tracing.py wraps this name)."""
-    return lambda: golden_file(args.golden)
+def _golden_file_check():
+    """The golden_file check as cmd_verify adds it to the registry
+    (perfbench/tracing.py wraps this name)."""
+    return golden_file
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     registry = all_checks(args.seed)
-    registry["golden_file"] = _golden_file_check(args)
+    registry["golden_file"] = _golden_file_check()
     names = list(args.check) if args.check and "all" not in args.check else sorted(registry)
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -130,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, choices=(0, 1), default=1)
     p.add_argument("--out", type=Path, default=Path("out"))
     p.add_argument("--max-rounds", type=int, default=10)
-    p.add_argument(
-        "--emit",
-        default=",".join(EMIT_CHOICES),
-        help=f"comma list from {EMIT_CHOICES}",
-    )
 
     v = sub.add_parser("verify", help="run the identity verification suite")
     v.add_argument(
@@ -149,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seeds the evaluation points of the scaling check only",
     )
-    v.add_argument("--golden", type=Path, default=None)
 
     s = sub.add_parser("special", help="check a known special surface")
     s.add_argument("--surface", choices=("by", "bf"), required=True)
@@ -160,10 +149,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "pipeline":
-        args.emit = tuple(e.strip() for e in args.emit.split(",") if e.strip())
-        bad = [e for e in args.emit if e not in EMIT_CHOICES]
-        if bad:
-            parser.error(f"unknown emit targets: {bad}")
         return cmd_pipeline(args)
     if args.command == "verify":
         return cmd_verify(args)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .alpha import AlphaCase, SymPolyMatrix, build_ansatz, make_table
+from .alpha import AlphaCase, SymPolyMatrix, build_ansatz
 from .elim import (
     EliminationError,
     EliminationState,
@@ -92,8 +92,8 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
         return _CACHE[key]
     t0 = time.monotonic()
     case = AlphaCase(j, c)
-    table = make_table(j)
-    alpha0, params = build_ansatz(case, table)
+    alpha0, params = build_ansatz(case)
+    table = alpha0.table
     l0, system, state, resolved = solve_rank_condition(alpha0, case, GB_NAMES, max_rounds)
     # soundness: the dependency log must annihilate every coefficient of f
     unsound = sum(1 for q in back_substitute(system.f, state.deps, resolved) if q)
@@ -113,7 +113,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
         },
         key=lambda n: table.index[n],
     )
-    equations_raw = generate_equations(alpha_final, l_final, case, gbd)
+    equations_raw = generate_equations(alpha_final, l_final)
     gm = collect_Gm(equations_raw)
     equations = remove_r(equations_raw)
     result = PipelineResult(
@@ -225,28 +225,20 @@ def stats_dict(result: PipelineResult) -> dict:
     }
 
 
-def write_artifacts(
-    result: PipelineResult,
-    out_dir,
-    emit: Sequence[str] = ("alpha", "equations", "deps", "stats"),
-) -> list:
+def write_artifacts(result: PipelineResult, out_dir) -> list:
+    """Write alpha.json, equations.json, deps.log and stats.json into
+    `out_dir`; returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    texts = {
+        "alpha.json": json.dumps(alpha_to_json(result), indent=1) + "\n",
+        "equations.json": json.dumps(equations_to_json(result), indent=1) + "\n",
+        "deps.log": deps_log_text(result),
+        "stats.json": json.dumps(stats_dict(result), indent=1) + "\n",
+    }
     written = []
-    if "alpha" in emit:
-        path = out / "alpha.json"
-        path.write_text(json.dumps(alpha_to_json(result), indent=1) + "\n")
-        written.append(path)
-    if "equations" in emit:
-        path = out / "equations.json"
-        path.write_text(json.dumps(equations_to_json(result), indent=1) + "\n")
-        written.append(path)
-    if "deps" in emit:
-        path = out / "deps.log"
-        path.write_text(deps_log_text(result))
-        written.append(path)
-    if "stats" in emit:
-        path = out / "stats.json"
-        path.write_text(json.dumps(stats_dict(result), indent=1) + "\n")
+    for name, text in texts.items():
+        path = out / name
+        path.write_text(text)
         written.append(path)
     return written

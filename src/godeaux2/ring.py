@@ -10,6 +10,10 @@ A Polynomial's `terms` dict is never mutated after construction: every
 operation builds a new dict.  The per-polynomial caches (leading monomial,
 support, hash, primitive-form marker) rely on this.
 
+`Polynomial.substitute` is the one substitution: it is simultaneous (every
+bound variable is replaced at once and images are never substituted again),
+so point evaluation, zeroing parameters and coordinate swaps all go through it.
+
 Algebraic extensions (i = sqrt(-1), quartic roots, sqrt(-15)) are realized as
 extra weight-0 variables carrying a monic power rewrite rule v^k -> p with p
 free of v; products and substitutions are reduced to the rewrite fixpoint.
@@ -50,10 +54,6 @@ class TableMismatchError(RingError):
 
 
 class ZeroPolynomialError(RingError):
-    pass
-
-
-class CyclicBindingError(RingError):
     pass
 
 
@@ -140,10 +140,10 @@ def mono_key(m: Mono, cut: int) -> tuple:
     return (0, UNIT_MONO, -sum(map(_exp, m)), m[::-1])  # no geometric part
 
 
-def sorted_monos(monos: Iterable[Mono], table: "VariableTable", reverse: bool = True) -> list:
-    """Monomials in canonical order (descending by default)."""
+def sorted_monos(monos: Iterable[Mono], table: "VariableTable") -> list:
+    """Monomials in canonical descending order."""
     cut = table.geo_cut
-    return sorted(monos, key=lambda m: mono_key(m, cut), reverse=not reverse)
+    return sorted(monos, key=lambda m: mono_key(m, cut))
 
 
 def add_terms(out: dict, products: Iterable) -> None:
@@ -579,28 +579,18 @@ class Polynomial:
     # -- substitution ----------------------------------------------------------
 
     def substitute(self, bindings: Mapping) -> "Polynomial":
-        """Simultaneous substitution of variables (by name) by polynomials.
+        """Simultaneous substitution of variables (by name) by polynomials or
+        scalars.
 
-        Images are not re-substituted; a cyclic dependency among the bound
-        variables is rejected.  Grading and sign need not be preserved.
+        Every bound variable is replaced at once and images are never
+        substituted again, so mutually dependent images (a swap y1 <-> y3, or
+        y2 -> y2 - c*x^2) mean what they say.  Grading and sign need not be
+        preserved.
         """
         if not bindings:
             return self
         table = self.table
-        images = {}
-        for name, val in bindings.items():
-            vi = table.index[name]
-            if isinstance(val, Scalar):
-                images[vi] = table.const(val)
-            else:
-                if val.table is not table:
-                    raise TableMismatchError("binding image from a different table")
-                images[vi] = val
-        _check_acyclic(table, images)
-        return self._apply_images(images)
-
-    def _apply_images(self, images: Mapping) -> "Polynomial":
-        table = self.table
+        images = {table.index[name]: self._coerce(val) for name, val in bindings.items()}
         pow_cache: dict = {}
 
         def image_pow(v: int, e: int) -> dict:
@@ -629,19 +619,6 @@ class Polynomial:
                     products = piece.terms.items()
             add_terms(out, products)
         return Polynomial(table, table.reduce_terms(out))
-
-    def change_vars(self, bindings: Mapping) -> "Polynomial":
-        """Simultaneous coordinate change: like substitute, but permits
-        mutually dependent images (e.g. a swap y1 <-> y3).  Intended for
-        linear changes of variables; images are never re-substituted."""
-        if not bindings:
-            return self
-        table = self.table
-        images = {}
-        for name, val in bindings.items():
-            vi = table.index[name]
-            images[vi] = table.const(val) if isinstance(val, Scalar) else self._coerce(val)
-        return self._apply_images(images)
 
     # -- coefficient extraction --------------------------------------------------
 
@@ -714,29 +691,6 @@ class Polynomial:
             s = s + t
             prev = tm
         return s
-
-
-def _check_acyclic(table: VariableTable, images: Mapping) -> None:
-    bound = set(images)
-    color: dict = {}
-
-    def visit(v, stack):
-        color[v] = 1
-        for m in images[v].terms:
-            for w, _ in m:
-                if w in bound and w != v:  # self-maps like y2 -> y2 - c*x^2 are fine
-                    if color.get(w) == 1:
-                        raise CyclicBindingError(
-                            "cyclic substitution through "
-                            + " -> ".join(table.names[u] for u in stack + [v, w])
-                        )
-                    if w not in color:
-                        visit(w, stack + [v])
-        color[v] = 2
-
-    for v in bound:
-        if v not in color:
-            visit(v, [])
 
 
 def _mono_sqrt(m: Mono) -> Optional[Mono]:

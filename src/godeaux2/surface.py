@@ -16,12 +16,16 @@ condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .alpha import AlphaCase, SymPolyMatrix
+from .alpha import SymPolyMatrix
 from .elim import back_substitute, lin_elim
 from .rc import PAIRS
 from .ring import MULTIPLIER, Polynomial, RingError, generic_poly, monomial_basis
+
+
+# the highest weighted degree of the r-free relations (rows 2..6 of alpha*v)
+LOW_DEGREE = 5
 
 
 class SurfaceError(RingError):
@@ -38,9 +42,7 @@ class SurfaceEquation:
 
 @dataclass
 class SurfaceEquations:
-    case: AlphaCase
     eqs: list
-    params: list  # surviving g/b/d parameters
 
     @property
     def geo_vars(self) -> tuple:
@@ -53,16 +55,12 @@ class SurfaceEquations:
                 return eq.poly
         raise KeyError(label)
 
-    def low_degree(self, bound: int = 5) -> list:
-        return [eq for eq in self.eqs if eq.degree <= bound]
+    def low_degree(self) -> list:
+        """The relations of weighted degree <= LOW_DEGREE (r-free)."""
+        return [eq for eq in self.eqs if eq.degree <= LOW_DEGREE]
 
 
-def generate_equations(
-    alpha_final: SymPolyMatrix,
-    l_final: dict,
-    case: AlphaCase,
-    params: Optional[Sequence[str]] = None,
-) -> SurfaceEquations:
+def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEquations:
     """The 15 quadric relations and 6 row relations, fully expanded.
 
     Aborts if any equation fails weighted- or sigma-homogeneity, which would
@@ -102,7 +100,7 @@ def generate_equations(
         out.append(SurfaceEquation(label, deg, sign, p))
     if len(out) != 21:
         raise SurfaceError(f"expected 21 equations, got {len(out)}")
-    return SurfaceEquations(case, out, list(params or []))
+    return SurfaceEquations(out)
 
 
 def equation_r_names(eqs: SurfaceEquations) -> list:
@@ -115,7 +113,7 @@ def equation_r_names(eqs: SurfaceEquations) -> list:
 
 def remove_r(eqs: SurfaceEquations) -> SurfaceEquations:
     """Assert the degree <= 5 equations are r-free, then set every r to 0."""
-    for eq in eqs.low_degree(5):
+    for eq in eqs.low_degree():
         bad = eq.poly.multipliers()
         if bad:
             raise SurfaceError(
@@ -133,7 +131,7 @@ def remove_r(eqs: SurfaceEquations) -> SurfaceEquations:
         if p.is_zero():
             raise SurfaceError(f"equation {eq.label} vanished under r-removal")
         out.append(SurfaceEquation(eq.label, eq.degree, eq.sign, p))
-    return SurfaceEquations(eqs.case, out, eqs.params)
+    return SurfaceEquations(out)
 
 
 def collect_Gm(eqs: SurfaceEquations) -> dict:

@@ -95,7 +95,7 @@ def outside_low_degree_ideal(run, G):
     in z1..z4, t alone does not."""
     table = run.table
     low = {table.index[n] for n in table.names[: table.geo_cut] if n == "x" or n[0] == "y"}
-    for eq in run.equations_raw.low_degree(5):
+    for eq in run.equations_raw.low_degree():
         assert all(any(v in low for v, _ in m) for m in eq.poly.terms), eq.label
     monos = monomial_basis(table, G.weighted_degree(), G.sigma_sign(), ["z1", "z2", "z3", "z4", "t"])
     return Polynomial(table, {monos[0]: 1})

@@ -24,9 +24,8 @@ from _oracle import build_ansatz_reference, first_row_det
 @pytest.fixture(scope="module")
 def case11():
     case = AlphaCase(1, 1)
-    table = make_table(1)
-    M, params = build_ansatz(case, table)
-    return case, table, M, params
+    M, params = build_ansatz(case)
+    return case, M.table, M, params
 
 
 def diag_matrix(table, entries):
@@ -62,9 +61,9 @@ def test_ansatz_parameter_counts():
 def test_build_ansatz_matches_the_written_out_reference(j, c):
     # bordered_matrix, generic_border and central_block against the layout
     # written out case by case
-    case, table = AlphaCase(j, c), make_table(j)
-    M, params = build_ansatz(case, table)
-    M_ref, params_ref = build_ansatz_reference(case, table)
+    case = AlphaCase(j, c)
+    M, params = build_ansatz(case)
+    M_ref, params_ref = build_ansatz_reference(case, M.table)
     assert M == M_ref
     assert params == params_ref
 

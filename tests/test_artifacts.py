@@ -23,7 +23,7 @@ def reference():
 @pytest.mark.parametrize("case", ["run11", "run20", "run30", "run31"])
 def test_artifacts_match_reference(case, request, reference, tmp_path):
     run = run_pipeline(3, 1) if case == "run31" else request.getfixturevalue(case)
-    write_artifacts(run, tmp_path, emit=("alpha", "equations", "deps"))
+    write_artifacts(run, tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert got == reference[f"alpha_{run.case.j}_{run.case.c}"]
 

@@ -1,9 +1,11 @@
 """CLI behavior: artifacts, determinism, exit codes, negative controls."""
 
+import argparse
 import json
 
 import pytest
 
+from godeaux2 import cli
 from godeaux2.cli import main, packaged_golden
 from godeaux2.pipeline import write_artifacts
 
@@ -29,15 +31,15 @@ def test_pipeline_writes_artifacts(tmp_path, run11):
 
 def test_artifacts_byte_deterministic(tmp_path, run11):
     a, b = tmp_path / "a", tmp_path / "b"
-    write_artifacts(run11, a, ("alpha", "equations", "deps"))
-    write_artifacts(run11, b, ("alpha", "equations", "deps"))
+    write_artifacts(run11, a)
+    write_artifacts(run11, b)
     for name in ("alpha.json", "equations.json", "deps.log"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_deps_log_format(tmp_path, run11):
     out = tmp_path / "deps"
-    write_artifacts(run11, out, ("deps",))
+    write_artifacts(run11, out)
     lines = (out / "deps.log").read_text().splitlines()
     assert len(lines) == len(run11.elim.deps)
     assert all(" := " in line for line in lines)
@@ -73,15 +75,34 @@ def test_verify_unknown_check_is_usage_error():
     assert main(["verify", "--check", "nonsense"]) == 2
 
 
-def test_verify_corrupted_golden_fails(tmp_path):
+def test_verify_corrupted_golden_fails(tmp_path, monkeypatch):
+    # the pristine file passes
+    assert main(["verify", "--check", "golden_file"]) == 0
     golden = tmp_path / "alpha_1_1.json"
     data = json.loads(packaged_golden().read_text())
     data["matrix"][0][0]["text"] = "0"
     golden.write_text(json.dumps(data, indent=1) + "\n")
-    rc = main(["verify", "--check", "golden_file", "--golden", str(golden)])
-    assert rc == 1
-    # the pristine file passes
-    assert main(["verify", "--check", "golden_file"]) == 0
+    monkeypatch.setattr(cli, "packaged_golden", lambda: golden)
+    assert main(["verify", "--check", "golden_file"]) == 1
+
+
+# each option a caller outside the tests sets (README, perfbench, scripts);
+# an option only tests would set does not belong on the command line
+CLI_OPTIONS = {
+    "pipeline": {"--alpha", "--c", "--out", "--max-rounds"},
+    "verify": {"--check", "--seed"},
+    "special": {"--surface"},
+}
+
+
+def test_cli_option_sets_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == CLI_OPTIONS
 
 
 def test_special_by_and_bf(run11):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from godeaux2.alpha import AlphaCase, SymPolyMatrix, build_ansatz, make_table
+from godeaux2.alpha import AlphaCase, SymPolyMatrix, build_ansatz
 from godeaux2.rc import (
     PAIRS,
     LAnsatz,
@@ -21,8 +21,8 @@ from godeaux2.ring import MULTIPLIER
 @pytest.fixture(scope="module")
 def rc11():
     case = AlphaCase(1, 1)
-    table = make_table(1)
-    M, params = build_ansatz(case, table)
+    M, params = build_ansatz(case)
+    table = M.table
     l = build_l_ansatz(M, case)
     res = rc_residuals(M, l)
     system = extract_system(res, case)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from godeaux2.alpha import AlphaCase, SymPolyMatrix, make_table
+from godeaux2.alpha import SymPolyMatrix, make_table
 from godeaux2.rc import PAIRS
 from godeaux2.ring import MULTIPLIER, Polynomial
 from godeaux2.surface import (
@@ -46,7 +46,7 @@ def test_equation_degrees_and_signs(run11):
 
 def test_low_degree_equations_r_free_and_removal(run11):
     raw = run11.equations_raw
-    for eq in raw.low_degree(5):
+    for eq in raw.low_degree():
         assert not eq.poly.multipliers()
     final = run11.equations
     allowed = {"b5", "b9", "b6", "b8", "d", "b2", "b11", "g9", "b12"}
@@ -73,7 +73,7 @@ def test_removal_commutes_with_generation(run11):
     bind = {n: zero for n in run11.r_survivors}
     l_zeroed = {k: p.substitute(bind) for k, p in run11.l_final.items()}
     alpha_zeroed = run11.alpha_final.substitute(bind)
-    direct = generate_equations(alpha_zeroed, l_zeroed, run11.case, run11.gbd_survivors)
+    direct = generate_equations(alpha_zeroed, l_zeroed)
     assert [str(eq.poly) for eq in direct.eqs] == [
         str(eq.poly) for eq in run11.equations.eqs
     ]
@@ -93,7 +93,7 @@ def test_degenerate_diag_input():
         [[entries[i] if i == j else zero for j in range(6)] for i in range(6)]
     )
     l_zero = {(i, j, k): zero for (i, j) in PAIRS for k in range(1, 7)}
-    eqs = generate_equations(M, l_zero, AlphaCase(1, 1), [])
+    eqs = generate_equations(M, l_zero)
     assert eqs.by_label("vv_22") == table.var("z1") ** 2
 
 
@@ -125,7 +125,7 @@ def test_membership_rejects_multiplier_input(run11):
 
 
 def test_all_gm_membership_spot(run11):
-    F = [eq.poly for eq in run11.equations_raw.low_degree(5)]
+    F = [eq.poly for eq in run11.equations_raw.low_degree()]
     certified = 0
     for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
         for label, G in occurrences:
@@ -136,7 +136,7 @@ def test_all_gm_membership_spot(run11):
 
 def test_perturbed_gm_is_refuted(run11):
     # one coefficient of each (degree, sign) class present
-    F = [eq.poly for eq in run11.equations_raw.low_degree(5)]
+    F = [eq.poly for eq in run11.equations_raw.low_degree()]
     classes = {}
     for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
         for label, G in occurrences:

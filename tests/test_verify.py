@@ -162,7 +162,7 @@ def test_alpha3_square_fails_on_a_non_square_raw_det(monkeypatch, run30, run11):
 
     build = alpha.build_ansatz
     monkeypatch.setattr(
-        alpha, "build_ansatz", lambda case, table: build(alpha.AlphaCase(1, 1), alpha.make_table(1))
+        alpha, "build_ansatz", lambda case: build(alpha.AlphaCase(1, 1))
     )
     rep = verify_alpha3_square()
     assert rep.status == "fail" and "raw generic" in rep.witness

@@ -55,6 +55,9 @@ GRADING = {
     "t": (4, -1),
 }
 
+# the coefficients of the border polynomials G and q1..q4, in slot order
+BORDER_PARAMS = tuple([f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)])
+
 # r-slots in the pipeline table: the 371 multipliers of the ansatz plus spares
 MULTIPLIER_SLOTS = 380
 
@@ -114,8 +117,7 @@ def make_table(j: int) -> VariableTable:
     w = "y3" if j == 1 else "y4"
     entries = coordinate_entries(("x", "y1", "y2", w, "z1", "z2", "z3", "z4", "t"))
     entries += [("d", 0, 1, PARAMETER)]
-    entries += [(f"g{k}", 0, 1, PARAMETER) for k in range(1, 11)]
-    entries += [(f"b{k}", 0, 1, PARAMETER) for k in range(1, 13)]
+    entries += [(n, 0, 1, PARAMETER) for n in BORDER_PARAMS]
     entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_SLOTS + 1)]
     entries += [("r", 0, 1, ALGEBRAIC)]
     return VariableTable(entries, rules=[RewriteRule("r", 2, {(): -15})])
@@ -340,7 +342,7 @@ def generic_border(table: VariableTable, geo, names, dropped: Optional[dict] = N
     geo = list(geo)
 
     def generic(deg, sign, drop=()):
-        monos = lex_descending(table, monomial_basis(table, deg, sign, geo))
+        monos = lex_descending(monomial_basis(table, deg, sign, geo))
         monos = [m for m in monos if table.mono_str(m) not in drop]
         slot_names = list(islice(names, len(monos)))
         if len(slot_names) < len(monos):
@@ -394,8 +396,7 @@ def build_ansatz(case: AlphaCase):
     j=1,2 (g1..g10, b1..b12, d) and 22 for j=3 (d does not occur there).
     """
     table = make_table(case.j)
-    params = [f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)]
-    G, qs = generic_border(table, case.geo4, iter(params), _DROPPED[case.j])
+    G, qs = generic_border(table, case.geo4, iter(BORDER_PARAMS), _DROPPED[case.j])
     if len(G.terms) != 10:
         raise PatternError("G ansatz must have 10 slots")
     if sum(len(q.terms) for q in qs) != 12:
@@ -404,4 +405,4 @@ def build_ansatz(case: AlphaCase):
     x, zero = table.var("x"), table.zero()
     M = bordered_matrix(x, G, qs, Q, central, [x, zero, zero, zero])
     M.check_pattern()
-    return M, params + (["d"] if case.j != 3 else [])
+    return M, list(BORDER_PARAMS) + (["d"] if case.j != 3 else [])

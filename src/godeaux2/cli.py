@@ -1,4 +1,4 @@
-"""Command-line entry point: pipeline, verify, and special subcommands.
+"""Command-line entry point: the pipeline and verify subcommands.
 
 Exit codes: 0 success, 1 check or pipeline failure, 2 usage error.
 """
@@ -6,21 +6,12 @@ Exit codes: 0 success, 1 check or pipeline failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .elim import EliminationError
-from .pipeline import alpha_to_json, equations_to_json, run_pipeline, stats_dict, write_artifacts
-from .verify import (
-    BF_SURFACE,
-    BY_SURFACE,
-    CheckFailed,
-    CheckSkipped,
-    all_checks,
-    check,
-    verify_special,
-)
+from .pipeline import ARTIFACT_TEXT, run_pipeline, stats_dict, write_artifacts
+from .verify import CheckFailed, CheckSkipped, all_checks, check
 
 
 def packaged_golden() -> Path:
@@ -61,13 +52,13 @@ def golden_file() -> str:
     and equations files."""
     result = run_pipeline(1, 1)
     targets = [
-        (packaged_golden(), json.dumps(alpha_to_json(result), indent=1) + "\n"),
-        (packaged_golden_equations(), json.dumps(equations_to_json(result), indent=1) + "\n"),
+        (packaged_golden(), "alpha.json"),
+        (packaged_golden_equations(), "equations.json"),
     ]
-    for path, current in targets:
+    for path, artifact in targets:
         if not path.exists():
             raise CheckSkipped(f"no golden file at {path}")
-        if current != path.read_text():
+        if ARTIFACT_TEXT[artifact](result) != path.read_text():
             raise CheckFailed(f"pipeline output differs from {path}")
     return ""
 
@@ -100,16 +91,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_special(surface_name: str) -> int:
-    surface = {"by": BY_SURFACE, "bf": BF_SURFACE}[surface_name]
-    report = verify_special(surface)
-    print(f"{report.name:26s} {report.status:8s} {report.timing:7.2f}s  {report.note}")
-    if report.status == "fail":
-        print(f"  witness: {report.witness}")
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="godeaux2",
@@ -139,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seeds the evaluation points of the scaling check only",
     )
-
-    s = sub.add_parser("special", help="check a known special surface")
-    s.add_argument("--surface", choices=("by", "bf"), required=True)
     return parser
 
 
@@ -152,8 +130,6 @@ def main(argv=None) -> int:
         return cmd_pipeline(args)
     if args.command == "verify":
         return cmd_verify(args)
-    if args.command == "special":
-        return cmd_special(args.surface)
     parser.error("unknown command")
     return 2
 

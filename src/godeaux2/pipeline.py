@@ -1,8 +1,9 @@
 """End-to-end pipeline: ansatz -> rank condition -> elimination -> equations.
 
 Runs are cached per (j, c, max_rounds) because several verification checks
-share them.  Artifact writers emit the stable JSON/text formats; everything
-except wall-clock and memory statistics is byte-deterministic.
+share them.  `ARTIFACT_TEXT` is the one place the artifact formats live: it
+maps each file name to the text a result writes there.  Everything except
+wall-clock and memory statistics is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .alpha import AlphaCase, SymPolyMatrix, build_ansatz
+from .alpha import BORDER_PARAMS, AlphaCase, SymPolyMatrix, build_ansatz
 from .elim import (
     EliminationError,
     EliminationState,
@@ -28,14 +29,11 @@ from .rc import RCSystem, build_l_ansatz, extract_system, rc_residuals
 from .ring import Polynomial
 from .surface import SurfaceEquations, collect_Gm, generate_equations, remove_r
 
-GB_NAMES = tuple([f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)])
-
 
 @dataclass
 class PipelineResult:
     case: AlphaCase
     table: object
-    alpha0: SymPolyMatrix
     params: list
     l0: object
     system: RCSystem
@@ -45,10 +43,8 @@ class PipelineResult:
     l_final: dict
     equations_raw: SurfaceEquations
     equations: SurfaceEquations
-    gm: dict
+    gm: dict  # one key per r left in the raw equations
     gbd_survivors: list
-    r_survivors: list
-    sound_checked: int  # entries of system.f the dependency log sends to zero
     wall_time: float
     peak_kb: int
     _det: Optional[Polynomial] = field(default=None, repr=False)
@@ -93,8 +89,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     t0 = time.monotonic()
     case = AlphaCase(j, c)
     alpha0, params = build_ansatz(case)
-    table = alpha0.table
-    l0, system, state, resolved = solve_rank_condition(alpha0, case, GB_NAMES, max_rounds)
+    l0, system, state, resolved = solve_rank_condition(alpha0, case, BORDER_PARAMS, max_rounds)
     # soundness: the dependency log must annihilate every coefficient of f
     unsound = sum(1 for q in back_substitute(system.f, state.deps, resolved) if q)
     if unsound:
@@ -105,21 +100,12 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     alpha_final.check_pattern()
     l_final = back_substitute(l0.polys, state.deps, resolved)
     gbd = survivors(params, state.deps)
-    r_present = sorted(
-        {
-            n
-            for p in list(l_final.values()) + [alpha_final[i, j2] for i in range(1, 7) for j2 in range(i, 7)]
-            for n in p.multipliers()
-        },
-        key=lambda n: table.index[n],
-    )
     equations_raw = generate_equations(alpha_final, l_final)
     gm = collect_Gm(equations_raw)
     equations = remove_r(equations_raw)
     result = PipelineResult(
         case=case,
-        table=table,
-        alpha0=alpha0,
+        table=alpha0.table,
         params=params,
         l0=l0,
         system=system,
@@ -131,8 +117,6 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
         equations=equations,
         gm=gm,
         gbd_survivors=gbd,
-        r_survivors=r_present,
-        sound_checked=len(system.f),
         wall_time=time.monotonic() - t0,
         peak_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     )
@@ -202,7 +186,7 @@ def stats_dict(result: PipelineResult) -> dict:
         "case": {"alpha": result.case.j, "c": result.case.c},
         "initial_f": len(result.system.f),
         "distinct_parameters": result.system.param_count,
-        "r_count": result.l0.r_count,
+        "r_count": len(result.l0.r_names),
         "rounds": [
             {
                 "stage": r.stage,
@@ -216,29 +200,35 @@ def stats_dict(result: PipelineResult) -> dict:
         ],
         "dependencies": len(result.elim.deps),
         "sound": True,
-        "sound_checked": result.sound_checked,
+        "sound_checked": len(result.system.f),
         "survivors": result.gbd_survivors,
-        "r_survivors": len(result.r_survivors),
+        "r_survivors": len(result.gm),
         "equations": len(result.equations.eqs),
         "wall_time_s": round(result.wall_time, 6),
         "peak_memory_kb": result.peak_kb,
     }
 
 
+def _json_text(to_json):
+    return lambda result: json.dumps(to_json(result), indent=1) + "\n"
+
+
+# artifact file name -> its text for a result, in the order they are written
+ARTIFACT_TEXT = {
+    "alpha.json": _json_text(alpha_to_json),
+    "equations.json": _json_text(equations_to_json),
+    "deps.log": deps_log_text,
+    "stats.json": _json_text(stats_dict),
+}
+
+
 def write_artifacts(result: PipelineResult, out_dir) -> list:
-    """Write alpha.json, equations.json, deps.log and stats.json into
-    `out_dir`; returns their paths."""
+    """Write every ARTIFACT_TEXT entry into `out_dir`; returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    texts = {
-        "alpha.json": json.dumps(alpha_to_json(result), indent=1) + "\n",
-        "equations.json": json.dumps(equations_to_json(result), indent=1) + "\n",
-        "deps.log": deps_log_text(result),
-        "stats.json": json.dumps(stats_dict(result), indent=1) + "\n",
-    }
     written = []
-    for name, text in texts.items():
+    for name, text in ARTIFACT_TEXT.items():
         path = out / name
-        path.write_text(text)
+        path.write_text(text(result))
         written.append(path)
     return written

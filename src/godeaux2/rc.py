@@ -44,7 +44,6 @@ class LAnsatz:
     """Generic multipliers with one fresh r-parameter per monomial slot."""
 
     polys: dict  # (i, j, k) -> Polynomial
-    r_count: int
     r_names: list
     cofactors: dict  # (i, j) -> beta_ij, for row 1 and all pairs
 
@@ -82,7 +81,7 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
                 polys[(i, j, k)] = table.zero()
                 continue
             sign = multiplier_sign(i, j, k)
-            monos = lex_descending(table, monomial_basis(table, deg, sign, geo))
+            monos = lex_descending(monomial_basis(table, deg, sign, geo))
             names = pool[len(r_names) : len(r_names) + len(monos)]
             if len(names) < len(monos):
                 raise RCError("variable table has too few multiplier parameters")
@@ -92,7 +91,7 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
         raise RCError(
             f"multiplier ansatz has {len(r_names)} parameters, expected {EXPECTED_R_COUNT}"
         )
-    return LAnsatz(polys, len(r_names), r_names, betas)
+    return LAnsatz(polys, r_names, betas)
 
 
 def rc_residuals(alpha: SymPolyMatrix, l: LAnsatz) -> list:
@@ -130,14 +129,6 @@ class RCSystem:
     @property
     def param_count(self) -> int:
         return len(self.param_names)
-
-    def dump_text(self) -> str:
-        """Ordered canonical text of the f entries, for diffing across runs."""
-        lines = []
-        for (pair, mono), p in zip(self.provenance, self.f):
-            table = p.table
-            lines.append(f"[{pair[0]}{pair[1]}:{table.mono_str(mono) or '1'}] {p}")
-        return "\n".join(lines) + "\n"
 
 
 def extract_system(residuals: list, case: AlphaCase) -> RCSystem:

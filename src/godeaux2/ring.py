@@ -161,13 +161,6 @@ def add_terms(out: dict, products: Iterable) -> None:
                 del out[m]
 
 
-def lex_sort_key(m: Mono, nvars: int):
-    exps = [0] * nvars
-    for v, e in m:
-        exps[v] = e
-    return tuple(exps)
-
-
 def _as_coeff(c) -> Coeff:
     if isinstance(c, int):
         return c
@@ -426,9 +419,6 @@ class Polynomial:
         names, kinds = self.table.names, self.table.kinds
         return frozenset(names[v] for v in self.support() if kinds[v] == MULTIPLIER)
 
-    def constant_part(self) -> Coeff:
-        return self.terms.get(UNIT_MONO, 0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
@@ -523,16 +513,6 @@ class Polynomial:
             if mono_sign(m) != s:
                 return None
         return s
-
-    def max_degree_in(self, names: Iterable[str]) -> int:
-        """Largest per-term total exponent of the given variables."""
-        idxs = {self.table.index[n] for n in names}
-        best = 0
-        for m in self.terms:
-            d = sum(e for v, e in m if v in idxs)
-            if d > best:
-                best = d
-        return best
 
     # -- leading terms and canonical text -------------------------------------
 
@@ -755,7 +735,10 @@ def generic_poly(table: VariableTable, names: Sequence[str], monos: Sequence[Mon
     return Polynomial(table, table.reduce_terms(terms))
 
 
-def lex_descending(table: VariableTable, monos: Iterable[Mono]) -> list:
+def lex_descending(monos: Iterable[Mono]) -> list:
     """Descending lexicographic order over the table's variable order (the
-    layout used for ansatz slot numbering)."""
-    return sorted(monos, key=lambda m: lex_sort_key(m, table.nvars), reverse=True)
+    layout used for ansatz slot numbering).  At the first pair where two
+    sparse monomials differ, the smaller variable index is the larger
+    monomial (the other has exponent 0 there); a monomial that extends the
+    other is the larger one."""
+    return sorted(monos, key=lambda m: tuple((-v, e) for v, e in m), reverse=True)

@@ -49,12 +49,6 @@ class SurfaceEquations:
         table = self.eqs[0].poly.table
         return tuple(table.names[v] for v in range(table.geo_cut))
 
-    def by_label(self, label: str) -> Polynomial:
-        for eq in self.eqs:
-            if eq.label == label:
-                return eq.poly
-        raise KeyError(label)
-
     def low_degree(self) -> list:
         """The relations of weighted degree <= LOW_DEGREE (r-free)."""
         return [eq for eq in self.eqs if eq.degree <= LOW_DEGREE]
@@ -103,28 +97,17 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEqua
     return SurfaceEquations(out)
 
 
-def equation_r_names(eqs: SurfaceEquations) -> list:
-    table = eqs.eqs[0].poly.table
-    names = set()
-    for eq in eqs.eqs:
-        names |= eq.poly.multipliers()
-    return sorted(names, key=lambda n: table.index[n])
-
-
 def remove_r(eqs: SurfaceEquations) -> SurfaceEquations:
-    """Assert the degree <= 5 equations are r-free, then set every r to 0."""
+    """Assert the degree <= 5 equations are r-free, then set every r to 0
+    (collect_Gm owns the set of r's that occur)."""
     for eq in eqs.low_degree():
         bad = eq.poly.multipliers()
         if bad:
             raise SurfaceError(
                 f"degree-{eq.degree} equation {eq.label} depends on {sorted(bad)}"
             )
-    names = equation_r_names(eqs)
-    if not names:
-        return eqs
     table = eqs.eqs[0].poly.table
-    zero = table.zero()
-    bindings = {n: zero for n in names}
+    bindings = dict.fromkeys(table.of_kind(MULTIPLIER), table.zero())
     out = []
     for eq in eqs.eqs:
         p = eq.poly.substitute(bindings)

@@ -1,8 +1,9 @@
 """Independent oracles: dense rational Gaussian elimination for LinElim, a
-plain first-row cofactor expansion for determinants, a dense comparison
-for the canonical monomial order, a form outside the ideal of the
-low-degree surface relations, the budget-last pivot search, and the
-ansatz matrix written out case by case."""
+plain first-row cofactor expansion for determinants, dense comparisons
+for the canonical and the lex monomial orders, a form outside the ideal of
+the low-degree surface relations, the budget-last pivot search, and the
+ansatz matrix written out case by case; plus two readers of polynomials
+and systems that only the tests need (`max_degree_in`, `dump_text`)."""
 
 from fractions import Fraction
 
@@ -88,6 +89,29 @@ def grevlex_cmp(a, b, cut):
     return 0
 
 
+def lex_dense_key(m, nvars):
+    """The dense exponent vector of a sparse monomial: sorting by it in
+    reverse is descending lex order over the variable order."""
+    exps = [0] * nvars
+    for v, e in m:
+        exps[v] = e
+    return tuple(exps)
+
+
+def max_degree_in(p, names):
+    """Largest per-term total exponent of the named variables in p."""
+    idxs = {p.table.index[n] for n in names}
+    return max((sum(e for v, e in m if v in idxs) for m in p.terms), default=0)
+
+
+def dump_text(system):
+    """Ordered canonical text of an RCSystem's f entries, one per line."""
+    lines = []
+    for (pair, mono), p in zip(system.provenance, system.f):
+        lines.append(f"[{pair[0]}{pair[1]}:{p.table.mono_str(mono) or '1'}] {p}")
+    return "\n".join(lines) + "\n"
+
+
 def outside_low_degree_ideal(run, G):
     """A monomial of G's degree and sign outside the ideal of the degree <= 5
     surface relations of `run`: those all vanish on the linear space x = y = 0
@@ -155,12 +179,12 @@ def build_ansatz_reference(case, table):
     """The generic matrix of the family (j, c) and its parameter names, with
     the slots, the central block and the 6x6 layout written out per case."""
     geo = list(case.geo4)
-    g_monos = lex_descending(table, monomial_basis(table, 6, -1, geo))
+    g_monos = lex_descending(monomial_basis(table, 6, -1, geo))
     assert len(g_monos) == 10
     slots = {"G": g_monos}
     dropped = _DROPPED_REFERENCE[case.j]
     for k, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
-        monos = lex_descending(table, monomial_basis(table, 4, sign, geo))
+        monos = lex_descending(monomial_basis(table, 4, sign, geo))
         slots[f"q{k}"] = [m for m in monos if table.mono_str(m) not in dropped[k]]
     assert sum(len(slots[f"q{k}"]) for k in (1, 2, 3, 4)) == 12
     g_names = [f"g{k}" for k in range(1, 11)]

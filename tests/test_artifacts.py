@@ -35,6 +35,37 @@ def test_stats_record_soundness(run11, run20):
         assert stats["sound_checked"] == len(run.system.f) == stats["initial_f"]
 
 
+# the deterministic stats.json fields per case:
+# initial_f, distinct_parameters, r_count, dependencies, sound_checked,
+# r_survivors, equations
+STATS = {
+    (1, 1): (876, 394, 371, 291, 876, 94, 21),
+    (3, 1): (692, 393, 371, 291, 692, 94, 21),
+    (3, 0): (596, 144, 371, 112, 596, 279, 21),
+    (2, 0): (741, 394, 371, 391, 741, 1, 21),
+}
+STATS_FIELDS = (
+    "initial_f",
+    "distinct_parameters",
+    "r_count",
+    "dependencies",
+    "sound_checked",
+    "r_survivors",
+    "equations",
+)
+
+
+@pytest.mark.parametrize("case", sorted(STATS), ids=lambda c: f"alpha_{c[0]}_{c[1]}")
+def test_stats_fields_are_pinned(case):
+    run = run_pipeline(*case, max_rounds=16 if case == (2, 0) else 10)
+    stats = stats_dict(run)
+    assert tuple(stats[k] for k in STATS_FIELDS) == STATS[case]
+    # r_survivors counts collect_Gm's keys: the multipliers left in the
+    # back-substituted l's and alpha are exactly those
+    entries = list(run.l_final.values()) + [e for row in run.alpha_final.rows for e in row]
+    assert set().union(*(p.multipliers() for p in entries)) == set(run.gm)
+
+
 def test_unsound_dependency_log_is_rejected(monkeypatch):
     # negative control: a log missing its first dependency leaves that
     # polynomial of f unresolved, and the run must refuse to finish

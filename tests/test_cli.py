@@ -91,7 +91,6 @@ def test_verify_corrupted_golden_fails(tmp_path, monkeypatch):
 CLI_OPTIONS = {
     "pipeline": {"--alpha", "--c", "--out", "--max-rounds"},
     "verify": {"--check", "--seed"},
-    "special": {"--surface"},
 }
 
 
@@ -105,16 +104,10 @@ def test_cli_option_sets_are_pinned():
     assert got == CLI_OPTIONS
 
 
-def test_special_by_and_bf(run11):
-    assert main(["special", "--surface", "by"]) == 0
-    assert main(["special", "--surface", "bf"]) == 0
-
-
-def test_special_unknown_surface_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["special", "--surface", "nope"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+def test_special_by_and_bf(run11, capsys):
+    assert main(["verify", "--check", "special_by", "--check", "special_bf"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["special_by", "pass"], ["special_bf", "pass"]]
 
 
 def test_missing_subcommand_usage_error():

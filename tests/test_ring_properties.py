@@ -17,12 +17,13 @@ from godeaux2.ring import (
     Polynomial,
     RewriteRule,
     VariableTable,
+    lex_descending,
     mono_key,
     monomial_basis,
     sorted_monos,
 )
 
-from _oracle import grevlex_cmp
+from _oracle import grevlex_cmp, lex_dense_key
 
 TABLE = VariableTable(
     [
@@ -230,3 +231,9 @@ def test_mono_key_matches_oracle_order(ms, cut):
     expected = sorted(distinct, key=cmp_to_key(lambda a, b: grevlex_cmp(a, b, cut)), reverse=True)
     assert sorted_monos(distinct, table) == expected
     assert Polynomial(table, {m: 1 for m in distinct}).leading_mono() == expected[0]
+
+
+@given(st.lists(order_monos, max_size=12, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_lex_descending_matches_dense_oracle(ms):
+    assert lex_descending(ms) == sorted(ms, key=lambda m: lex_dense_key(m, ORDER_NV), reverse=True)

@@ -26,7 +26,7 @@ def test_equation_count_and_labels(run11):
 
 def test_row6_is_conic_plus_xz1(run11):
     table = run11.table
-    row6 = run11.equations.by_label("row_6")
+    row6 = {eq.label: eq.poly for eq in run11.equations.eqs}["row_6"]
     Q = run11.alpha_final[1, 6]
     assert row6 == Q + table.var("x") * table.var("z1")
 
@@ -70,7 +70,7 @@ def test_removal_commutes_with_generation(run11):
     # zero the surviving r's in the multipliers first, then generate
     table = run11.table
     zero = table.zero()
-    bind = {n: zero for n in run11.r_survivors}
+    bind = {n: zero for n in run11.gm}
     l_zeroed = {k: p.substitute(bind) for k, p in run11.l_final.items()}
     alpha_zeroed = run11.alpha_final.substitute(bind)
     direct = generate_equations(alpha_zeroed, l_zeroed)
@@ -94,7 +94,7 @@ def test_degenerate_diag_input():
     )
     l_zero = {(i, j, k): zero for (i, j) in PAIRS for k in range(1, 7)}
     eqs = generate_equations(M, l_zero)
-    assert eqs.by_label("vv_22") == table.var("z1") ** 2
+    assert {eq.label: eq.poly for eq in eqs.eqs}["vv_22"] == table.var("z1") ** 2
 
 
 def test_membership_trivial_cases(run11):

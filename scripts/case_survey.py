@@ -10,7 +10,7 @@ The script reports the smallest residual polynomials for those.
 import argparse
 import time
 
-from godeaux2.alpha import BORDER_PARAMS, AlphaCase, build_ansatz
+from godeaux2.alpha import AlphaCase, build_ansatz
 from godeaux2.elim import EliminationError, survivors
 from godeaux2.pipeline import solve_rank_condition
 
@@ -22,7 +22,7 @@ def survey(max_rounds: int) -> None:
             case = AlphaCase(j, c)
             alpha0, params = build_ansatz(case)
             try:
-                _, system, state, _ = solve_rank_condition(alpha0, case, BORDER_PARAMS, max_rounds)
+                _, system, state, _ = solve_rank_condition(alpha0, case, max_rounds)
             except EliminationError as err:
                 left = sorted(err.state.f, key=lambda p: len(p.terms))
                 print(f"alpha_{j} c={c}: |f|={len(err.system.f)} params={err.system.param_count}"

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .alpha import BORDER_PARAMS, AlphaCase, SymPolyMatrix, build_ansatz
 from .elim import (
@@ -58,24 +58,20 @@ class PipelineResult:
 _CACHE: dict = {}
 
 
-def solve_rank_condition(
-    alpha: SymPolyMatrix,
-    case: AlphaCase,
-    gb_names: Sequence[str],
-    max_rounds: int,
-):
+def solve_rank_condition(alpha: SymPolyMatrix, case: AlphaCase, max_rounds: int):
     """The rank-condition front end and its elimination: the multiplier
     ansatz, the 15 residuals, the flattened system f, the driver over the r's
-    and `gb_names`, and the resolved dependency log.  For j=2 the driver may
-    divide by d, which the family's constraint keeps invertible.
+    and the border parameters BORDER_PARAMS, and the resolved dependency log.
+    For j=2 the driver may divide by d, which the family's constraint keeps
+    invertible.
 
     Returns (l0, system, state, resolved); the driver's EliminationError
     propagates with the system attached as `err.system`."""
     l0 = build_l_ansatz(alpha, case)
-    system = extract_system(rc_residuals(alpha, l0), case)
+    system = extract_system(rc_residuals(l0.cofactors, l0.polys), case)
     invertible = ("d",) if case.j == 2 else ()
     try:
-        state = driver(system.f, list(l0.r_names), list(gb_names), max_rounds, invertible)
+        state = driver(system.f, list(l0.r_names), list(BORDER_PARAMS), max_rounds, invertible)
     except EliminationError as err:
         err.system = system
         raise
@@ -89,7 +85,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     t0 = time.monotonic()
     case = AlphaCase(j, c)
     alpha0, params = build_ansatz(case)
-    l0, system, state, resolved = solve_rank_condition(alpha0, case, BORDER_PARAMS, max_rounds)
+    l0, system, state, resolved = solve_rank_condition(alpha0, case, max_rounds)
     # soundness: the dependency log must annihilate every coefficient of f
     unsound = sum(1 for q in back_substitute(system.f, state.deps, resolved) if q)
     if unsound:

@@ -94,17 +94,17 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
     return LAnsatz(polys, r_names, betas)
 
 
-def rc_residuals(alpha: SymPolyMatrix, l: LAnsatz) -> list:
-    """The 15 residuals beta_ij - sum_k l_ij^k beta_1k, in pair order."""
-    betas = l.cofactors
+def rc_residuals(cofactors: dict, multipliers: dict) -> list:
+    """The 15 residuals beta_ij - sum_k l_ij^k beta_1k, in pair order, for
+    cofactors {(i, j): beta_ij} and multipliers {(i, j, k): l_ij^k}."""
     out = []
     for (i, j) in PAIRS:
-        acc = betas[(i, j)]
+        acc = cofactors[(i, j)]
         for k in range(1, 7):
-            lp = l.polys[(i, j, k)]
+            lp = multipliers[(i, j, k)]
             if lp.is_zero():
                 continue
-            acc = acc - lp * betas[(1, k)]
+            acc = acc - lp * cofactors[(1, k)]
         out.append(acc)
     return out
 
@@ -120,7 +120,6 @@ class RCSystem:
     flattening has 896 slots with 20 exact repeats).
     """
 
-    residuals: list
     f: list
     provenance: list
     param_names: list  # distinct parameters occurring in f, table order
@@ -158,4 +157,4 @@ def extract_system(residuals: list, case: AlphaCase) -> RCSystem:
             provenance.append((pair, mono))
             seen_params |= support
     names = [table.names[v] for v in sorted(seen_params)] if table is not None else []
-    return RCSystem(residuals, f, provenance, names, tuple(geo))
+    return RCSystem(f, provenance, names, tuple(geo))

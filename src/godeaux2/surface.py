@@ -98,19 +98,18 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEqua
 
 
 def remove_r(eqs: SurfaceEquations) -> SurfaceEquations:
-    """Assert the degree <= 5 equations are r-free, then set every r to 0
-    (collect_Gm owns the set of r's that occur)."""
+    """Assert the degree <= 5 equations are r-free, then set every r of each
+    equation to 0 (collect_Gm owns the set of r's that occur)."""
     for eq in eqs.low_degree():
         bad = eq.poly.multipliers()
         if bad:
             raise SurfaceError(
                 f"degree-{eq.degree} equation {eq.label} depends on {sorted(bad)}"
             )
-    table = eqs.eqs[0].poly.table
-    bindings = dict.fromkeys(table.of_kind(MULTIPLIER), table.zero())
+    zero = eqs.eqs[0].poly.table.zero()
     out = []
     for eq in eqs.eqs:
-        p = eq.poly.substitute(bindings)
+        p = eq.poly.substitute(dict.fromkeys(eq.poly.multipliers(), zero))
         if p.is_zero():
             raise SurfaceError(f"equation {eq.label} vanished under r-removal")
         out.append(SurfaceEquation(eq.label, eq.degree, eq.sign, p))

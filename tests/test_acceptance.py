@@ -4,9 +4,7 @@ pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`."""
 import random
 from fractions import Fraction
 
-import pytest
-
-from godeaux2.elim import driver, lin_elim, resolve_dependencies
+from godeaux2.elim import lin_elim, resolve_dependencies
 from godeaux2.ring import MULTIPLIER
 from godeaux2.verify import (
     BF_SURFACE,

@@ -12,11 +12,9 @@ from godeaux2.alpha import (
     SymPolyMatrix,
     build_ansatz,
     det_any,
-    entry_degree,
-    entry_sign,
     make_table,
 )
-from godeaux2.ring import GEOMETRIC, PARAMETER, Polynomial, VariableTable
+from godeaux2.ring import GEOMETRIC, VariableTable
 
 from _oracle import build_ansatz_reference, first_row_det
 

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from godeaux2.alpha import AlphaCase, SymPolyMatrix, build_ansatz
+from godeaux2.alpha import BORDER_PARAMS, AlphaCase, build_ansatz
 from godeaux2.rc import (
     PAIRS,
-    LAnsatz,
     build_l_ansatz,
     cofactor_degree,
     extract_system,
@@ -26,7 +25,7 @@ def rc11():
     M, params = build_ansatz(case)
     table = M.table
     l = build_l_ansatz(M, case)
-    res = rc_residuals(M, l)
+    res = rc_residuals(l.cofactors, l.polys)
     system = extract_system(res, case)
     return case, table, M, l, res, system
 
@@ -70,14 +69,9 @@ def test_multiplier_signs_match_cofactors(rc11):
 
 
 def test_residual_count_and_zero_l(rc11):
-    _, table, M, l, res, _ = rc11
+    _, table, _, l, res, _ = rc11
     assert len(res) == 15
-    zero_l = LAnsatz(
-        {key: table.zero() for key in l.polys},
-        [],
-        l.cofactors,
-    )
-    bare = rc_residuals(M, zero_l)
+    bare = rc_residuals(l.cofactors, {key: table.zero() for key in l.polys})
     for (i, j), r in zip(PAIRS, bare):
         assert r == l.cofactors[(i, j)]
 
@@ -102,13 +96,12 @@ def test_f_entries_parameter_only_and_affine_in_r(rc11):
     _, _, _, l, _, system = rc11
     geo = set(system.geo_vars)
     r_names = set(l.r_names)
-    gb = [f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)]
     for p in system.f:
         names = p.variables()
         assert not (names & geo)
         assert max_degree_in(p, r_names) <= 1
         # degree <= 2 jointly in the g, b, r parameters (d is unconstrained)
-        assert max_degree_in(p, set(gb) | r_names) <= 2
+        assert max_degree_in(p, set(BORDER_PARAMS) | r_names) <= 2
 
 
 def test_extraction_commutes_with_specialization(rc11):
@@ -142,10 +135,10 @@ def test_l_lives_on_four_variables(rc11):
 def test_exact_multipliers_give_zero_residuals():
     """With the exact single-column multipliers of the x=0 diagonal-type
     matrix, every residual vanishes identically."""
-    from godeaux2.verify import curve_table, excluded_diagonal_matrix, excluded_diagonal_multipliers
+    from godeaux2.verify import curve_table, diagonal_type_matrix, excluded_diagonal_multipliers
 
     table = curve_table()
-    M = excluded_diagonal_matrix(table)
+    M = diagonal_type_matrix(table, 1)
     L = excluded_diagonal_multipliers(table)
     betas = M.cofactors([(1, k) for k in range(1, 7)] + list(PAIRS))
     zero = table.zero()
@@ -153,8 +146,7 @@ def test_exact_multipliers_give_zero_residuals():
     for (i, j) in PAIRS:
         for k in range(1, 7):
             polys[(i, j, k)] = L[i - 1][j - 1] if k == 6 else zero
-    exact = LAnsatz(polys, [], betas)
-    for res in rc_residuals(M, exact):
+    for res in rc_residuals(betas, polys):
         assert res.is_zero()
 
 

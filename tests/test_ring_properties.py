@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

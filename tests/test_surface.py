@@ -1,13 +1,15 @@
 """Tests for equation generation, r-removal, and exact membership."""
 
+import dataclasses
+
 import pytest
 
 from godeaux2.alpha import SymPolyMatrix, make_table
 from godeaux2.rc import PAIRS
-from godeaux2.ring import MULTIPLIER, Polynomial
+from godeaux2.ring import MULTIPLIER
 from godeaux2.surface import (
+    SurfaceEquations,
     SurfaceError,
-    collect_Gm,
     generate_equations,
     membership_check,
     remove_r,
@@ -64,6 +66,18 @@ def test_remove_r_idempotent(run11):
     final = run11.equations
     again = remove_r(final)
     assert [str(eq.poly) for eq in again.eqs] == [str(eq.poly) for eq in final.eqs]
+
+
+def test_remove_r_rejects_a_multiplier_in_a_low_degree_equation(run11):
+    # the degree <= 5 relations must be r-free; r1 times row_6 (degree 4)
+    # is the guard's negative control
+    r1 = run11.table.var("r1")
+    eqs = [
+        dataclasses.replace(eq, poly=r1 * eq.poly) if eq.label == "row_6" else eq
+        for eq in run11.equations_raw.eqs
+    ]
+    with pytest.raises(SurfaceError, match=r"degree-4 equation row_6 depends on \['r1'\]"):
+        remove_r(SurfaceEquations(eqs))
 
 
 def test_removal_commutes_with_generation(run11):

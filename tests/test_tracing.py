@@ -55,18 +55,9 @@ def test_traced_driver_rounds_match_the_round_log():
     assert tracer.layer_metrics({})["elim.rounds"] == 9
 
 
-def test_traced_closed_form_rc_counts_its_driver_rounds(monkeypatch, run11):
-    # closed_form_rc solves the rank condition through pipeline.driver, so
-    # the tracer sees its rounds as it sees a pipeline run's
-    logs = []
-    real = pipeline.driver
-
-    def spy(*args, **kwargs):
-        state = real(*args, **kwargs)
-        logs.append(state.round_log)
-        return state
-
-    monkeypatch.setattr(pipeline, "driver", spy)
+def test_traced_closed_form_rc_checks_residuals_without_eliminating(run11):
+    # closed_form_rc forms its residuals through verify.rc_residuals, where
+    # the tracer sees them, and runs no elimination of its own
     tracer = load_tracer()
     tracer.install()
     try:
@@ -74,7 +65,8 @@ def test_traced_closed_form_rc_counts_its_driver_rounds(monkeypatch, run11):
     finally:
         tracer.uninstall()
     assert rep.status == "pass"
-    assert len(logs) == 1 and logs[0]
-    stages = "".join(rec["stage"] for rec in tracer.spans if "stage" in rec)
-    assert stages == "".join(r.stage for r in logs[0])
-    assert tracer.layer_metrics({})["elim.rounds"] == len(logs[0])
+    names = [rec["name"] for rec in tracer.spans]
+    assert names.count("rc.rc_residuals") == 1
+    assert "elim.driver" not in names
+    metrics = tracer.layer_metrics({})
+    assert metrics["elim.rounds"] == metrics["elim.lin_elim.calls"] == 0

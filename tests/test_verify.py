@@ -214,8 +214,9 @@ def test_golden_match_and_closed_form_rc(run11):
 
 
 def test_closed_form_rc_fails_on_a_perturbed_entry(monkeypatch, run11):
-    # negative control: b12*y1^3 added to G leaves the rank condition
-    # unsolvable with the moduli free
+    # negative control: b12*y1^3 added to G moves the closed form off the
+    # pipeline's matrix at (1,1), and the pipeline's multipliers no longer
+    # certify its rank condition
     from godeaux2 import verify
 
     def perturbed(table):
@@ -224,9 +225,24 @@ def test_closed_form_rc_fails_on_a_perturbed_entry(monkeypatch, run11):
         return g
 
     monkeypatch.setattr(verify, "golden_final_entries", perturbed)
+    rep = verify_golden_match()
+    assert rep.status == "fail"
+    assert rep.witness == "(1,1): -b12*x^2*y1^3"
     rep = verify_closed_form_rc()
     assert rep.status == "fail"
-    assert rep.witness == "141 coefficients remain unsolved"
+    assert rep.witness == "residual (2,6) does not vanish"
+
+
+def test_closed_form_rc_fails_on_a_perturbed_multiplier(monkeypatch, run11):
+    # negative control: the certificate itself is wrong; b12*y3 added to
+    # l_22^6 leaves -b12*y3*beta_16 in the (2,2) residual
+    table = run11.table
+    l_final = dict(run11.l_final)
+    l_final[(2, 2, 6)] = l_final[(2, 2, 6)] + table.var("b12") * table.var("y3")
+    _feed_run(monkeypatch, dataclasses.replace(run11, l_final=l_final))
+    rep = verify_closed_form_rc()
+    assert rep.status == "fail"
+    assert rep.witness == "residual (2,2) does not vanish"
 
 
 def test_golden_entries_are_the_survivor_family(run11):

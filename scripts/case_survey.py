@@ -10,19 +10,16 @@ The script reports the smallest residual polynomials for those.
 import argparse
 import time
 
-from godeaux2.alpha import AlphaCase, build_ansatz
-from godeaux2.elim import EliminationError, survivors
-from godeaux2.pipeline import solve_rank_condition
+from godeaux2.elim import EliminationError
+from godeaux2.pipeline import run_pipeline
 
 
 def survey(max_rounds: int) -> None:
     for j in (1, 2, 3):
         for c in (1, 0):
             t0 = time.monotonic()
-            case = AlphaCase(j, c)
-            alpha0, params = build_ansatz(case)
             try:
-                _, system, state, _ = solve_rank_condition(alpha0, case, max_rounds)
+                run = run_pipeline(j, c, max_rounds)
             except EliminationError as err:
                 left = sorted(err.state.f, key=lambda p: len(p.terms))
                 print(f"alpha_{j} c={c}: |f|={len(err.system.f)} params={err.system.param_count}"
@@ -31,9 +28,9 @@ def survey(max_rounds: int) -> None:
                 for p in left[:3]:
                     print(f"    residual: {str(p)[:100]}")
                 continue
-            surv = survivors(params, state.deps)
-            stages = "".join(r.stage for r in state.round_log)
-            print(f"alpha_{j} c={c}: |f|={len(system.f)} params={system.param_count}"
+            surv = run.gbd_survivors
+            stages = "".join(r.stage for r in run.elim.round_log)
+            print(f"alpha_{j} c={c}: |f|={len(run.system.f)} params={run.system.param_count}"
                   f"  solved [{stages}] in {time.monotonic() - t0:.1f}s; "
                   f"survivors ({len(surv)}): {', '.join(surv)}")
 

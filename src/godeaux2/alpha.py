@@ -182,23 +182,9 @@ class SymPolyMatrix:
 
     # -- determinants --------------------------------------------------------
 
-    def cofactor(self, i: int, j: int, memo: Optional[dict] = None) -> Polynomial:
-        """Signed cofactor beta_ij = (-1)^(i+j) det(minor), 1-based."""
-        return cofactor_any(self.rows, i, j, memo)
-
-    def cofactors(self, pairs) -> dict:
-        """Cofactors for many (i, j) pairs sharing one minor cache."""
-        memo: dict = {}
-        return {(i, j): self.cofactor(i, j, memo) for (i, j) in pairs}
-
     def determinant(self) -> Polynomial:
         full = tuple(range(6))
         return _minor_det(self.rows, full, full, {})
-
-    def restrict_x0(self) -> "SymPolyMatrix":
-        """Substitute x -> 0 in every entry."""
-        zero = self.table.zero()
-        return self.substitute({"x": zero})
 
     def congruence(self, P: Sequence[Sequence]) -> "SymPolyMatrix":
         """P * M * P^T for a 6x6 matrix P of polynomials/scalars."""

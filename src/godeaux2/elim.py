@@ -24,7 +24,7 @@ import resource
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .ring import Polynomial, RingError, mono_div, mono_mul
 
@@ -459,17 +459,14 @@ def resolve_dependencies(deps: Sequence[Dependency]) -> dict:
     return resolved
 
 
-def back_substitute(obj, deps: Sequence[Dependency], resolved: Optional[dict] = None):
-    """Substitute the full dependency chain into a Polynomial, a matrix, a
-    dict of polynomials, or a list of polynomials."""
-    if resolved is None:
-        resolved = resolve_dependencies(deps)
-    gone = {d.var for d in deps}
+def back_substitute(obj, resolved: dict):
+    """Substitute a resolved dependency map (`resolve_dependencies`) into a
+    Polynomial, a matrix, a dict of polynomials, or a list of polynomials."""
 
     def one(p: Polynomial) -> Polynomial:
         need = p.variables() & resolved.keys()
         q = p.substitute({k: resolved[k] for k in need}) if need else p
-        left = q.variables() & gone
+        left = q.variables() & resolved.keys()
         if left:
             raise EliminationError(f"eliminated variables survive: {sorted(left)}")
         return q

@@ -38,7 +38,6 @@ class PipelineResult:
     l0: object
     system: RCSystem
     elim: EliminationState
-    resolved: dict
     alpha_final: SymPolyMatrix
     l_final: dict
     equations_raw: SurfaceEquations
@@ -58,16 +57,20 @@ class PipelineResult:
 _CACHE: dict = {}
 
 
-def solve_rank_condition(alpha: SymPolyMatrix, case: AlphaCase, max_rounds: int):
-    """The rank-condition front end and its elimination: the multiplier
-    ansatz, the 15 residuals, the flattened system f, the driver over the r's
-    and the border parameters BORDER_PARAMS, and the resolved dependency log.
-    For j=2 the driver may divide by d, which the family's constraint keeps
-    invertible.
-
-    Returns (l0, system, state, resolved); the driver's EliminationError
-    propagates with the system attached as `err.system`."""
-    l0 = build_l_ansatz(alpha, case)
+def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
+    """Derive the family (j, c): the multiplier ansatz, the 15 residuals, the
+    flattened system f, the driver over the r's and the border parameters
+    BORDER_PARAMS, then back-substitution, equations and r-removal.  For j=2
+    the driver may divide by d, which the family's constraint keeps
+    invertible.  The driver's EliminationError propagates with the system
+    attached as `err.system`."""
+    key = (j, c, max_rounds)
+    if key in _CACHE:
+        return _CACHE[key]
+    t0 = time.monotonic()
+    case = AlphaCase(j, c)
+    alpha0, params = build_ansatz(case)
+    l0 = build_l_ansatz(alpha0, case)
     system = extract_system(rc_residuals(l0.cofactors, l0.polys), case)
     invertible = ("d",) if case.j == 2 else ()
     try:
@@ -75,26 +78,16 @@ def solve_rank_condition(alpha: SymPolyMatrix, case: AlphaCase, max_rounds: int)
     except EliminationError as err:
         err.system = system
         raise
-    return l0, system, state, resolve_dependencies(state.deps)
-
-
-def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
-    key = (j, c, max_rounds)
-    if key in _CACHE:
-        return _CACHE[key]
-    t0 = time.monotonic()
-    case = AlphaCase(j, c)
-    alpha0, params = build_ansatz(case)
-    l0, system, state, resolved = solve_rank_condition(alpha0, case, max_rounds)
+    resolved = resolve_dependencies(state.deps)
     # soundness: the dependency log must annihilate every coefficient of f
-    unsound = sum(1 for q in back_substitute(system.f, state.deps, resolved) if q)
+    unsound = sum(1 for q in back_substitute(system.f, resolved) if q)
     if unsound:
         raise EliminationError(
             f"dependency log leaves {unsound} of {len(system.f)} coefficients nonzero"
         )
-    alpha_final = back_substitute(alpha0, state.deps, resolved)
+    alpha_final = back_substitute(alpha0, resolved)
     alpha_final.check_pattern()
-    l_final = back_substitute(l0.polys, state.deps, resolved)
+    l_final = back_substitute(l0.polys, resolved)
     gbd = survivors(params, state.deps)
     equations_raw = generate_equations(alpha_final, l_final)
     gm = collect_Gm(equations_raw)
@@ -106,7 +99,6 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
         l0=l0,
         system=system,
         elim=state,
-        resolved=resolved,
         alpha_final=alpha_final,
         l_final=l_final,
         equations_raw=equations_raw,

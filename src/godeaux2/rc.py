@@ -9,13 +9,16 @@ degree is deg(beta_ij) - deg(beta_1k) and negative degrees mean l = 0.
 
 Flattening the 15 residuals beta_ij - sum_k l_ij^k beta_1k along geometric
 monomials yields the system f of parameter polynomials, affine in the r's.
+The same identity, over the solved multipliers and with the section products
+v_i*v_j in place of the cofactors, gives the 15 quadric relations of the
+surface (`surface.generate_equations`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, entry_sign
+from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, cofactor_any, entry_sign
 from .ring import MULTIPLIER, RingError, generic_poly, lex_descending, monomial_basis
 
 PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
@@ -51,7 +54,8 @@ class LAnsatz:
 def compute_cofactors(alpha: SymPolyMatrix) -> dict:
     """beta_1k for k = 1..6 plus beta_ij for the 15 pairs, one shared cache."""
     wanted = [(1, k) for k in range(1, 7)] + list(PAIRS)
-    betas = alpha.cofactors(wanted)
+    memo: dict = {}
+    betas = {(i, j): cofactor_any(alpha.rows, i, j, memo) for (i, j) in wanted}
     for (i, j), b in betas.items():
         if b.is_zero():
             continue
@@ -96,7 +100,9 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
 
 def rc_residuals(cofactors: dict, multipliers: dict) -> list:
     """The 15 residuals beta_ij - sum_k l_ij^k beta_1k, in pair order, for
-    cofactors {(i, j): beta_ij} and multipliers {(i, j, k): l_ij^k}."""
+    cofactors {(i, j): beta_ij} and multipliers {(i, j, k): l_ij^k}.  Given
+    the products v_i*v_j in place of beta_ij (and v_k in place of beta_1k),
+    the residuals are the quadric relations of the surface."""
     out = []
     for (i, j) in PAIRS:
         acc = cofactors[(i, j)]
@@ -123,7 +129,6 @@ class RCSystem:
     f: list
     provenance: list
     param_names: list  # distinct parameters occurring in f, table order
-    geo_vars: tuple
 
     @property
     def param_count(self) -> int:
@@ -157,4 +162,4 @@ def extract_system(residuals: list, case: AlphaCase) -> RCSystem:
             provenance.append((pair, mono))
             seen_params |= support
     names = [table.names[v] for v in sorted(seen_params)] if table is not None else []
-    return RCSystem(f, provenance, names, tuple(geo))
+    return RCSystem(f, provenance, names)

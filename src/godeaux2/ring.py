@@ -259,10 +259,6 @@ class VariableTable:
                 terms[mono] = _as_coeff(coeff)
             self.rules[vi] = (rule.power, terms)
 
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
-
     def of_kind(self, kind: str) -> list:
         """Names of the variables of one kind, in table order."""
         return [n for n, k in zip(self.names, self.kinds) if k == kind]
@@ -281,7 +277,7 @@ class VariableTable:
         return self._one
 
     def const(self, c) -> "Polynomial":
-        c = _as_coeff(Fraction(c) if not isinstance(c, Scalar) else c)
+        c = _as_coeff(c)
         return Polynomial(self, {UNIT_MONO: c} if c else {})
 
     def mono_weight(self, mono: Mono) -> int:

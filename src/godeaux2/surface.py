@@ -2,9 +2,12 @@
 
 The 21 equations live on the nine geometric variables: 15 quadric relations
 v_i*v_j = sum_k l_ij^k v_k over the section vector v = (1, z1, z2, z3, z4, t)
-and the 6 rows of alpha*v.  Every equation is weighted-homogeneous with a pure
-involution sign; the five relations of weighted degree <= 5 come from rows
-2..6 of alpha*v and never involve the multipliers, hence no r-parameters.
+and the 6 rows of alpha*v.  The quadric relations are the rank-condition
+identity of `rc.rc_residuals` with v_i*v_j in place of beta_ij (and v_k in
+place of beta_1k), over the multipliers that solve it.  Every equation is
+weighted-homogeneous with a pure involution sign; the five relations of
+weighted degree <= 5 come from rows 2..6 of alpha*v and never involve the
+multipliers, hence no r-parameters.
 
 Surviving r's enter the higher-degree equations linearly, as r_m times a
 coefficient polynomial; membership_check certifies that such a coefficient
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alpha import SymPolyMatrix
-from .elim import back_substitute, lin_elim
-from .rc import PAIRS
+from .elim import back_substitute, lin_elim, resolve_dependencies
+from .rc import PAIRS, rc_residuals
 from .ring import MULTIPLIER, Polynomial, RingError, generic_poly, monomial_basis
 
 
@@ -44,11 +47,6 @@ class SurfaceEquation:
 class SurfaceEquations:
     eqs: list
 
-    @property
-    def geo_vars(self) -> tuple:
-        table = self.eqs[0].poly.table
-        return tuple(table.names[v] for v in range(table.geo_cut))
-
     def low_degree(self) -> list:
         """The relations of weighted degree <= LOW_DEGREE (r-free)."""
         return [eq for eq in self.eqs if eq.degree <= LOW_DEGREE]
@@ -69,15 +67,11 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEqua
         table.var("z4"),
         table.var("t"),
     ]
-    eqs = []
-    for (i, j) in PAIRS:
-        acc = v[i - 1] * v[j - 1]
-        for k in range(1, 7):
-            lp = l_final.get((i, j, k))
-            if lp is None or lp.is_zero():
-                continue
-            acc = acc - lp * v[k - 1]
-        eqs.append((f"vv_{i}{j}", acc))
+    # v_1 = 1, so the (1, k) products are v_k themselves
+    products = {(1, k): v[k - 1] for k in range(1, 7)}
+    products.update({(i, j): v[i - 1] * v[j - 1] for (i, j) in PAIRS})
+    residuals = rc_residuals(products, l_final)
+    eqs = [(f"vv_{i}{j}", res) for (i, j), res in zip(PAIRS, residuals)]
     for i in range(1, 7):
         acc = table.zero()
         for j in range(1, 7):
@@ -92,8 +86,6 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEqua
         if deg is None or sign is None:
             raise SurfaceError(f"equation {label} is not homogeneous and pure")
         out.append(SurfaceEquation(label, deg, sign, p))
-    if len(out) != 21:
-        raise SurfaceError(f"expected 21 equations, got {len(out)}")
     return SurfaceEquations(out)
 
 
@@ -154,18 +146,18 @@ def _grading(p: Polynomial) -> tuple:
     return deg, sign
 
 
-def membership_check(g: Polynomial, generators: Sequence[Polynomial]) -> str:
-    """'verified' when g = sum h_i F_i holds exactly for cofactors h_i found
-    by elimination, else 'refuted'.
+def membership_check(g: Polynomial, generators: Sequence[Polynomial]) -> bool:
+    """True when g = sum h_i F_i holds exactly for cofactors h_i found by
+    elimination, else False.
 
     For each generator F_i of degree <= deg g, h_i is a generic polynomial of
     degree deg g - deg F_i and sign sign(g)*sign(F_i) in the geometric
     variables, one multiplier slot of the table per monomial.  The
     coefficients of g - sum h_i F_i over the geometric monomials are solved by
     lin_elim; its pivots are integer constants, so the cofactors lie in
-    Q[moduli][geo] and 'verified' holds for every value of the moduli.
-    'refuted' means g - sum h_i F_i does not back-substitute to zero: g is not
-    in the ideal over Q(moduli), or only a non-constant pivot would show it is.
+    Q[moduli][geo] and True holds for every value of the moduli.  False means
+    g - sum h_i F_i does not back-substitute to zero: g is not in the ideal
+    over Q(moduli), or only a non-constant pivot would show it is.
     """
     if not generators:
         raise SurfaceError("membership check needs at least one generator")
@@ -188,4 +180,4 @@ def membership_check(g: Polynomial, generators: Sequence[Polynomial]) -> str:
         residual = residual - generic_poly(table, names, monos) * F
     f = [c for _, c in residual.coefficients_wrt(geo)]
     deps = lin_elim(f, [True] * len(f), unknowns, len(unknowns))[2] if unknowns else []
-    return "verified" if back_substitute(residual, deps).is_zero() else "refuted"
+    return back_substitute(residual, resolve_dependencies(deps)).is_zero()

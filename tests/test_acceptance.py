@@ -49,7 +49,7 @@ def test_criterion_02_survivor_set(run11):
 
 
 def test_criterion_03_elimination_soundness(run11):
-    resolved = run11.resolved
+    resolved = resolve_dependencies(run11.elim.deps)
     bad = 0
     for p in run11.system.f:
         need = p.variables() & resolved.keys()

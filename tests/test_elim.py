@@ -234,12 +234,12 @@ def test_back_substitute_identity_and_soundness():
     T = param_table()
     r1, r2, g1 = T.var("r1"), T.var("r2"), T.var("g1")
     p = r1 + r2 + g1
-    assert back_substitute(p, []) == p
+    assert back_substitute(p, {}) == p
     deps = [Dependency("r1", r2 + g1), Dependency("r2", 2 * g1)]
-    out = back_substitute(p, deps)
-    assert out == 6 * g1  # r1 -> 3*g1, r2 -> 2*g1, plus the bare g1
     resolved = resolve_dependencies(deps)
     assert resolved["r2"] == 2 * g1 and resolved["r1"] == 3 * g1
+    out = back_substitute(p, resolved)
+    assert out == 6 * g1  # r1 -> 3*g1, r2 -> 2*g1, plus the bare g1
 
 
 def test_linelim_matches_gauss_oracle():
@@ -329,7 +329,7 @@ def test_driver_monotone_f(run11):
 
 def test_resolution_hits_only_survivors(run11):
     gone = {d.var for d in run11.elim.deps}
-    for var, expr in run11.resolved.items():
+    for var, expr in resolve_dependencies(run11.elim.deps).items():
         assert not (expr.variables() & gone), f"{var} resolves through eliminated vars"
 
 
@@ -422,6 +422,21 @@ def test_driver_round_logs_are_pinned(j, c, max_rounds):
     log = run_pipeline(j, c, max_rounds).elim.round_log
     assert [(r.stage, r.n, r.eliminated, r.f_size) for r in log] == ROUND_LOGS[j, c, max_rounds]
 
+
+
+def test_run_pipeline_stall_carries_the_system_and_the_state():
+    """(1,0) stalls; the error carries the flattened system and the driver's
+    last state, which scripts/case_survey.py reports."""
+    from godeaux2.elim import EliminationError
+    from godeaux2.pipeline import run_pipeline
+
+    with pytest.raises(EliminationError) as err:
+        run_pipeline(1, 0)
+    assert len(err.value.system.f) == 850 and err.value.system.param_count == 394
+    left = err.value.state.f
+    assert len(left) == 73
+    T = left[0].table
+    assert T.var("b11") * T.var("b12") in left
 
 def test_driver_fallbacks_follow_idle_moves_and_e_fires_once():
     from godeaux2.elim import EliminationError

@@ -1,6 +1,12 @@
-"""Source hygiene: no module of src, scripts or tests imports a name it never
-uses.  A name listed in the module's `__all__` counts as used; an import line
-marked `# noqa: F401` is kept on purpose (the line's comment says why)."""
+"""Source hygiene.
+
+No module of src, scripts or tests imports a name it never uses.  A name
+listed in the module's `__all__` counts as used; an import line marked
+`# noqa: F401` is kept on purpose (the line's comment says why).
+
+Every function, class and method defined under src, dunders aside, is read
+by name somewhere in src or scripts.  A definition only the tests read is
+test-only API and goes."""
 
 import ast
 from pathlib import Path
@@ -53,3 +59,54 @@ def test_scanner_flags_an_unused_import_and_honours_the_exemptions():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(defining: dict, others=()) -> list:
+    """(label, line, name) of every non-dunder function, class and method of
+    the `defining` sources ({label: text}) whose name no source, of those or
+    of the `others` texts, reads as a variable or an attribute."""
+    read = set()
+    found = []
+    for label, text in [*defining.items(), *((None, t) for t in others)]:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif label is not None and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.append((label, node.lineno, node.name))
+    return sorted(d for d in found if d[2] not in read)
+
+
+def test_definition_scanner_flags_what_nothing_reads():
+    defining = {
+        "m.py": (
+            "class Kept:\n"
+            "    def used(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        pass\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+            "    def dropped(self):\n"
+            "        pass\n"
+            "def orphan():\n"
+            "    pass\n"
+            "def called_elsewhere():\n"
+            "    pass\n"
+        ),
+    }
+    others = ["from m import Kept, orphan\nKept().used()\nm.called_elsewhere()\n"]
+    assert unreferenced_definitions(defining, others) == [
+        ("m.py", 8, "dropped"),
+        ("m.py", 10, "orphan"),
+    ]
+
+
+def test_every_src_definition_is_read_by_src_or_scripts():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
+    assert unreferenced_definitions(defining, others) == []

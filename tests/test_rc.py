@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from godeaux2.alpha import BORDER_PARAMS, AlphaCase, build_ansatz
+from godeaux2.alpha import BORDER_PARAMS, AlphaCase, build_ansatz, cofactor_any
 from godeaux2.rc import (
     PAIRS,
     build_l_ansatz,
@@ -80,7 +80,7 @@ def test_cofactor_symmetry(rc11):
     _, _, M, _, _, _ = rc11
     memo = {}
     for (i, j) in [(2, 3), (2, 6), (4, 5)]:
-        assert M.cofactor(i, j, memo) == M.cofactor(j, i, memo)
+        assert cofactor_any(M.rows, i, j, memo) == cofactor_any(M.rows, j, i, memo)
 
 
 def test_system_size_and_parameters(rc11):
@@ -93,8 +93,8 @@ def test_system_size_and_parameters(rc11):
 
 
 def test_f_entries_parameter_only_and_affine_in_r(rc11):
-    _, _, _, l, _, system = rc11
-    geo = set(system.geo_vars)
+    case, _, _, l, _, system = rc11
+    geo = set(case.geo4)
     r_names = set(l.r_names)
     for p in system.f:
         names = p.variables()
@@ -105,7 +105,7 @@ def test_f_entries_parameter_only_and_affine_in_r(rc11):
 
 
 def test_extraction_commutes_with_specialization(rc11):
-    _, table, _, _, res, system = rc11
+    case, table, _, _, res, system = rc11
     rng = random.Random(17)
     spec = {
         n: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -115,11 +115,11 @@ def test_extraction_commutes_with_specialization(rc11):
     target = res[3]
     specialized = target.substitute(spec)
     direct = {}
-    for mono, coeff in target.coefficients_wrt(system.geo_vars):
+    for mono, coeff in target.coefficients_wrt(case.geo4):
         direct[mono] = coeff.substitute(spec).terms.get((), 0)
     recomputed = dict(
         (m, c.terms.get((), 0))
-        for m, c in specialized.coefficients_wrt(system.geo_vars)
+        for m, c in specialized.coefficients_wrt(case.geo4)
     )
     assert {m: c for m, c in direct.items() if c} == recomputed
 
@@ -140,7 +140,9 @@ def test_exact_multipliers_give_zero_residuals():
     table = curve_table()
     M = diagonal_type_matrix(table, 1)
     L = excluded_diagonal_multipliers(table)
-    betas = M.cofactors([(1, k) for k in range(1, 7)] + list(PAIRS))
+    memo = {}
+    wanted = [(1, k) for k in range(1, 7)] + list(PAIRS)
+    betas = {(i, j): cofactor_any(M.rows, i, j, memo) for (i, j) in wanted}
     zero = table.zero()
     polys = {}
     for (i, j) in PAIRS:

@@ -241,3 +241,18 @@ def test_multipliers_exclude_algebraic_r():
     assert p.variables() == {"x", "d", "r5", "r"}
     assert p.multipliers() == {"r5"}
     assert table.of_kind(MULTIPLIER) == ["r5"]
+
+
+def test_const_rejects_inexact_coefficients(T):
+    from fractions import Fraction
+
+    from godeaux2.alpha import det_any
+
+    assert T.const(Fraction(1, 3)) == Polynomial(T, {(): Fraction(1, 3)})
+    with pytest.raises(RingError):
+        T.const(0.1)
+    with pytest.raises(RingError):
+        T.const("1/3")
+    a = T.var("d")
+    with pytest.raises(RingError):
+        det_any([[a, 0.5], [0.5, a]])

@@ -115,11 +115,11 @@ def test_membership_trivial_cases(run11):
     table = run11.table
     y1, y2 = table.var("y1"), table.var("y2")
     gens = [y1, y2]
-    assert membership_check(gens[0], gens) == "verified"
+    assert membership_check(gens[0], gens) is True
     x = table.var("x")
-    assert membership_check(y1 * y2 + x * x * y1, gens) == "verified"
-    assert membership_check(table.one(), gens) == "refuted"
-    assert membership_check(x * x, gens) == "refuted"
+    assert membership_check(y1 * y2 + x * x * y1, gens)
+    assert not membership_check(table.one(), gens)
+    assert membership_check(x * x, gens) is False
     with pytest.raises(SurfaceError):
         membership_check(y1, [])
     with pytest.raises(SurfaceError, match="pure"):
@@ -143,7 +143,7 @@ def test_all_gm_membership_spot(run11):
     certified = 0
     for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
         for label, G in occurrences:
-            assert membership_check(G, F) == "verified", (rname, label)
+            assert membership_check(G, F), (rname, label)
             certified += 1
     assert certified == 94
 
@@ -157,10 +157,4 @@ def test_perturbed_gm_is_refuted(run11):
             classes.setdefault((G.weighted_degree(), G.sigma_sign()), (rname, label, G))
     assert len(classes) == 5
     for rname, label, G in classes.values():
-        assert membership_check(G + outside_low_degree_ideal(run11, G), F) == "refuted", (rname, label)
-
-
-def test_equations_expose_nine_geometric_vars(run11):
-    assert run11.equations.geo_vars == (
-        "x", "y1", "y2", "y3", "z1", "z2", "z3", "z4", "t",
-    )
+        assert not membership_check(G + outside_low_degree_ideal(run11, G), F), (rname, label)

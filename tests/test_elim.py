@@ -423,7 +423,6 @@ def test_driver_round_logs_are_pinned(j, c, max_rounds):
     assert [(r.stage, r.n, r.eliminated, r.f_size) for r in log] == ROUND_LOGS[j, c, max_rounds]
 
 
-
 def test_run_pipeline_stall_carries_the_system_and_the_state():
     """(1,0) stalls; the error carries the flattened system and the driver's
     last state, which scripts/case_survey.py reports."""
@@ -437,6 +436,7 @@ def test_run_pipeline_stall_carries_the_system_and_the_state():
     assert len(left) == 73
     T = left[0].table
     assert T.var("b11") * T.var("b12") in left
+
 
 def test_driver_fallbacks_follow_idle_moves_and_e_fires_once():
     from godeaux2.elim import EliminationError

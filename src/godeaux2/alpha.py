@@ -66,14 +66,9 @@ class PatternError(RingError):
     pass
 
 
-def entry_degree(i: int, j: int) -> int:
-    """Required weighted degree of entry (i, j), 1-based."""
-    return ROW_WEIGHTS[i - 1] + ROW_WEIGHTS[j - 1]
-
-
-def entry_sign(i: int, j: int) -> int:
-    """Required sigma-sign of entry (i, j), 1-based."""
-    return -ROW_SIGNS[i - 1] * ROW_SIGNS[j - 1]
+def entry_grading(i: int, j: int) -> tuple:
+    """Required (weighted degree, sigma sign) of entry (i, j), 1-based."""
+    return ROW_WEIGHTS[i - 1] + ROW_WEIGHTS[j - 1], -ROW_SIGNS[i - 1] * ROW_SIGNS[j - 1]
 
 
 @dataclass(frozen=True)
@@ -95,10 +90,6 @@ class AlphaCase:
     @property
     def geo4(self) -> tuple:
         return ("x", "y1", "y2", self.w_name)
-
-    @property
-    def label(self) -> str:
-        return f"alpha_{self.j}_c_{self.c}"
 
 
 def coordinate_entries(names) -> list:
@@ -166,19 +157,10 @@ class SymPolyMatrix:
                 p = self[i, j]
                 if p.is_zero():
                     continue
-                d = p.weighted_degree()
-                if (i, j) == (6, 6):
-                    if d != 0:
-                        raise PatternError("entry (6,6) must be 0 or a constant")
-                    continue
-                if d != entry_degree(i, j):
-                    raise PatternError(
-                        f"entry ({i},{j}) has degree {d}, wants {entry_degree(i, j)}"
-                    )
-                if p.sigma_sign() != entry_sign(i, j):
-                    raise PatternError(
-                        f"entry ({i},{j}) sign {p.sigma_sign()}, wants {entry_sign(i, j)}"
-                    )
+                # (6,6) may hold a constant, whose grading is (0, +1)
+                want = (0, 1) if (i, j) == (6, 6) else entry_grading(i, j)
+                if p.grading() != want:
+                    raise PatternError(f"entry ({i},{j}) has grading {p.grading()}, wants {want}")
 
     # -- determinants --------------------------------------------------------
 

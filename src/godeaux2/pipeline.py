@@ -12,7 +12,6 @@ import json
 import resource
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -116,18 +115,13 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
 # serialization
 
 
-def coeff_str(c) -> str:
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def poly_to_json(p: Polynomial) -> dict:
     table = p.table
     terms = []
     for m, c in p.sorted_terms():
         terms.append(
             {
-                "coeff": coeff_str(c),
+                "coeff": str(c),
                 "exps": {table.names[v]: e for v, e in m},
             }
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, cofactor_any, entry_sign
+from .alpha import AlphaCase, SymPolyMatrix, cofactor_any, entry_grading
 from .ring import MULTIPLIER, RingError, generic_poly, lex_descending, monomial_basis
 
 PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
@@ -30,16 +30,17 @@ class RCError(RingError):
     pass
 
 
-def cofactor_degree(i: int, j: int) -> int:
-    return 16 - ROW_WEIGHTS[i - 1] - ROW_WEIGHTS[j - 1]
+def cofactor_grading(i: int, j: int) -> tuple:
+    """Required (weighted degree, sigma sign) of beta_ij: the degree of the
+    octic det less that of entry (i, j), and the entry's sign."""
+    degree, sign = entry_grading(i, j)
+    return 16 - degree, sign
 
 
-def multiplier_degree(i: int, j: int, k: int) -> int:
-    return cofactor_degree(i, j) - cofactor_degree(1, k)
-
-
-def multiplier_sign(i: int, j: int, k: int) -> int:
-    return entry_sign(i, j) * entry_sign(1, k)
+def multiplier_grading(i: int, j: int, k: int) -> tuple:
+    """Required (weighted degree, sigma sign) of l_ij^k = beta_ij / beta_1k."""
+    (dij, sij), (d1k, s1k) = cofactor_grading(i, j), cofactor_grading(1, k)
+    return dij - d1k, sij * s1k
 
 
 @dataclass
@@ -57,15 +58,10 @@ def compute_cofactors(alpha: SymPolyMatrix) -> dict:
     memo: dict = {}
     betas = {(i, j): cofactor_any(alpha.rows, i, j, memo) for (i, j) in wanted}
     for (i, j), b in betas.items():
-        if b.is_zero():
-            continue
-        if b.weighted_degree() != cofactor_degree(i, j):
+        if b and b.grading() != cofactor_grading(i, j):
             raise RCError(
-                f"cofactor ({i},{j}) has degree {b.weighted_degree()}, "
-                f"wants {cofactor_degree(i, j)}"
+                f"cofactor ({i},{j}) has grading {b.grading()}, wants {cofactor_grading(i, j)}"
             )
-        if b.sigma_sign() != entry_sign(i, j):
-            raise RCError(f"cofactor ({i},{j}) is not a pure sigma eigenvector")
     return betas
 
 
@@ -80,12 +76,11 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
     r_names = []
     for (i, j) in PAIRS:
         for k in range(1, 7):
-            deg = multiplier_degree(i, j, k)
-            if deg < 0:
+            grading = multiplier_grading(i, j, k)
+            if grading[0] < 0:
                 polys[(i, j, k)] = table.zero()
                 continue
-            sign = multiplier_sign(i, j, k)
-            monos = lex_descending(monomial_basis(table, deg, sign, geo))
+            monos = lex_descending(monomial_basis(table, *grading, geo))
             names = pool[len(r_names) : len(r_names) + len(monos)]
             if len(names) < len(monos):
                 raise RCError("variable table has too few multiplier parameters")

@@ -2,9 +2,14 @@
 
 Coefficients are arbitrary-precision rationals kept in lowest terms (plain int
 where integral, fractions.Fraction otherwise); there is no floating point
-anywhere.  Monomials are sparse tuples of (variable index, exponent) pairs
-sorted by index.  All text output and every "leading term" choice use the
-canonical order described below.
+anywhere: a number meets a polynomial (in +, -, * and ==) only through
+`VariableTable.const`, which refuses anything but int and Fraction.
+Monomials are sparse tuples of (variable index, exponent) pairs sorted by
+index.  All text output and every "leading term" choice use the canonical
+order described below.
+
+`Polynomial.grading()` is the one grading query: the (weighted degree, sigma
+sign) pair that every term shares, None when two terms differ in either.
 
 A Polynomial's `terms` dict is never mutated after construction: every
 operation builds a new dict.  The per-polynomial caches (leading monomial,
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -280,17 +286,15 @@ class VariableTable:
         c = _as_coeff(c)
         return Polynomial(self, {UNIT_MONO: c} if c else {})
 
-    def mono_weight(self, mono: Mono) -> int:
-        w = self.weights
-        return sum(e * w[v] for v, e in mono)
-
-    def mono_sign(self, mono: Mono) -> int:
-        s = 1
-        signs = self.signs
+    def mono_grading(self, mono: Mono) -> tuple:
+        """(weighted degree, sigma sign) of a monomial."""
+        weights, signs = self.weights, self.signs
+        degree, sign = 0, 1
         for v, e in mono:
-            if signs[v] == -1 and e % 2:
-                s = -s
-        return s
+            degree += e * weights[v]
+            if e % 2:
+                sign *= signs[v]
+        return degree, sign
 
     def mono_str(self, mono: Mono) -> str:
         # parameter factors render first, as coefficients of the geometric part
@@ -379,10 +383,10 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            other = self.table.const(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, Number):
+                return NotImplemented
+            other = self.table.const(other)
         return self.table is other.table and self.terms == other.terms
 
     def __hash__(self):
@@ -396,7 +400,7 @@ class Polynomial:
             if other.table is not self.table:
                 raise TableMismatchError("operands from different variable tables")
             return other
-        if isinstance(other, Scalar):
+        if isinstance(other, Number):
             return self.table.const(other)
         raise TypeError(f"cannot combine Polynomial with {type(other).__name__}")
 
@@ -486,29 +490,13 @@ class Polynomial:
 
     # -- grading -------------------------------------------------------------
 
-    def weighted_degree(self) -> Optional[int]:
-        """Common weighted degree of all terms, None when inhomogeneous."""
+    def grading(self) -> Optional[tuple]:
+        """(weighted degree, sigma sign) shared by every term, None when two
+        terms differ in either; the zero polynomial has no grading."""
         if not self.terms:
-            raise ZeroPolynomialError("weighted degree of the zero polynomial")
-        mono_weight = self.table.mono_weight
-        it = iter(self.terms)
-        d = mono_weight(next(it))
-        for m in it:
-            if mono_weight(m) != d:
-                return None
-        return d
-
-    def sigma_sign(self) -> Optional[int]:
-        """+1 / -1 for a pure eigen-polynomial, None when mixed; 0 -> +1."""
-        if not self.terms:
-            return 1
-        mono_sign = self.table.mono_sign
-        it = iter(self.terms)
-        s = mono_sign(next(it))
-        for m in it:
-            if mono_sign(m) != s:
-                return None
-        return s
+            raise ZeroPolynomialError("grading of the zero polynomial")
+        gradings = set(map(self.table.mono_grading, self.terms))
+        return gradings.pop() if len(gradings) == 1 else None
 
     # -- leading terms and canonical text -------------------------------------
 
@@ -717,7 +705,7 @@ def monomial_basis(table: VariableTable, degree: int, sign: int, names: Sequence
             e += 1
 
     rec(0, degree, [])
-    keep = [m for m in found if table.mono_sign(m) == sign]
+    keep = [m for m in found if table.mono_grading(m) == (degree, sign)]
     return sorted_monos(keep, table)
 
 

@@ -81,11 +81,10 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEqua
     for label, p in eqs:
         if p.is_zero():
             raise SurfaceError(f"equation {label} collapsed to zero")
-        deg = p.weighted_degree()
-        sign = p.sigma_sign()
-        if deg is None or sign is None:
+        grading = p.grading()
+        if grading is None:
             raise SurfaceError(f"equation {label} is not homogeneous and pure")
-        out.append(SurfaceEquation(label, deg, sign, p))
+        out.append(SurfaceEquation(label, *grading, p))
     return SurfaceEquations(out)
 
 
@@ -132,18 +131,11 @@ def collect_Gm(eqs: SurfaceEquations) -> dict:
             per_r.setdefault(v, {})[rest] = c
         for v, terms in per_r.items():
             g = Polynomial(table, terms)
-            if g.weighted_degree() is None or g.weighted_degree() <= 0:
+            grading = g.grading()
+            if grading is None or grading[0] <= 0:
                 raise SurfaceError("r-coefficient fails homogeneity of positive degree")
             out.setdefault(r_idx[v], []).append((eq.label, g))
     return out
-
-
-def _grading(p: Polynomial) -> tuple:
-    deg = None if p.is_zero() else p.weighted_degree()
-    sign = p.sigma_sign()
-    if deg is None or sign is None:
-        raise SurfaceError("membership check needs nonzero homogeneous, pure input")
-    return deg, sign
 
 
 def membership_check(g: Polynomial, generators: Sequence[Polynomial]) -> bool:
@@ -163,14 +155,16 @@ def membership_check(g: Polynomial, generators: Sequence[Polynomial]) -> bool:
         raise SurfaceError("membership check needs at least one generator")
     if any(p.multipliers() for p in (g, *generators)):
         raise SurfaceError("membership check needs multiplier-free input")
+    gradings = [p.grading() if p else None for p in (g, *generators)]
+    if None in gradings:
+        raise SurfaceError("membership check needs nonzero homogeneous, pure input")
     table = g.table
     geo = table.names[: table.geo_cut]
-    deg, sign = _grading(g)
+    (deg, sign), *generator_gradings = gradings
     slots = table.of_kind(MULTIPLIER)
     unknowns: list = []
     residual = g
-    for F in generators:
-        fdeg, fsign = _grading(F)
+    for F, (fdeg, fsign) in zip(generators, generator_gradings):
         if fdeg > deg:
             continue
         monos = monomial_basis(table, deg - fdeg, sign * fsign, geo)

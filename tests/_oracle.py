@@ -121,7 +121,7 @@ def outside_low_degree_ideal(run, G):
     low = {table.index[n] for n in table.names[: table.geo_cut] if n == "x" or n[0] == "y"}
     for eq in run.equations_raw.low_degree():
         assert all(any(v in low for v, _ in m) for m in eq.poly.terms), eq.label
-    monos = monomial_basis(table, G.weighted_degree(), G.sigma_sign(), ["z1", "z2", "z3", "z4", "t"])
+    monos = monomial_basis(table, *G.grading(), ["z1", "z2", "z3", "z4", "t"])
     return Polynomial(table, {monos[0]: 1})
 
 

@@ -185,7 +185,7 @@ def test_congruence_determinant_scaling(case11):
     assert C.determinant() == detP * detP * Ms.determinant()
 
 
-def test_restrict_x0_gives_central_shape(case11):
+def test_substitute_x0_gives_central_shape(case11):
     _, table, M, _ = case11
     R = M.substitute({"x": 0})
     y1, y2, y3, d = (table.var(n) for n in ("y1", "y2", "y3", "d"))
@@ -215,7 +215,7 @@ def test_det_even_in_x(case11):
         for v, e in m:
             if v == xi:
                 assert e % 2 == 0
-    assert det.weighted_degree() == 16
+    assert det.grading() == (16, 1)
 
 
 def test_make_table_main_pipeline_geometry():

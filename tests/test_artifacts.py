@@ -3,13 +3,15 @@ and every derivation is checked for soundness as it runs."""
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from godeaux2 import pipeline
+from godeaux2.alpha import make_table
 from godeaux2.elim import EliminationError
-from godeaux2.pipeline import run_pipeline, stats_dict, write_artifacts
+from godeaux2.pipeline import poly_to_json, run_pipeline, stats_dict, write_artifacts
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 ARTIFACTS = ("alpha.json", "equations.json", "deps.log")
@@ -26,6 +28,16 @@ def test_artifacts_match_reference(case, request, reference, tmp_path):
     write_artifacts(run, tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert got == reference[f"alpha_{run.case.j}_{run.case.c}"]
+
+
+def test_poly_to_json_writes_a_fraction_as_p_over_q():
+    # no solved case writes a non-integral coefficient, so this path is pinned here
+    table = make_table(1)
+    p = table.const(Fraction(-7, 2)) * table.var("x") + 3 * table.var("d")
+    assert poly_to_json(p) == {
+        "text": "-7/2*x + 3*d",
+        "terms": [{"coeff": "-7/2", "exps": {"x": 1}}, {"coeff": "3", "exps": {"d": 1}}],
+    }
 
 
 def test_stats_record_soundness(run11, run20):

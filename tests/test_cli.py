@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 
 import pytest
 
@@ -108,6 +109,58 @@ def test_special_by_and_bf(run11, capsys):
     assert main(["verify", "--check", "special_by", "--check", "special_bf"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [["special_by", "pass"], ["special_bf", "pass"]]
+
+
+# (name, status, note) of every check `godeaux2 verify --seed 3` reports, in
+# its (sorted) order
+VERIFY_REPORTS = [
+    ("alpha2_basepoint", "pass", "all 21 equations vanish identically (symbolic parameters)"),
+    (
+        "alpha3_square",
+        "pass",
+        "raw generic det = -(...)^2, so is every specialisation; alpha_1 c=1 control is not a square",
+    ),
+    ("c_normalization", "pass", "c = s^4 rescales to c = 1; borders keep their x factors"),
+    ("central_minors", "pass", "all 3x3 minors divide by Q, det by Q^2"),
+    ("closed_form_rc", "pass", "rank condition solvable; all 15 residuals vanish"),
+    ("excluded_diagonal_rc", "pass", "all 21 cofactor identities hold"),
+    (
+        "extension_cases_1_2",
+        "skipped",
+        "the case-1/2 normalizations need rational-function entries"
+        " (r^2 = c5^2/(c5^2 - d^2 c6^2)); out of scope by design",
+    ),
+    ("extension_shuffle", "pass", "P' unimodular; j=2 shape symbolically, j=3 at d=0"),
+    ("golden_file", "pass", ""),
+    ("golden_match", "pass", "back-substituted entries match the closed form textually"),
+    ("imaginary_unit_congruence", "pass", "denominators cleared by 2d per factor (overall 4d^2)"),
+    ("quartic_root_congruence", "pass", "cleared by d^2 per factor (overall d^6)"),
+    ("r_removal", "pass", "all 94 r-coefficients certified by exact cofactors over Q[moduli]"),
+    (
+        "restriction_cofactors_1",
+        "pass",
+        "closed-form cofactor identities hold; case-1 specialization gives (Q, 0, 0)",
+    ),
+    ("restriction_cofactors_2", "pass", "closed-form cofactor identities hold"),
+    ("restriction_cofactors_3", "pass", "closed-form cofactor identities hold"),
+    ("scaling", "pass", "graded symbolically; evaluated at u in ('2', '3', '7/5')"),
+    (
+        "special_bf",
+        "pass",
+        "matrix pattern, det != 0, conic divisibility, 21 equations over Q(sqrt(-15))",
+    ),
+    ("special_by", "pass", "matrix pattern, det != 0, conic divisibility, 21 equations over Q"),
+    ("y2_quartic_coefficient", "pass", "coefficient equals (r1*r4 - r2*r3)^2"),
+]
+
+# one report line of cmd_verify: name, status, timing, then the note if any
+REPORT_LINE = re.compile(r"(\S+) +(\S+) +\d+\.\d+s(?:  (.*))?")
+
+
+def test_verify_reports_are_pinned(run11, run20, capsys):
+    assert main(["verify", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [REPORT_LINE.fullmatch(line).groups("") for line in lines] == VERIFY_REPORTS
 
 
 def test_missing_subcommand_usage_error():

@@ -92,22 +92,18 @@ def test_quartic_root_rule():
     assert r ** 8 == d ** 4
 
 
-def test_weighted_degree(T):
+def test_grading(T):
     x, y1, y2, y3, d = (T.var(n) for n in ("x", "y1", "y2", "y3", "d"))
-    assert (x * x).weighted_degree() == 2
+    assert (x * x).grading() == (2, 1)
+    assert y2.grading() == (2, 1)
+    assert (x * y2).grading() == (3, -1)
     q = y1 ** 2 - y2 ** 2 - d * d * y3 ** 2
-    assert q.weighted_degree() == 4
-    assert (x + y1).weighted_degree() is None
+    assert q.grading() == (4, 1)
+    assert (x + y1).grading() is None  # degrees differ
+    assert (x * x + y1).grading() is None  # signs differ
+    assert (x + y2).grading() is None  # both differ
     with pytest.raises(ZeroPolynomialError):
-        T.zero().weighted_degree()
-
-
-def test_sigma_sign(T):
-    x, y2 = T.var("x"), T.var("y2")
-    assert y2.sigma_sign() == 1
-    assert (x * y2).sigma_sign() == -1
-    assert (x + y2).sigma_sign() is None
-    assert T.zero().sigma_sign() == 1
+        T.zero().grading()
 
 
 def test_substitute_y4_policy():
@@ -241,6 +237,19 @@ def test_multipliers_exclude_algebraic_r():
     assert p.variables() == {"x", "d", "r5", "r"}
     assert p.multipliers() == {"r5"}
     assert table.of_kind(MULTIPLIER) == ["r5"]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda p: p + 0.5, lambda p: 0.5 * p, lambda p: p - 0.5, lambda p: p == 0.5],
+    ids=["add", "rmul", "sub", "eq"],
+)
+def test_inexact_scalars_are_refused_like_const(T, op):
+    x = T.var("x")
+    with pytest.raises(RingError):
+        op(x)
+    assert (x == None) is False  # noqa: E711 - a non-number is simply unequal
+    assert x != "x"
 
 
 def test_const_rejects_inexact_coefficients(T):

@@ -97,18 +97,28 @@ homog = st.sampled_from([2, 3, 4]).flatmap(
 )
 
 
-@given(homog, homog)
+def _graded_poly(grading):
+    """Nonzero polynomials whose every term has the given (weighted degree,
+    sigma sign)."""
+    basis = monomial_basis(TABLE, *grading, ["x", "y1", "y2"])
+    terms = st.lists(st.tuples(st.sampled_from(basis), coeffs), min_size=1, max_size=3)
+    return st.tuples(st.just(grading), terms.map(lambda pairs: Polynomial(TABLE, dict(pairs))))
+
+
+# (grading, polynomial of that grading)
+graded = st.sampled_from([(deg, sign) for deg in (2, 3, 4) for sign in (1, -1)]).flatmap(_graded_poly)
+
+
+@given(graded, graded)
 @settings(max_examples=150, deadline=None)
-def test_degree_and_sign_multiplicative(p, q):
-    if p.is_zero() or q.is_zero():
-        return
-    dp, dq = p.weighted_degree(), q.weighted_degree()
-    if dp is None or dq is None:
-        return
-    assert (p * q).weighted_degree() == dp + dq
-    sp_, sq_ = p.sigma_sign(), q.sigma_sign()
-    if sp_ is not None and sq_ is not None:
-        assert (p * q).sigma_sign() == sp_ * sq_
+def test_degree_and_sign_multiplicative(gp, gq):
+    (dp, sp_), p = gp
+    (dq, sq_), q = gq
+    assert p.grading() == (dp, sp_) and q.grading() == (dq, sq_)
+    assert (p * q).grading() == (dp + dq, sp_ * sq_)
+    # one term of the same degree and the other sign makes p sign-mixed
+    other = monomial_basis(TABLE, dp, -sp_, ["x", "y1", "y2"])[0]
+    assert (p + Polynomial(TABLE, {other: 1})).grading() is None
 
 
 @given(homog, homog)

@@ -96,7 +96,7 @@ def test_removal_commutes_with_generation(run11):
 def test_collect_gm_homogeneous(run11):
     for rname, occurrences in run11.gm.items():
         for label, G in occurrences:
-            assert G.weighted_degree() is not None and G.weighted_degree() > 0
+            assert G.grading() is not None and G.grading()[0] > 0
 
 
 def test_degenerate_diag_input():
@@ -154,7 +154,7 @@ def test_perturbed_gm_is_refuted(run11):
     classes = {}
     for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
         for label, G in occurrences:
-            classes.setdefault((G.weighted_degree(), G.sigma_sign()), (rname, label, G))
+            classes.setdefault(G.grading(), (rname, label, G))
     assert len(classes) == 5
     for rname, label, G in classes.values():
         assert not membership_check(G + outside_low_degree_ideal(run11, G), F), (rname, label)

@@ -92,16 +92,22 @@ def test_quartic_root_rule():
     assert r ** 8 == d ** 4
 
 
-def test_grading(T):
+def test_weighted_degree(T):
     x, y1, y2, y3, d = (T.var(n) for n in ("x", "y1", "y2", "y3", "d"))
     assert (x * x).grading() == (2, 1)
-    assert y2.grading() == (2, 1)
-    assert (x * y2).grading() == (3, -1)
     q = y1 ** 2 - y2 ** 2 - d * d * y3 ** 2
     assert q.grading() == (4, 1)
     assert (x + y1).grading() is None  # degrees differ
-    assert (x * x + y1).grading() is None  # signs differ
     assert (x + y2).grading() is None  # both differ
+    with pytest.raises(ZeroPolynomialError):
+        T.zero().grading()
+
+
+def test_sigma_sign(T):
+    x, y1, y2 = T.var("x"), T.var("y1"), T.var("y2")
+    assert y2.grading() == (2, 1)
+    assert (x * y2).grading() == (3, -1)
+    assert (x * x + y1).grading() is None  # signs differ
     with pytest.raises(ZeroPolynomialError):
         T.zero().grading()
 

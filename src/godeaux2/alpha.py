@@ -157,8 +157,7 @@ class SymPolyMatrix:
                 p = self[i, j]
                 if p.is_zero():
                     continue
-                # (6,6) may hold a constant, whose grading is (0, +1)
-                want = (0, 1) if (i, j) == (6, 6) else entry_grading(i, j)
+                want = entry_grading(i, j)
                 if p.grading() != want:
                     raise PatternError(f"entry ({i},{j}) has grading {p.grading()}, wants {want}")
 

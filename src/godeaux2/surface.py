@@ -114,27 +114,20 @@ def collect_Gm(eqs: SurfaceEquations) -> dict:
     occurs nonlinearly (jointly, across all r's in a monomial).
     """
     table = eqs.eqs[0].poly.table
-    r_idx = {table.index[n]: n for n in table.of_kind(MULTIPLIER)}
+    r_names = table.of_kind(MULTIPLIER)
     out: dict = {}
     for eq in eqs.eqs:
-        per_r: dict = {}
-        for m, c in eq.poly.terms.items():
-            hits = [(v, e) for v, e in m if v in r_idx]
-            if not hits:
+        for r_mono, g in eq.poly.coefficients_wrt(r_names):
+            if not r_mono:
                 continue
-            if len(hits) > 1 or hits[0][1] > 1:
+            if len(r_mono) > 1 or r_mono[0][1] > 1:
                 raise SurfaceError(
                     f"equation {eq.label} is nonlinear in the r-parameters"
                 )
-            v = hits[0][0]
-            rest = tuple(ve for ve in m if ve[0] != v)
-            per_r.setdefault(v, {})[rest] = c
-        for v, terms in per_r.items():
-            g = Polynomial(table, terms)
             grading = g.grading()
             if grading is None or grading[0] <= 0:
                 raise SurfaceError("r-coefficient fails homogeneity of positive degree")
-            out.setdefault(r_idx[v], []).append((eq.label, g))
+            out.setdefault(table.names[r_mono[0][0]], []).append((eq.label, g))
     return out
 
 

@@ -104,11 +104,13 @@ def test_criterion_06_identity_suite(monkeypatch):
 def test_criterion_07_scaling(monkeypatch, run11):
     from godeaux2 import verify
 
-    # at u = 1 both sides are the same expression, so it proves nothing
-    assert 1 not in verify.SCALING_U_VALUES
-    monkeypatch.setattr(verify, "SCALING_U_VALUES", (2, 3, Fraction(11, 7)))
-    rep = verify_scaling()
-    assert _line(7, rep.status == "pass", "weighted scaling identity at u = 2, 3, 11/7")
+    # at s = 0 or +-1 a power of s does not tell its exponent, so the
+    # comparison would not prove every term invariant
+    assert verify.SCALING_S not in (0, 1, -1)
+    ok = verify_scaling().status == "pass"
+    monkeypatch.setattr(verify, "SCALING_S", Fraction(7, 5))
+    ok = ok and verify_scaling().status == "pass"
+    assert _line(7, ok, "weighted scaling identity, term by term, at s = 2 and s = 7/5")
 
 
 def test_criterion_08_emptiness_witnesses(run30, run20):

@@ -98,11 +98,14 @@ def test_ansatz_q_slots_match_expected_layout(case11):
 
 def test_pattern_rejects_wrong_degree(case11):
     _, table, M, _ = case11
-    rows = [list(r) for r in M.rows]
-    rows[1][2] = rows[2][1] = table.var("x")  # degree 1 where 2 is required
-    bad = SymPolyMatrix(rows)
-    with pytest.raises(PatternError):
-        bad.check_pattern()
+    x, one = table.var("x"), table.one()
+    # degree 1 where 2 is required; a constant at (6,6), which wants (0, -1)
+    for cells, entry in [(((1, 2), (2, 1)), x), (((5, 5),), one)]:
+        rows = [list(r) for r in M.rows]
+        for a, b in cells:
+            rows[a][b] = entry
+        with pytest.raises(PatternError):
+            SymPolyMatrix(rows).check_pattern()
 
 
 def test_cofactor_of_diagonal():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,22 @@ def test_bordered_congruences_fail_on_a_perturbed_entry(monkeypatch, check, wher
     _assert_cell_witness(check())
 
 
+def test_border_keeps_x_names_the_first_entry_without_its_x_factor(run11):
+    from godeaux2 import verify
+
+    M = run11.alpha_final
+    verify._border_keeps_x(M)
+    y1, y2 = (run11.table.var(n) for n in ("y1", "y2"))
+    for (i, j), entry, witness in [
+        ((1, 1), M[1, 1] + y1 ** 2, "corner (1,1) not divisible by x^2"),
+        ((1, 3), M[1, 3] + y1 * y2, "border (1,3) not divisible by x"),
+    ]:
+        rows = [list(r) for r in M.rows]
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = entry
+        with pytest.raises(verify.CheckFailed, match=re.escape(witness)):
+            verify._border_keeps_x(SymPolyMatrix(rows))
+
+
 def test_scaling(run11):
     rep = verify_scaling()
     assert rep.status == "pass"
@@ -146,7 +163,7 @@ def test_scaling_fails_on_a_wrong_weight(monkeypatch, run11):
 
     monkeypatch.setitem(verify.SCALING_WEIGHTS, "b12", 3)
     rep = verify_scaling()
-    assert rep.status == "fail" and "scales by u^" in rep.witness
+    assert rep.status == "fail" and "terms of det are not invariant" in rep.witness
 
 
 def test_alpha3_square_and_control(run30, run11):

@@ -61,6 +61,17 @@ def test_verify_selected_checks():
     assert main(["verify", "--check", "excluded_diagonal_rc", "--check", "y2_quartic_coefficient"]) == 0
 
 
+def test_r_removal_verdict_is_seed_independent(capsys, run11):
+    lines = []
+    for seed in ("0", "7"):
+        assert main(["verify", "--check", "r_removal", "--seed", seed]) == 0
+        name, status, _timing, note = capsys.readouterr().out.split(maxsplit=3)
+        lines.append((name, status, note.strip()))
+    assert lines[0] == lines[1]
+    assert lines[0][:2] == ("r_removal", "pass")
+    assert lines[0][2] == "all 94 r-coefficients certified by exact cofactors over Q[moduli]"
+
+
 def test_verify_unknown_check_is_usage_error():
     assert main(["verify", "--check", "nonsense"]) == 2
 

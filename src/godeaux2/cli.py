@@ -24,7 +24,7 @@ def packaged_golden_equations() -> Path:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     try:
-        result = run_pipeline(args.alpha, args.c, args.max_rounds)
+        result = run_pipeline(args.alpha, args.c)
     except EliminationError as err:
         state = getattr(err, "state", None)
         print(f"pipeline failed: {err}", file=sys.stderr)
@@ -105,7 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, choices=(1, 2, 3), default=1)
     p.add_argument("--c", type=int, choices=(0, 1), default=1)
     p.add_argument("--out", type=Path, default=Path("out"))
-    p.add_argument("--max-rounds", type=int, default=10)
+    p.add_argument(
+        "--max-rounds",
+        type=int,
+        help="has no effect: the elimination stops at its first idle round",
+    )
 
     v = sub.add_parser("verify", help="run the identity verification suite")
     v.add_argument(

@@ -7,8 +7,8 @@ solves v = -h/c, substitutes everywhere, logs the dependency and restarts the
 scan.  The driver climbs one ladder of moves per round: A sweeps the
 r-parameters (budget n = the round number), B the g/b-parameters over the
 r-free part of f (budget 22), and the fallbacks C, D, E run only after an
-idle A and B; see `driver`.  It stops when f is empty or the round cap is
-reached.
+idle A and B; see `driver`.  It stops when f is empty, or at the first idle
+round, which is a fixpoint of the ladder.
 
 Every move works on a `_Worktable`, which keeps f in integer-primitive form
 (content removed, leading coefficient positive), drops zero polynomials,
@@ -19,6 +19,7 @@ variable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import resource
 import time
@@ -376,11 +377,11 @@ def driver(
     f: Sequence[Polynomial],
     r_names: Sequence[str],
     gb_names: Sequence[str],
-    max_rounds: int = 10,
+    *,
     invertible: tuple = (),
 ) -> EliminationState:
     """Run the elimination ladder, one round per budget n = 1, 2, ..., until
-    f empties.
+    f empties or a round is idle.
 
     Each round climbs the ladder of moves in order:
       A  r-elimination with budget n;
@@ -388,13 +389,27 @@ def driver(
       C  zero single-monomial entries (see monomial_elim);
       D  the g/b sweep widened to polynomials still carrying r's;
       E  specialize every r left in f to 0 (the value the r-removal step
-         gives it anyway), at most once per run.
+         gives it anyway).
     A and B run every round; a fallback (C, D, E) runs only when every move
     before it in the round was idle.  None of the fallbacks is ever reached
     for (alpha_1, c=1).  Every move logs one RoundRecord.
 
-    Raises EliminationError with the residual attached when the round cap is
-    exceeded with a nonempty system.
+    The first idle round is a fixpoint of the ladder:
+      - an idle round climbs to E, and E was idle there, so f holds no r;
+      - nothing puts an r back: B and D substitute an h taken from that
+        r-free f, C substitutes 0, and content stripping only divides;
+      - so A is idle at every budget, and B, C and D have fixed budgets on
+        the same f: every later round repeats the idle one;
+      - for the same reason E, which leaves f free of r's, can eliminate
+        something at most once.
+    Each round before it eliminates at least one of the finitely many
+    variables of f, none of which comes back, so the loop terminates.  The
+    budget 22 of B and D is a constant of the ladder: a stall is not a claim
+    that f has no linear pivot at all.
+
+    Raises EliminationError with the state attached as `err.state` when a
+    round is idle with f nonempty; the message names the idle round and the
+    residual count.
     """
 
     def sweep(var, flags):
@@ -416,13 +431,11 @@ def driver(
         ("E", 0, True, lambda f, n: zero_free_vars(f, r_names, invertible)),
     )
     state = EliminationState(list(f))
-    zeroed_rs = False
-    for rnd in range(1, max_rounds + 1):
+    for rnd in itertools.count(1):
         idle = True
         for stage, budget, fallback, move in ladder:
-            if (fallback and not idle) or (stage == "E" and zeroed_rs):
+            if fallback and not idle:
                 break
-            zeroed_rs = zeroed_rs or stage == "E"
             n = rnd if budget is None else budget
             t0 = time.monotonic()
             state.f, new = move(state.f, n)
@@ -433,12 +446,13 @@ def driver(
             if not state.f:
                 return state
             idle = idle and not new
-    err = EliminationError(
-        f"elimination stalled with {len(state.f)} residual polynomials "
-        f"after {max_rounds} rounds"
-    )
-    err.state = state
-    raise err
+        if idle:
+            err = EliminationError(
+                f"elimination stalled: the ladder reached a fixpoint at idle round {rnd} "
+                f"with {len(state.f)} residual polynomials"
+            )
+            err.state = state
+            raise err
 
 
 def survivors(param_names: Iterable[str], deps: Sequence[Dependency]) -> list:

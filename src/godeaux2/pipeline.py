@@ -1,6 +1,6 @@
 """End-to-end pipeline: ansatz -> rank condition -> elimination -> equations.
 
-Runs are cached per (j, c, max_rounds) because several verification checks
+Runs are cached per (j, c) because several verification checks
 share them.  `ARTIFACT_TEXT` is the one place the artifact formats live: it
 maps each file name to the text a result writes there.  Everything except
 wall-clock and memory statistics is byte-deterministic.
@@ -56,14 +56,14 @@ class PipelineResult:
 _CACHE: dict = {}
 
 
-def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
+def run_pipeline(j: int, c: int) -> PipelineResult:
     """Derive the family (j, c): the multiplier ansatz, the 15 residuals, the
     flattened system f, the driver over the r's and the border parameters
     BORDER_PARAMS, then back-substitution, equations and r-removal.  For j=2
     the driver may divide by d, which the family's constraint keeps
     invertible.  The driver's EliminationError propagates with the system
     attached as `err.system`."""
-    key = (j, c, max_rounds)
+    key = (j, c)
     if key in _CACHE:
         return _CACHE[key]
     t0 = time.monotonic()
@@ -73,7 +73,7 @@ def run_pipeline(j: int, c: int, max_rounds: int = 10) -> PipelineResult:
     system = extract_system(rc_residuals(l0.cofactors, l0.polys), case)
     invertible = ("d",) if case.j == 2 else ()
     try:
-        state = driver(system.f, list(l0.r_names), list(BORDER_PARAMS), max_rounds, invertible)
+        state = driver(system.f, list(l0.r_names), list(BORDER_PARAMS), invertible=invertible)
     except EliminationError as err:
         err.system = system
         raise

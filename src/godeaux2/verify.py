@@ -620,7 +620,7 @@ def verify_alpha2_basepoint() -> str:
     """Every equation of the (alpha_2, c=0) family vanishes identically at the
     point with the surviving degree-2 coordinate set to 1 and all other
     geometric coordinates 0."""
-    run = run_pipeline(2, 0, max_rounds=16)
+    run = run_pipeline(2, 0)
     point = dict(BASE_POINT)
     point["y4"] = 1
     for eq in run.equations.eqs:
@@ -742,7 +742,7 @@ def verify_golden_match() -> str:
     run = run_pipeline(1, 1)
     golden = _golden_matrix(run)
     _expect_equal((i, j, run.alpha_final[i, j], golden[i, j]) for i, j in _UPPER)
-    return "back-substituted entries match the closed form textually"
+    return "back-substituted entries equal the closed form"
 
 
 @check("closed_form_rc")

@@ -12,7 +12,7 @@ def run11():
 
 @pytest.fixture(scope="session")
 def run20():
-    return run_pipeline(2, 0, max_rounds=16)
+    return run_pipeline(2, 0)
 
 
 @pytest.fixture(scope="session")

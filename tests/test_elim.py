@@ -311,7 +311,7 @@ def test_linelim_matches_gauss_oracle():
 def test_driver_reproduces_survivors_and_is_deterministic(run11):
     state1 = run11.elim
     # fresh second run over the same input system
-    state2 = driver(run11.system.f, list(run11.l0.r_names), list(BORDER_PARAMS), 10)
+    state2 = driver(run11.system.f, list(run11.l0.r_names), list(BORDER_PARAMS))
     assert [d.var for d in state1.deps] == [d.var for d in state2.deps]
     assert all(a.expr == b.expr for a, b in zip(state1.deps, state2.deps))
     assert [(r.stage, r.n, r.eliminated, r.f_size) for r in state1.round_log] == [
@@ -359,8 +359,8 @@ def test_driver_invertible_content_stripping():
     from godeaux2.elim import EliminationError
 
     with pytest.raises(EliminationError):
-        driver(f, ["r1", "r2"], [], max_rounds=3)
-    state = driver(f, ["r1", "r2"], [], max_rounds=3, invertible=("d",))
+        driver(f, ["r1", "r2"], [])
+    state = driver(f, ["r1", "r2"], [], invertible=("d",))
     assert not state.f
     resolved = resolve_dependencies(state.deps)
     assert resolved["r2"] == d and resolved["r1"] == d * d
@@ -387,21 +387,21 @@ def test_dependency_vars_unique(run11, run20):
 # (stage, n, eliminated, f_size) of every driver round of the four cases
 # that solve; (2,0) is the one that climbs to the C, D and E fallbacks
 ROUND_LOGS = {
-    (1, 1, 10): [
+    (1, 1): [
         ("A", 1, 82, 576), ("B", 22, 3, 558), ("A", 2, 115, 294), ("B", 22, 11, 195),
         ("A", 3, 17, 162), ("B", 22, 0, 162), ("A", 4, 38, 69), ("B", 22, 0, 69),
         ("A", 5, 11, 34), ("B", 22, 0, 34), ("A", 6, 8, 12), ("B", 22, 0, 12),
         ("A", 7, 3, 6), ("B", 22, 0, 6), ("A", 8, 3, 0),
     ],
-    (3, 1, 10): [
+    (3, 1): [
         ("A", 1, 143, 314), ("B", 22, 14, 204), ("A", 2, 88, 76), ("B", 22, 0, 76),
         ("A", 3, 19, 33), ("B", 22, 0, 33), ("A", 4, 7, 21), ("B", 22, 0, 21),
         ("A", 5, 9, 11), ("B", 22, 0, 11), ("A", 6, 11, 0),
     ],
-    (3, 0, 10): [
+    (3, 0): [
         ("A", 1, 87, 176), ("B", 22, 20, 15), ("A", 2, 5, 0),
     ],
-    (2, 0, 16): [
+    (2, 0): [
         ("A", 1, 53, 473), ("B", 22, 10, 346), ("A", 2, 48, 290), ("B", 22, 0, 290),
         ("A", 3, 57, 192), ("B", 22, 0, 192), ("A", 4, 7, 184), ("B", 22, 0, 184),
         ("A", 5, 9, 175), ("B", 22, 0, 175), ("A", 6, 2, 173), ("B", 22, 0, 173),
@@ -415,12 +415,12 @@ ROUND_LOGS = {
 }
 
 
-@pytest.mark.parametrize("j, c, max_rounds", list(ROUND_LOGS))
-def test_driver_round_logs_are_pinned(j, c, max_rounds):
+@pytest.mark.parametrize("j, c", list(ROUND_LOGS))
+def test_driver_round_logs_are_pinned(j, c):
     from godeaux2.pipeline import run_pipeline
 
-    log = run_pipeline(j, c, max_rounds).elim.round_log
-    assert [(r.stage, r.n, r.eliminated, r.f_size) for r in log] == ROUND_LOGS[j, c, max_rounds]
+    log = run_pipeline(j, c).elim.round_log
+    assert [(r.stage, r.n, r.eliminated, r.f_size) for r in log] == ROUND_LOGS[j, c]
 
 
 def test_run_pipeline_stall_carries_the_system_and_the_state():
@@ -444,13 +444,72 @@ def test_driver_fallbacks_follow_idle_moves_and_e_fires_once():
     T = param_table()
     d, r1, g1 = T.var("d"), T.var("r1"), T.var("g1")
     # round 1: A frees nothing, B's pivot on g1 has coefficient d, so C, D
-    # and E each get a turn; round 2 is idle again, but E is spent
-    with pytest.raises(EliminationError) as err:
-        driver([d * g1 - d * d, r1 * g1 - d], ["r1"], ["g1"], max_rounds=2)
+    # and E each get a turn; round 2 climbs to E again, finds no r left and
+    # is the idle round the driver stops at
+    with pytest.raises(EliminationError, match="idle round 2 with 2 residual") as err:
+        driver([d * g1 - d * d, r1 * g1 - d], ["r1"], ["g1"])
     state = err.value.state
-    assert "".join(r.stage for r in state.round_log) == "ABCDEABCD"
-    assert [dep.var for dep in state.deps] == ["r1"]  # from E
+    assert "".join(r.stage for r in state.round_log) == "ABCDEABCDE"
+    assert [dep.var for dep in state.deps] == ["r1"]  # from E, in round 1 only
     assert state.f == [d * g1 - d * d, d]
+
+
+# (residuals, idle round, stage string) of the two cases that stall
+STALLS = {
+    (1, 0): (73, 11, "ABABABABABABABCABCDABCDEABCABCDE"),
+    (2, 1): (155, 13, "ABABABABABABABABABABABABCDEABCDE"),
+}
+
+
+@pytest.mark.parametrize("j, c", list(STALLS))
+def test_stall_is_the_first_idle_round(j, c):
+    from godeaux2.elim import EliminationError
+    from godeaux2.pipeline import run_pipeline
+
+    residuals, idle_round, stages = STALLS[j, c]
+    with pytest.raises(EliminationError) as err:
+        run_pipeline(j, c)
+    assert f"idle round {idle_round} with {residuals} residual" in str(err.value)
+    state = err.value.state
+    assert len(state.f) == residuals
+    log = state.round_log
+    assert "".join(r.stage for r in log) == stages
+    assert [(r.stage, r.n, r.eliminated) for r in log[-5:]] == [
+        ("A", idle_round, 0), ("B", 22, 0), ("C", 0, 0), ("D", 22, 0), ("E", 0, 0),
+    ]
+
+
+DRIVER_TABLE = param_table(nr=3)
+DRIVER_TARGETS = (["r1", "r2", "r3"], ["g1"])
+driver_monos = st.lists(st.integers(0, 2), min_size=5, max_size=5).map(
+    lambda e: tuple((i, x) for i, x in enumerate(e) if x)
+)
+driver_systems = st.lists(
+    st.dictionaries(driver_monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(
+        lambda t: Polynomial(DRIVER_TABLE, t)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(driver_systems, st.sampled_from([(), ("d",)]))
+@settings(max_examples=200, deadline=None)
+def test_driver_stops_at_its_first_idle_round(f, invertible):
+    from godeaux2.elim import EliminationError
+
+    r_names, gb_names = DRIVER_TARGETS
+    try:
+        state = driver(f, r_names, gb_names, invertible=invertible)
+        assert not state.f
+    except EliminationError as err:
+        state = err.state
+        last = state.round_log[-5:]
+        assert [(r.stage, r.eliminated) for r in last] == [(s, 0) for s in "ABCDE"]
+        assert state.f
+    log = state.round_log
+    assert sum(1 for r in log if r.stage == "E" and r.eliminated) <= 1
+    assert sum(r.stage == "A" for r in log) <= len(r_names) + len(gb_names) + 1
 
 
 def test_zero_free_vars_keeps_the_first_of_equal_images_and_drops_zeros():

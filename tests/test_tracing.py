@@ -47,12 +47,12 @@ def test_traced_driver_rounds_match_the_round_log():
     tracer.install()
     try:
         with pytest.raises(EliminationError) as err:
-            pipeline.driver([d * g1 - d * d, r1 * g1 - d], ["r1"], ["g1"], 2)
+            pipeline.driver([d * g1 - d * d, r1 * g1 - d], ["r1"], ["g1"])
     finally:
         tracer.uninstall()
     stages = "".join(rec["stage"] for rec in tracer.spans if "stage" in rec)
-    assert stages == "".join(r.stage for r in err.value.state.round_log) == "ABCDEABCD"
-    assert tracer.layer_metrics({})["elim.rounds"] == 9
+    assert stages == "".join(r.stage for r in err.value.state.round_log) == "ABCDEABCDE"
+    assert tracer.layer_metrics({})["elim.rounds"] == 10
 
 
 def test_traced_closed_form_rc_checks_residuals_without_eliminating(run11):

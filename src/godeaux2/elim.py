@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ring import Polynomial, RingError, mono_div, mono_mul
+from .ring import Polynomial, RingError, mono_div
 
 STAGE_B_BUDGET = 22
 
@@ -73,21 +73,15 @@ def strip_content_var(p: Polynomial, var: str) -> Polynomial:
     vi = p.table.index[var]
     k = None
     for m in p.terms:
-        e = 0
-        for w, ee in m:
-            if w == vi:
-                e = ee
-                break
+        e = m.count(vi)
         k = e if k is None else min(k, e)
         if k == 0:
             return p
     terms = {}
     for m, c in p.terms.items():
-        nm = tuple(
-            (w, ee - k) if w == vi else (w, ee) for w, ee in m if not (w == vi and ee == k)
-        )
-        terms[nm] = c
-    return Polynomial(p.table, terms, mono_div(p.leading_mono(), ((vi, k),)))
+        i = m.index(vi)
+        terms[m[:i] + m[i + k :]] = c
+    return Polynomial(p.table, terms, mono_div(p.leading_mono(), (vi,) * k))
 
 
 def primitive_form(p: Polynomial, invertible: tuple = ()) -> Polynomial:
@@ -204,25 +198,24 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
         held = []  # (m, j, a) for the terms a*m with v^j, j > 0, in m
         free = []  # the terms free of v
         for m, a in q.terms.items():
-            for w, j in m:
-                if w == v:
-                    held.append((m, j, a))
-                    break
+            if v in m:
+                held.append((m, m.count(v), a))
             else:
                 free.append((m, a))
         k = max([j for _, j, _ in held], default=0)
         ck = c ** k
         out = {m: a * ck for m, a in free}
-        # add_terms inlined: it would take a generator per held term
+        # add_terms and mono_mul inlined: this loop makes most of the products
         get = out.get
         for m, j, a in held:
             t = powers.get(j)
             if t is None:
                 t = powers[j] = (neg_h ** j).terms
-            rest = tuple(ve for ve in m if ve[0] != v)
+            i = m.index(v)
+            rest = m[:i] + m[i + j :]
             scale = a * c ** (k - j)
             for hm, hc in t.items():
-                pm = mono_mul(rest, hm)
+                pm = tuple(sorted(rest + hm))
                 s = get(pm)
                 if s is None:
                     out[pm] = scale * hc
@@ -246,8 +239,8 @@ def _find_pivot(p: Polynomial, targets: frozenset, var_idx: dict, n: int):
         return None
     candidates = []
     for m, c in p.terms.items():
-        if len(m) == 1 and m[0][1] == 1:
-            v = m[0][0]
+        if len(m) == 1:
+            v = m[0]
             rank = var_idx.get(v)
             if rank is not None:
                 candidates.append((rank, v, c))
@@ -256,14 +249,7 @@ def _find_pivot(p: Polynomial, targets: frozenset, var_idx: dict, n: int):
     candidates.sort()
     for rank, v, c in candidates:
         # v must occur nowhere else in p
-        sole = True
-        for m in p.terms:
-            if m == ((v, 1),):
-                continue
-            if any(w == v for w, _ in m):
-                sole = False
-                break
-        if sole:
+        if all(v not in m for m in p.terms if m != (v,)):
             return v, c
     return None
 
@@ -295,7 +281,7 @@ def lin_elim(
         if hit is None:
             return None
         v, c = hit
-        neg_h = Polynomial(table, {m: -a for m, a in p.terms.items() if m != ((v, 1),)})
+        neg_h = Polynomial(table, {m: -a for m, a in p.terms.items() if m != (v,)})
         dep = Dependency(table.names[v], neg_h * Fraction(1, c))
         return dep, v, _cleared_pivot_substitution(v, c, neg_h)
 
@@ -358,11 +344,11 @@ def monomial_elim(
         if len(p.terms) != 1:
             return None
         (mono, _), = p.terms.items()
-        rs = [(w, e) for w, e in mono if w in r_idx]
-        if len(mono) == 1 and mono[0][0] in targets:
-            v = mono[0][0]  # pure power c*v^e: v = 0 is forced
-        elif len(rs) == 1 and rs[0][1] == 1:
-            v = rs[0][0]  # the one r of a mixed monomial, to the first power
+        rs = [w for w in mono if w in r_idx]
+        if mono and mono[0] == mono[-1] and mono[0] in targets:
+            v = mono[0]  # pure power c*v^e: v = 0 is forced
+        elif len(rs) == 1:
+            v = rs[0]  # the one r of a mixed monomial, to the first power
         else:
             return None
         zero = {table.names[v]: table.zero()}

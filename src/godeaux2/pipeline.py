@@ -25,7 +25,7 @@ from .elim import (
     survivors,
 )
 from .rc import RCSystem, build_l_ansatz, extract_system, rc_residuals
-from .ring import Polynomial
+from .ring import Polynomial, exponents
 from .surface import SurfaceEquations, collect_Gm, generate_equations, remove_r
 
 
@@ -122,7 +122,7 @@ def poly_to_json(p: Polynomial) -> dict:
         terms.append(
             {
                 "coeff": str(c),
-                "exps": {table.names[v]: e for v, e in m},
+                "exps": {table.names[v]: e for v, e in exponents(m)},
             }
         )
     return {"text": str(p), "terms": terms}

@@ -4,9 +4,12 @@ Coefficients are arbitrary-precision rationals kept in lowest terms (plain int
 where integral, fractions.Fraction otherwise); there is no floating point
 anywhere: a number meets a polynomial (in +, -, * and ==) only through
 `VariableTable.const`, which refuses anything but int and Fraction.
-Monomials are sparse tuples of (variable index, exponent) pairs sorted by
-index.  All text output and every "leading term" choice use the canonical
-order described below.
+A monomial is the non-decreasing tuple of its variable indices, each index
+repeated by its exponent (x0^2*x3 is (0, 0, 3)); () is the unit monomial.
+Products, divisions, supports and block splits are then tuple sorts, slices,
+counts and set operations that run in C.  `exponents` is the one decoder to
+(index, exponent) pairs, for text and JSON output.  All text output and every
+"leading term" choice use the canonical order described below.
 
 `Polynomial.grading()` is the one grading query: the (weighted degree, sigma
 sign) pair that every term shares, None when two terms differ in either.
@@ -33,13 +36,15 @@ term order and renders parameters as trailing coefficients in text output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from numbers import Number
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-Mono = tuple  # tuple[tuple[int, int], ...] sorted by variable index
+Mono = tuple  # tuple[int, ...]: variable indices, non-decreasing, with repeats
 Coeff = Union[int, Fraction]
 Scalar = (int, Fraction)
 
@@ -72,78 +77,45 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    return tuple(sorted(a + b))
 
 
 def mono_div(a: Mono, b: Mono) -> Optional[Mono]:
     """a / b, or None when b does not divide a."""
     if not b:
         return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while j < lb:
-        if i >= la:
+    out = list(a)
+    for v in b:
+        try:
+            out.remove(v)
+        except ValueError:
             return None
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif va > vb:
-            return None
-        else:
-            if ea < eb:
-                return None
-            if ea > eb:
-                out.append((va, ea - eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
     return tuple(out)
+
+
+def exponents(m: Mono) -> tuple:
+    """The (variable index, exponent) pairs of a monomial, by index."""
+    return tuple(Counter(m).items())
 
 
 def mono_split(m: Mono, cut: int) -> tuple:
     """(geometric part, parameter part) at the table's geometric prefix."""
-    for i, (v, _) in enumerate(m):
-        if v >= cut:
-            return m[:i], m[i:]
-    return m, UNIT_MONO
-
-
-_exp = itemgetter(1)
+    i = bisect_left(m, cut)
+    return m[:i], m[i:]
 
 
 def mono_key(m: Mono, cut: int) -> tuple:
     """Sort key of the canonical order: the larger monomial has the smaller key.
 
     In each block (geometric, then parameter) a higher total degree comes
-    first; at equal degree, reading the (index, exponent) pairs from the top
-    index down, the first difference decides: a higher index present, or the
-    same index with a larger exponent, makes the monomial smaller (reverse lex).
+    first; at equal degree, reading the indices from the top down, the first
+    difference decides: the monomial with the higher index there is the
+    smaller one (reverse lex).
     """
-    if m and m[0][0] < cut:
+    if m and m[0] < cut:
         geo, par = mono_split(m, cut)
-        return (-sum(map(_exp, geo)), geo[::-1], -sum(map(_exp, par)), par[::-1])
-    return (0, UNIT_MONO, -sum(map(_exp, m)), m[::-1])  # no geometric part
+        return (-len(geo), geo[::-1], -len(par), par[::-1])
+    return (0, UNIT_MONO, -len(m), m[::-1])  # no geometric part
 
 
 def sorted_monos(monos: Iterable[Mono], table: "VariableTable") -> list:
@@ -259,8 +231,8 @@ class VariableTable:
                 raise RingError("rewrite power must be >= 2")
             terms = {}
             for named_mono, coeff in rule.replacement.items():
-                mono = tuple(sorted((self.index[n], e) for n, e in named_mono))
-                if any(v == vi for v, _ in mono):
+                mono = tuple(sorted(v for n, e in named_mono for v in (self.index[n],) * e))
+                if vi in mono:
                     raise RingError(f"rule replacement for {rule.variable} involves itself")
                 terms[mono] = _as_coeff(coeff)
             self.rules[vi] = (rule.power, terms)
@@ -272,7 +244,7 @@ class VariableTable:
     def var(self, name: str) -> "Polynomial":
         p = self._var_cache.get(name)
         if p is None:
-            p = Polynomial(self, {((self.index[name], 1),): 1})
+            p = Polynomial(self, {(self.index[name],): 1})
             self._var_cache[name] = p
         return p
 
@@ -290,17 +262,16 @@ class VariableTable:
         """(weighted degree, sigma sign) of a monomial."""
         weights, signs = self.weights, self.signs
         degree, sign = 0, 1
-        for v, e in mono:
-            degree += e * weights[v]
-            if e % 2:
-                sign *= signs[v]
+        for v in mono:
+            degree += weights[v]
+            sign *= signs[v]
         return degree, sign
 
     def mono_str(self, mono: Mono) -> str:
         # parameter factors render first, as coefficients of the geometric part
         geo, par = mono_split(mono, self.geo_cut)
         return "*".join(
-            self.names[v] if e == 1 else f"{self.names[v]}^{e}" for v, e in par + geo
+            self.names[v] if e == 1 else f"{self.names[v]}^{e}" for v, e in exponents(par + geo)
         )
 
     def has_reducible(self, terms: Mapping) -> bool:
@@ -309,12 +280,9 @@ class VariableTable:
         first = self._first_alg
         rules = self.rules
         for m in terms:
-            if m and m[-1][0] >= first:
-                for v, e in reversed(m):
-                    if v < first:
-                        break
-                    rule = rules.get(v)
-                    if rule is not None and e >= rule[0]:
+            if m and m[-1] >= first:
+                for v, (power, _) in rules.items():
+                    if m.count(v) >= power:
                         return True
         return False
 
@@ -324,26 +292,19 @@ class VariableTable:
         algebraic variables)."""
         if not self.has_reducible(terms):
             return terms
-        rules = self.rules
+        rules = sorted(self.rules.items())  # the lowest reducible index goes first
         done = []
         work = list(terms.items())
         while work:
             mono, coeff = work.pop()
-            hit = None
-            for v, e in mono:
-                rule = rules.get(v)
-                if rule is not None and e >= rule[0]:
-                    hit = (v, e, rule)
+            for v, (power, repl) in rules:
+                if mono.count(v) >= power:
                     break
-            if hit is None:
+            else:
                 done.append((mono, coeff))
                 continue
-            v, e, (power, repl) = hit
-            rest = tuple(
-                (w, ee) for w, ee in mono if w != v
-            )
-            if e > power:
-                rest = mono_mul(rest, ((v, e - power),))
+            i = mono.index(v)
+            rest = mono[:i] + mono[i + power :]
             for rm, rc in repl.items():
                 work.append((mono_mul(rest, rm), coeff * rc))
         out: dict = {}
@@ -408,7 +369,7 @@ class Polynomial:
         """Set of variable indices occurring in the polynomial."""
         s = self._support
         if s is None:
-            s = self._support = frozenset({v for m in self.terms for v, _ in m})
+            s = self._support = frozenset(chain.from_iterable(self.terms))
         return s
 
     def variables(self) -> frozenset:
@@ -555,6 +516,8 @@ class Polynomial:
             return self
         table = self.table
         images = {table.index[name]: self._coerce(val) for name, val in bindings.items()}
+        bound = images.keys()
+        zeros = {v for v, p in images.items() if not p.terms}
         pow_cache: dict = {}
 
         def image_pow(v: int, e: int) -> dict:
@@ -566,14 +529,13 @@ class Polynomial:
 
         out: dict = {}
         for m, c in self.terms.items():
-            hit = [ve for ve in m if ve[0] in images]
-            if not hit:
+            if bound.isdisjoint(m):
                 products = ((m, c),)
+            elif not zeros.isdisjoint(m):
+                continue  # a zero image kills the term
             else:
-                factors = [image_pow(v, e) for v, e in hit]
-                if not all(factors):
-                    continue  # a zero image kills the term
-                rest = tuple(ve for ve in m if ve[0] not in images)
+                factors = [image_pow(v, e) for v, e in exponents([v for v in m if v in images])]
+                rest = tuple(v for v in m if v not in images)
                 if len(factors) == 1:
                     products = ((mono_mul(rest, im), c * ic) for im, ic in factors[0].items())
                 else:
@@ -596,8 +558,8 @@ class Polynomial:
         idxs = {table.index[n] for n in names}
         groups: dict = {}
         for m, c in self.terms.items():
-            inside = tuple(ve for ve in m if ve[0] in idxs)
-            outside = tuple(ve for ve in m if ve[0] not in idxs)
+            inside = tuple(v for v in m if v in idxs)
+            outside = tuple(v for v in m if v not in idxs)
             # (inside, outside) determines m, so no two terms meet here
             groups.setdefault(inside, {})[outside] = c
         order = sorted_monos(list(groups), table)
@@ -658,12 +620,10 @@ class Polynomial:
 
 
 def _mono_sqrt(m: Mono) -> Optional[Mono]:
-    out = []
-    for v, e in m:
-        if e % 2:
-            return None
-        out.append((v, e // 2))
-    return tuple(out)
+    # every exponent is even exactly when the indices pair off in order
+    if len(m) % 2 or m[::2] != m[1::2]:
+        return None
+    return m[::2]
 
 
 def _coeff_sqrt(c: Coeff) -> Optional[Coeff]:
@@ -689,22 +649,12 @@ def monomial_basis(table: VariableTable, degree: int, sign: int, names: Sequence
     idxs = [table.index[n] for n in names]
     if any(table.weights[v] == 0 for v in idxs):
         raise RingError("monomial_basis needs positively weighted variables")
-    found: list = []
-
-    def rec(pos: int, remaining: int, acc: list):
-        if remaining == 0:
-            found.append(tuple(sorted(acc)))
-            return
-        if pos == len(idxs):
-            return
-        v = idxs[pos]
+    # (monomial so far, weighted degree left), one variable at a time
+    partial = [(UNIT_MONO, degree)]
+    for v in idxs:
         w = table.weights[v]
-        e = 0
-        while e * w <= remaining:
-            rec(pos + 1, remaining - e * w, acc + ([(v, e)] if e else []))
-            e += 1
-
-    rec(0, degree, [])
+        partial = [(m + (v,) * e, left - e * w) for m, left in partial for e in range(left // w + 1)]
+    found = [tuple(sorted(m)) for m, left in partial if left == 0]
     keep = [m for m in found if table.mono_grading(m) == (degree, sign)]
     return sorted_monos(keep, table)
 
@@ -715,14 +665,14 @@ def generic_poly(table: VariableTable, names: Sequence[str], monos: Sequence[Mon
     if len(names) != len(monos):
         raise RingError(f"{len(names)} slot names for {len(monos)} slot monomials")
     index = table.index
-    terms = {mono_mul(((index[n], 1),), m): 1 for n, m in zip(names, monos)}
+    terms = {mono_mul((index[n],), m): 1 for n, m in zip(names, monos)}
     return Polynomial(table, table.reduce_terms(terms))
 
 
 def lex_descending(monos: Iterable[Mono]) -> list:
     """Descending lexicographic order over the table's variable order (the
-    layout used for ansatz slot numbering).  At the first pair where two
-    sparse monomials differ, the smaller variable index is the larger
-    monomial (the other has exponent 0 there); a monomial that extends the
-    other is the larger one."""
-    return sorted(monos, key=lambda m: tuple((-v, e) for v, e in m), reverse=True)
+    layout used for ansatz slot numbering).  At the first position where two
+    index tuples differ, the smaller variable index is the larger monomial
+    (it has the higher exponent there); a monomial that extends the other is
+    the larger one."""
+    return sorted(monos, key=lambda m: tuple(-v for v in m), reverse=True)

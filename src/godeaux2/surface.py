@@ -120,14 +120,14 @@ def collect_Gm(eqs: SurfaceEquations) -> dict:
         for r_mono, g in eq.poly.coefficients_wrt(r_names):
             if not r_mono:
                 continue
-            if len(r_mono) > 1 or r_mono[0][1] > 1:
+            if len(r_mono) > 1:
                 raise SurfaceError(
                     f"equation {eq.label} is nonlinear in the r-parameters"
                 )
             grading = g.grading()
             if grading is None or grading[0] <= 0:
                 raise SurfaceError("r-coefficient fails homogeneity of positive degree")
-            out.setdefault(table.names[r_mono[0][0]], []).append((eq.label, g))
+            out.setdefault(table.names[r_mono[0]], []).append((eq.label, g))
     return out
 
 

@@ -326,7 +326,7 @@ def verify_y2_quartic_coefficient() -> str:
         [r[2] * y2, r[4] * y2, m[5], m[6]],
     ]
     D = det_any(N)
-    y2_4 = ((table.index["y2"], 4),)
+    y2_4 = (table.index["y2"],) * 4
     coeff = dict(D.coefficients_wrt(["y1", "y2", "y3"])).get(y2_4)
     if coeff is None:
         raise CheckFailed("no y2^4 term in det")
@@ -572,7 +572,8 @@ def verify_scaling() -> str:
     run = run_pipeline(1, 1)
     D = run.det_final()
     table = run.table
-    if any(e % 2 for m in D.terms for v, e in m if v == table.index["x"]):
+    xi = table.index["x"]
+    if any(m.count(xi) % 2 for m in D.terms):
         raise CheckFailed("odd power of x in det")
     s, x, y3 = SCALING_S, table.var("x"), table.var("y3")
     scaled = D.substitute({p: s ** (2 * w) * table.var(p) for p, w in SCALING_WEIGHTS.items()})

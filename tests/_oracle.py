@@ -3,12 +3,14 @@ plain first-row cofactor expansion for determinants, dense comparisons
 for the canonical and the lex monomial orders, a form outside the ideal of
 the low-degree surface relations, the budget-last pivot search, and the
 ansatz matrix written out case by case; plus two readers of polynomials
-and systems that only the tests need (`max_degree_in`, `dump_text`)."""
+and systems that only the tests need (`max_degree_in`, `dump_text`), and
+`dense_mono`, which builds a monomial from a dense exponent vector.  Every
+oracle reads a monomial through `ring.exponents`."""
 
 from fractions import Fraction
 
 from godeaux2.alpha import SymPolyMatrix
-from godeaux2.ring import Polynomial, generic_poly, lex_descending, monomial_basis
+from godeaux2.ring import Polynomial, exponents, generic_poly, lex_descending, monomial_basis
 
 
 def gauss_classify(rows, nvars):
@@ -67,17 +69,17 @@ def first_row_det(table, rows):
 
 
 def grevlex_cmp(a, b, cut):
-    """Canonical order on sparse monomials, compared on dense exponent
+    """Canonical order on monomials, compared on dense exponent
     vectors: +1 if a > b, -1 if a < b, 0 if equal.  The geometric block
     (indices below cut) decides first, then the parameter block; within a
     block the higher total degree is larger, and at equal degree the last
     index where the exponents differ decides, the smaller exponent being the
     larger monomial."""
-    n = 1 + max([v for v, _ in a + b], default=0)
+    n = 1 + max([v for v, _ in exponents(a) + exponents(b)], default=0)
     ea, eb = [0] * n, [0] * n
-    for v, e in a:
+    for v, e in exponents(a):
         ea[v] = e
-    for v, e in b:
+    for v, e in exponents(b):
         eb[v] = e
     for lo, hi in ((0, cut), (cut, n)):
         xa, xb = ea[lo:hi], eb[lo:hi]
@@ -90,18 +92,23 @@ def grevlex_cmp(a, b, cut):
 
 
 def lex_dense_key(m, nvars):
-    """The dense exponent vector of a sparse monomial: sorting by it in
+    """The dense exponent vector of a monomial: sorting by it in
     reverse is descending lex order over the variable order."""
     exps = [0] * nvars
-    for v, e in m:
+    for v, e in exponents(m):
         exps[v] = e
     return tuple(exps)
+
+
+def dense_mono(exps):
+    """The monomial with the dense exponent vector `exps`."""
+    return tuple(v for v, e in enumerate(exps) for _ in range(e))
 
 
 def max_degree_in(p, names):
     """Largest per-term total exponent of the named variables in p."""
     idxs = {p.table.index[n] for n in names}
-    return max((sum(e for v, e in m if v in idxs) for m in p.terms), default=0)
+    return max((sum(e for v, e in exponents(m) if v in idxs) for m in p.terms), default=0)
 
 
 def dump_text(system):
@@ -120,7 +127,7 @@ def outside_low_degree_ideal(run, G):
     table = run.table
     low = {table.index[n] for n in table.names[: table.geo_cut] if n == "x" or n[0] == "y"}
     for eq in run.equations_raw.low_degree():
-        assert all(any(v in low for v, _ in m) for m in eq.poly.terms), eq.label
+        assert all(any(v in low for v, _ in exponents(m)) for m in eq.poly.terms), eq.label
     monos = monomial_basis(table, *G.grading(), ["z1", "z2", "z3", "z4", "t"])
     return Polynomial(table, {monos[0]: 1})
 
@@ -132,8 +139,9 @@ def find_pivot_reference(p, support, var_idx, n):
     candidate."""
     candidates = []
     for m, c in p.terms.items():
-        if len(m) == 1 and m[0][1] == 1:
-            v = m[0][0]
+        pairs = exponents(m)
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            v = pairs[0][0]
             rank = var_idx.get(v)
             if rank is not None:
                 candidates.append((rank, v, c))
@@ -144,9 +152,9 @@ def find_pivot_reference(p, support, var_idx, n):
         # v must occur nowhere else in p
         sole = True
         for m in p.terms:
-            if m == ((v, 1),):
+            if exponents(m) == ((v, 1),):
                 continue
-            if any(w == v for w, _ in m):
+            if any(w == v for w, _ in exponents(m)):
                 sole = False
                 break
         if not sole:

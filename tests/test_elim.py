@@ -23,7 +23,7 @@ from godeaux2.elim import (
 )
 from godeaux2.ring import GEOMETRIC, PARAMETER, Polynomial, VariableTable
 
-from _oracle import find_pivot_reference, gauss_classify, max_degree_in
+from _oracle import dense_mono, find_pivot_reference, gauss_classify, max_degree_in
 
 
 def param_table(nr=10, extras=("g1", "d")):
@@ -184,12 +184,10 @@ def test_worktable_keeps_the_first_slot_for_a_copy(copy):
 
 PIVOT_TABLE = param_table(nr=6, extras=())
 pivot_coeffs = st.integers(-5, 5).filter(bool)
-pivot_monos = st.lists(st.integers(0, 2), min_size=6, max_size=6).map(
-    lambda e: tuple((i, x) for i, x in enumerate(e) if x)
-)
+pivot_monos = st.lists(st.integers(0, 2), min_size=6, max_size=6).map(dense_mono)
 pivot_polys = st.tuples(
     st.dictionaries(
-        st.integers(0, 5).map(lambda v: ((v, 1),)), pivot_coeffs, min_size=1, max_size=5
+        st.integers(0, 5).map(lambda v: (v,)), pivot_coeffs, min_size=1, max_size=5
     ),
     st.dictionaries(pivot_monos, pivot_coeffs, max_size=3),
 ).map(lambda t: Polynomial(PIVOT_TABLE, {**t[1], **t[0]}))
@@ -481,9 +479,7 @@ def test_stall_is_the_first_idle_round(j, c):
 
 DRIVER_TABLE = param_table(nr=3)
 DRIVER_TARGETS = (["r1", "r2", "r3"], ["g1"])
-driver_monos = st.lists(st.integers(0, 2), min_size=5, max_size=5).map(
-    lambda e: tuple((i, x) for i, x in enumerate(e) if x)
-)
+driver_monos = st.lists(st.integers(0, 2), min_size=5, max_size=5).map(dense_mono)
 driver_systems = st.lists(
     st.dictionaries(driver_monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(
         lambda t: Polynomial(DRIVER_TABLE, t)
@@ -522,6 +518,15 @@ def test_zero_free_vars_keeps_the_first_of_equal_images_and_drops_zeros():
     assert [dep.var for dep in deps] == ["r1"]
     # r1*d goes to zero; 2*g1 normalises to the g1 already kept in front
     assert out == [g1, d * g1]
+
+
+def test_monomial_elim_leaves_a_nonzero_constant_alone():
+    # the unit monomial is neither a pure power nor holds an r
+    T = param_table()
+    r1, g1 = T.var("r1"), T.var("g1")
+    out, deps = monomial_elim([T.const(-3), g1 * r1, g1 ** 2], ["r1"], ["g1"], ())
+    assert [dep.var for dep in deps] == ["r1", "g1"]
+    assert out == [T.one()]
 
 
 def test_monomial_elim_rewrites_only_what_holds_v(monkeypatch):

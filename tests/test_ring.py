@@ -1,5 +1,7 @@
 """Unit tests for the sparse polynomial core."""
 
+import gc
+
 import pytest
 
 from godeaux2.ring import (
@@ -191,6 +193,16 @@ def test_monomial_basis_q1_slots(T):
     assert sorted(T.mono_str(m) for m in basis) == sorted(
         ["x^4", "x^2*y2", "y1^2", "y1*y3", "y2^2", "y3^2"]
     )
+
+
+def test_monomial_basis_leaves_no_reference_cycle(T):
+    gc.collect()
+    gc.disable()
+    try:
+        monomial_basis(T, 8, 1, ["x", "y1", "y2", "y3"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_text_is_grevlex_descending(T):

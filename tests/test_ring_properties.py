@@ -16,13 +16,16 @@ from godeaux2.ring import (
     Polynomial,
     RewriteRule,
     VariableTable,
+    exponents,
     lex_descending,
+    mono_div,
     mono_key,
+    mono_mul,
     monomial_basis,
     sorted_monos,
 )
 
-from _oracle import grevlex_cmp, lex_dense_key
+from _oracle import dense_mono, grevlex_cmp, lex_dense_key
 
 TABLE = VariableTable(
     [
@@ -37,10 +40,9 @@ coeffs = st.one_of(
     st.integers(min_value=-9, max_value=9).filter(bool),
     st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5)),
 )
-exponents = st.integers(min_value=0, max_value=3)
-monos = st.tuples(exponents, exponents, exponents, exponents).map(
-    lambda e: tuple((i, x) for i, x in enumerate(e) if x)
-)
+small_exps = st.integers(min_value=0, max_value=3)
+dense_vectors = st.tuples(small_exps, small_exps, small_exps, small_exps)
+monos = dense_vectors.map(dense_mono)
 polys = st.dictionaries(monos, coeffs, max_size=4).map(
     lambda t: Polynomial(TABLE, {m: c for m, c in t.items() if c})
 )
@@ -63,11 +65,7 @@ def test_ring_axioms_bulk_seeded():
     def rand_poly():
         terms = {}
         for _ in range(rng.randint(0, 4)):
-            m = tuple(
-                (i, e)
-                for i, e in enumerate(rng.choices(range(0, 3), k=4))
-                if e
-            )
+            m = dense_mono(rng.choices(range(0, 3), k=4))
             terms[m] = terms.get(m, 0) + rng.randint(-5, 5)
         return Polynomial(TABLE, {m: c for m, c in terms.items() if c})
 
@@ -159,6 +157,18 @@ def test_substitute_is_homomorphism(p, q, img):
     assert (p * q).substitute(b) == p.substitute(b) * q.substitute(b)
 
 
+@given(polys, polys, st.permutations(TABLE.names), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_substitute_with_zero_images_matches_one_variable_at_a_time(p, img, names, k):
+    # zeros first, then the one nonzero image: nothing is substituted twice
+    target, zeroed = names[0], names[1 : 1 + k]
+    mixed = {target: img, **{name: 0 for name in zeroed}}
+    stepwise = p
+    for name in zeroed:
+        stepwise = stepwise.substitute({name: 0})
+    assert p.substitute(mixed) == stepwise.substitute({target: img})
+
+
 @given(polys, st.permutations(TABLE.names).map(lambda names: names[:2]))
 @settings(max_examples=150, deadline=None)
 def test_substitute_swap_is_an_involution(p, pair):
@@ -197,10 +207,23 @@ def test_rewrite_confluence():
         assert left == right == prod
         # no residual exponent at or above the rule power
         for m in left.terms:
-            for v, e in m:
+            for v, e in exponents(m):
                 rule = T.rules.get(v)
                 if rule:
                     assert e < rule[0]
+
+
+@given(dense_vectors, dense_vectors)
+@settings(max_examples=300, deadline=None)
+def test_mono_arithmetic_matches_dense_exponent_vectors(ea, eb):
+    a, b = dense_mono(ea), dense_mono(eb)
+    assert exponents(a) == tuple((v, e) for v, e in enumerate(ea) if e)
+    assert mono_mul(a, b) == dense_mono([x + y for x, y in zip(ea, eb)])
+    if all(x >= y for x, y in zip(ea, eb)):
+        assert mono_div(a, b) == dense_mono([x - y for x, y in zip(ea, eb)])
+    else:
+        assert mono_div(a, b) is None
+    assert mono_div(mono_mul(a, b), b) == a
 
 
 # the canonical order against the dense oracle, over 8 variables split into a
@@ -216,14 +239,10 @@ ORDER_TABLES = {
 exponent_vectors = st.lists(st.integers(0, 3), min_size=ORDER_NV, max_size=ORDER_NV)
 
 
-def _sparse(exps):
-    return tuple((i, e) for i, e in enumerate(exps) if e)
-
-
 order_monos = st.one_of(
     st.just(()),  # the unit monomial
-    exponent_vectors.map(lambda e: _sparse(e[:3])),  # geometric only for cut >= 3
-    exponent_vectors.map(_sparse),  # mixed
+    exponent_vectors.map(lambda e: dense_mono(e[:3])),  # geometric only for cut >= 3
+    exponent_vectors.map(dense_mono),  # mixed
 )
 
 

@@ -5,8 +5,9 @@
 
 Runs `perfbench/run.py --trace 0` in the two checkouts one after the other,
 `--pairs` times, switching from pair to pair which side runs first, so that a
-drift of the machine's speed falls on both sides alike.  Each run's
-end-to-end metrics come from the JSON object on its last line of output.
+drift of the machine's speed falls on both sides alike.  Each run lasts the
+`run_seconds` of this repository's BENCHMARK.json.  Each run's end-to-end
+metrics come from the JSON object on its last line of output.
 
 Prints every pair (parent value, change value and change/parent ratio per
 metric), then per metric the parent's median and quartiles, the change's
@@ -22,12 +23,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+RUN_SECONDS = json.loads(BENCHMARK.read_text())["run_seconds"]
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def run_once(checkout: Path, workload: str) -> dict:
     """{metric: value} of one `--trace 0` run in `checkout`."""
     cmd = [
         sys.executable, "perfbench/run.py",
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--workload", workload, "--seed", "1", "--seconds", str(RUN_SECONDS), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -58,8 +62,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0, help="--seconds of each run")
-    ap.add_argument("--seed", type=int, default=1, help="pair k runs both sides at seed + k")
     args = ap.parse_args(argv)
 
     pairs = []
@@ -67,7 +69,7 @@ def main(argv=None) -> int:
         sides = {}
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            sides[side] = run_once(getattr(args, side), args.workload, args.seed + k, args.seconds)
+            sides[side] = run_once(getattr(args, side), args.workload)
         pairs.append((sides["parent"], sides["change"]))
         cells = [
             f"{name} {p:.4g} -> {sides['change'][name]:.4g} ({sides['change'][name] / p:.3f})"

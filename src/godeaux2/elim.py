@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ring import Polynomial, RingError, mono_div
+from .ring import Polynomial, RingError, mono_div, mono_mul
 
 STAGE_B_BUDGET = 22
 
@@ -205,7 +205,7 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
         k = max([j for _, j, _ in held], default=0)
         ck = c ** k
         out = {m: a * ck for m, a in free}
-        # add_terms and mono_mul inlined: this loop makes most of the products
+        # add_terms inlined: it would take a generator per held term
         get = out.get
         for m, j, a in held:
             t = powers.get(j)
@@ -215,7 +215,7 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
             rest = m[:i] + m[i + j :]
             scale = a * c ** (k - j)
             for hm, hc in t.items():
-                pm = tuple(sorted(rest + hm))
+                pm = mono_mul(rest, hm)
                 s = get(pm)
                 if s is None:
                     out[pm] = scale * hc

@@ -10,9 +10,11 @@ drift of the machine's speed falls on both sides alike.  Each run lasts the
 metrics come from the JSON object on its last line of output.
 
 Prints every pair (parent value, change value and change/parent ratio per
-metric), then per metric the parent's median and quartiles, the change's
-median, the median of the per-pair ratios and the number of pairs in which
-the change was lower.  Exits 1 as soon as a run fails or is not `correct`.
+metric), then per metric each side's median and quartiles, the median of the
+per-pair ratios, the number of pairs in which the change was lower, and
+whether the change's median is within the metric's `bound` in
+BENCHMARK.json's `end_to_end`: no worse than the parent's median by more
+than that fraction.  Exits 1 as soon as a run fails or is not `correct`.
 The script only starts `perfbench/run.py`; each run cleans up after itself.
 """
 
@@ -23,8 +25,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-RUN_SECONDS = json.loads(BENCHMARK.read_text())["run_seconds"]
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str) -> dict:
@@ -41,18 +44,37 @@ def run_once(checkout: Path, workload: str) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3); one value is all three."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return q1, statistics.median(values), q3
+
+
+def within_bound(name: str, before: float, after: float):
+    """Whether the change's median `after` is no worse than the parent's
+    `before` by more than the metric's end-to-end bound; None for a metric
+    with no bound."""
+    metric = END_TO_END.get(name)
+    if metric is None:
+        return None
+    if metric["better"] == "lower":
+        return after <= before * (1 + metric["bound"])
+    return after >= before * (1 - metric["bound"])
+
+
 def summarize(pairs: list) -> list:
     """One row per metric over (parent, change) metric dicts:
-    (name, parent median, parent q1, parent q3, change median, median ratio,
-    pairs with the change lower)."""
+    (name, parent median, parent q1, parent q3, change median, change q1,
+    change q3, median ratio, pairs with the change lower, within bound)."""
     rows = []
     for name in pairs[0][0]:
         before = [p[name] for p, _ in pairs]
         after = [c[name] for _, c in pairs]
-        q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else before * 3
+        q1, med, q3 = quartiles(before)
+        c1, cmed, c3 = quartiles(after)
         ratio = statistics.median(c / p for p, c in zip(before, after))
         lower = sum(c < p for p, c in zip(before, after))
-        rows.append((name, statistics.median(before), q1, q3, statistics.median(after), ratio, lower))
+        rows.append((name, med, q1, q3, cmed, c1, c3, ratio, lower, within_bound(name, med, cmed)))
     return rows
 
 
@@ -78,10 +100,14 @@ def main(argv=None) -> int:
         print(f"pair {k + 1} ({order[0]} first): " + "  ".join(cells), flush=True)
 
     print(f"{args.workload}, {len(pairs)} pairs, parent -> change:")
-    for name, med, q1, q3, after, ratio, lower in summarize(pairs):
+    for name, med, q1, q3, cmed, c1, c3, ratio, lower, ok in summarize(pairs):
+        bound = "no bound"
+        if ok is not None:
+            bound = f"{'within' if ok else 'BEYOND'} bound {END_TO_END[name]['bound']:g}"
         print(
-            f"  {name:12s} parent {med:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]  change {after:.4g}  "
-            f"median ratio {ratio:.3f}  change lower in {lower}/{len(pairs)}"
+            f"  {name:12s} parent {med:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]  "
+            f"change {cmed:.4g} [q1 {c1:.4g}, q3 {c3:.4g}]  "
+            f"median ratio {ratio:.3f}  change lower in {lower}/{len(pairs)}  {bound}"
         )
     return 0
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from numbers import Number
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Mono = tuple  # tuple[int, ...]: variable indices, non-decreasing, with repeats
@@ -54,6 +55,7 @@ MULTIPLIER = "multiplier"  # a parameter of the rank-condition multiplier ansatz
 ALGEBRAIC = "algebraic"
 
 UNIT_MONO: Mono = ()
+_REVERSED = itemgetter(slice(None, None, -1))
 
 
 class RingError(ValueError):
@@ -187,8 +189,6 @@ class VariableTable:
         "geo_cut",
         "_first_alg",
         "_var_cache",
-        "_zero",
-        "_one",
     )
 
     def __init__(self, entries: Sequence, rules: Sequence[RewriteRule] = ()):
@@ -217,9 +217,7 @@ class VariableTable:
         self.signs = tuple(signs)
         self.kinds = tuple(kinds)
         self.index = {n: i for i, n in enumerate(names)}
-        self._var_cache = {}
-        self._zero = Polynomial(self, {})
-        self._one = Polynomial(self, {UNIT_MONO: 1})
+        self._var_cache = {}  # name -> the term dict of the variable
         self.rules = {}
         alg = [i for i, k in enumerate(kinds) if k == ALGEBRAIC]
         self._first_alg = min(alg) if alg else len(names)
@@ -241,18 +239,21 @@ class VariableTable:
         """Names of the variables of one kind, in table order."""
         return [n for n, k in zip(self.names, self.kinds) if k == kind]
 
+    # var, zero and one build a new Polynomial on each call (term dicts are
+    # never mutated, so a variable's is shared): a Polynomial cached here
+    # would point back at the table, and the cycle would leave every
+    # discarded table to the cyclic garbage collector
     def var(self, name: str) -> "Polynomial":
-        p = self._var_cache.get(name)
-        if p is None:
-            p = Polynomial(self, {(self.index[name],): 1})
-            self._var_cache[name] = p
-        return p
+        terms = self._var_cache.get(name)
+        if terms is None:
+            terms = self._var_cache[name] = {(self.index[name],): 1}
+        return Polynomial(self, terms)
 
     def zero(self) -> "Polynomial":
-        return self._zero
+        return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return self._one
+        return Polynomial(self, {UNIT_MONO: 1})
 
     def const(self, c) -> "Polynomial":
         c = _as_coeff(c)
@@ -466,8 +467,15 @@ class Polynomial:
         if lead is None:
             if not self.terms:
                 raise ZeroPolynomialError("leading term of the zero polynomial")
-            cut = self.table.geo_cut
-            lead = self._lead = min(self.terms, key=lambda m: mono_key(m, cut))
+            terms, cut = self.terms, self.table.geo_cut
+            if min(self.support(), default=cut) < cut:
+                lead = min(terms, key=lambda m: mono_key(m, cut))
+            else:
+                # no geometric part: mono_key is (0, (), -len(m), m[::-1]), so
+                # the longest monomials compete by their reversed index tuples
+                top = max(map(len, terms))
+                lead = min([m for m in terms if len(m) == top], key=_REVERSED)
+            self._lead = lead
         return lead
 
     def leading_term(self):

@@ -10,10 +10,13 @@ weighted degree <= 5 come from rows 2..6 of alpha*v and never involve the
 multipliers, hence no r-parameters.
 
 Surviving r's enter the higher-degree equations linearly, as r_m times a
-coefficient polynomial; membership_check certifies that such a coefficient
-lies in the ideal of the low-degree equations by exact cofactors over
-Q[moduli], found with the same constant-pivot elimination as the rank
-condition.
+coefficient polynomial; membership_check certifies that such coefficients lie
+in the ideal of the low-degree equations by exact cofactors over Q[moduli],
+found with the same constant-pivot elimination as the rank condition.  It
+takes all targets at once and runs one elimination per (weighted degree,
+sign) class: the cofactors of a generic target T = sum t_m m are solved once,
+linearly in the t_m, and each target costs one substitution of its
+coefficients for the t_m.
 """
 
 from __future__ import annotations
@@ -131,32 +134,55 @@ def collect_Gm(eqs: SurfaceEquations) -> dict:
     return out
 
 
-def membership_check(g: Polynomial, generators: Sequence[Polynomial]) -> bool:
-    """True when g = sum h_i F_i holds exactly for cofactors h_i found by
-    elimination, else False.
+def membership_check(gs: Sequence[Polynomial], generators: Sequence[Polynomial]) -> list:
+    """One verdict per target g, in input order: True when g = sum h_i F_i
+    holds exactly for cofactors h_i found by elimination, else False.
 
-    For each generator F_i of degree <= deg g, h_i is a generic polynomial of
-    degree deg g - deg F_i and sign sign(g)*sign(F_i) in the geometric
-    variables, one multiplier slot of the table per monomial.  The
-    coefficients of g - sum h_i F_i over the geometric monomials are solved by
-    lin_elim; its pivots are integer constants, so the cofactors lie in
-    Q[moduli][geo] and True holds for every value of the moduli.  False means
-    g - sum h_i F_i does not back-substitute to zero: g is not in the ideal
-    over Q(moduli), or only a non-constant pivot would show it is.
+    The targets are solved together, one elimination per (weighted degree,
+    sign) class.  For each generator F_i of degree <= deg, h_i is a generic
+    polynomial of degree deg - deg F_i and sign sign*sign(F_i) in the
+    geometric variables, one multiplier slot of the table per monomial; the
+    class's generic target T = sum t_m m over monomial_basis(deg, sign) takes
+    the slots after them.  The coefficients of T - sum h_i F_i over the
+    geometric monomials are solved for the cofactor slots by one lin_elim,
+    whose pivots are integer constants, and one back substitution gives
+    `solved`, linear in the t_m.  A target's verdict is whether `solved` with
+    each t_m set to g's coefficient at m is zero: that polynomial is exactly
+    g - sum h_i(t := g) F_i, so True holds for every value of the moduli.
+    False means it is not zero: g is not in the ideal over Q(moduli), or only
+    a non-constant pivot would show it is.  A class that needs more slots than
+    the table has raises RingError.
     """
     if not generators:
         raise SurfaceError("membership check needs at least one generator")
-    if any(p.multipliers() for p in (g, *generators)):
+    if any(p.multipliers() for p in (*gs, *generators)):
         raise SurfaceError("membership check needs multiplier-free input")
-    gradings = [p.grading() if p else None for p in (g, *generators)]
+    gradings = [p.grading() if p else None for p in (*gs, *generators)]
     if None in gradings:
         raise SurfaceError("membership check needs nonzero homogeneous, pure input")
-    table = g.table
+    classes: dict = {}
+    for k, grading in enumerate(gradings[: len(gs)]):
+        classes.setdefault(grading, []).append(k)
+    table = generators[0].table
     geo = table.names[: table.geo_cut]
-    (deg, sign), *generator_gradings = gradings
+    verdicts = [False] * len(gs)
+    for (deg, sign), members in classes.items():
+        solved, targets = _solve_class(deg, sign, generators, gradings[len(gs) :], geo)
+        zero = dict.fromkeys(targets.values(), table.zero())
+        for k in members:
+            bindings = dict(zero)
+            bindings.update((targets[m], c) for m, c in gs[k].coefficients_wrt(geo))
+            verdicts[k] = solved.substitute(bindings).is_zero()
+    return verdicts
+
+
+def _solve_class(deg: int, sign: int, generators, generator_gradings, geo) -> tuple:
+    """(T - sum h_i F_i with the cofactor slots solved, {geometric monomial m:
+    the name of its target slot t_m}) for one (degree, sign) class."""
+    table = generators[0].table
     slots = table.of_kind(MULTIPLIER)
     unknowns: list = []
-    residual = g
+    residual = table.zero()
     for F, (fdeg, fsign) in zip(generators, generator_gradings):
         if fdeg > deg:
             continue
@@ -165,6 +191,9 @@ def membership_check(g: Polynomial, generators: Sequence[Polynomial]) -> bool:
         names = slots[len(unknowns) : len(unknowns) + len(monos)]
         unknowns += names
         residual = residual - generic_poly(table, names, monos) * F
+    basis = monomial_basis(table, deg, sign, geo)
+    t_names = slots[len(unknowns) : len(unknowns) + len(basis)]
+    residual = residual + generic_poly(table, t_names, basis)
     f = [c for _, c in residual.coefficients_wrt(geo)]
     deps = lin_elim(f, [True] * len(f), unknowns, len(unknowns))[2] if unknowns else []
-    return back_substitute(residual, resolve_dependencies(deps)).is_zero()
+    return back_substitute(residual, resolve_dependencies(deps)), dict(zip(basis, t_names))

@@ -640,17 +640,24 @@ def verify_alpha2_basepoint() -> str:
 @check("r_removal")
 def verify_r_removal() -> str:
     """Every r-coefficient lies in the ideal of the five low-degree relations,
-    certified by exact cofactors over Q[moduli] (surface.membership_check).
-    That those relations are r-free is asserted by remove_r inside
-    run_pipeline, whose SurfaceError the check runner reports as a failure."""
+    certified by exact cofactors over Q[moduli]: one surface.membership_check
+    call takes all of them, solves one elimination per (degree, sign) class
+    and makes one substitution per coefficient.  The first coefficient not
+    certified, in r order, is the witness.  That those relations are r-free
+    is asserted by remove_r inside run_pipeline, whose SurfaceError the check
+    runner reports as a failure."""
     run = run_pipeline(1, 1)
     F = [eq.poly for eq in run.equations_raw.low_degree()]
-    for rname, occurrences in sorted(run.gm.items(), key=lambda kv: run.table.index[kv[0]]):
-        for label, G in occurrences:
-            if not membership_check(G, F):
-                raise CheckFailed(f"G[{rname}] in {label} is not in the ideal")
-    n = sum(len(v) for v in run.gm.values())
-    return f"all {n} r-coefficients certified by exact cofactors over Q[moduli]"
+    found = [
+        (rname, label, G)
+        for rname, occurrences in sorted(run.gm.items(), key=lambda kv: run.table.index[kv[0]])
+        for label, G in occurrences
+    ]
+    verdicts = membership_check([G for _, _, G in found], F)
+    for (rname, label, _), certified in zip(found, verdicts):
+        if not certified:
+            raise CheckFailed(f"G[{rname}] in {label} is not in the ideal")
+    return f"all {len(found)} r-coefficients certified by exact cofactors over Q[moduli]"
 
 
 def _conic_witness(M: SymPolyMatrix) -> Optional[str]:

@@ -101,6 +101,5 @@ def test_membership_controls_on_true_generators(run11):
     table = run11.table
     F = [eq.poly for eq in run11.equations_raw.low_degree()]
     z1, z4 = table.var("z1"), table.var("z4")
-    assert not membership_check(z1 * z1, F)
     row2 = {eq.label: eq.poly for eq in run11.equations_raw.eqs}["row_2"]
-    assert membership_check(row2 * z4, F)
+    assert membership_check([z1 * z1, row2 * z4], F) == [False, True]

@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from godeaux2 import pipeline
 from godeaux2.ring import (
     ALGEBRAIC,
     GEOMETRIC,
@@ -203,6 +204,25 @@ def test_monomial_basis_leaves_no_reference_cycle(T):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_discarded_pipeline_run_leaves_no_reference_cycle(monkeypatch):
+    # a table must not hold Polynomials, which point back at it: every
+    # discarded run would then wait for the cyclic collector
+    monkeypatch.setattr(pipeline, "_CACHE", {})
+    gc.collect()
+    gc.disable()
+    try:
+        pipeline.run_pipeline(3, 0)
+        pipeline._CACHE.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = sum(isinstance(o, (VariableTable, Polynomial)) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == 0
 
 
 def test_canonical_text_is_grevlex_descending(T):

@@ -21,6 +21,7 @@ from godeaux2.ring import (
     mono_div,
     mono_key,
     mono_mul,
+    mono_split,
     monomial_basis,
     sorted_monos,
 )
@@ -259,6 +260,20 @@ def test_mono_key_matches_oracle_order(ms, cut):
     expected = sorted(distinct, key=cmp_to_key(lambda a, b: grevlex_cmp(a, b, cut)), reverse=True)
     assert sorted_monos(distinct, table) == expected
     assert Polynomial(table, {m: 1 for m in distinct}).leading_mono() == expected[0]
+
+
+@given(
+    st.lists(order_monos, min_size=1, max_size=12),
+    st.sampled_from(sorted(ORDER_TABLES)),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_leading_mono_is_the_mono_key_minimum(ms, cut, parameters_only):
+    # leading_mono takes a shortcut on polynomials with no geometric variable
+    if parameters_only:
+        ms = [mono_split(m, cut)[1] for m in ms]
+    p = Polynomial(ORDER_TABLES[cut], dict.fromkeys(ms, 1))
+    assert p.leading_mono() == min(ms, key=lambda m: mono_key(m, cut))
 
 
 @given(st.lists(order_monos, max_size=12, unique=True))

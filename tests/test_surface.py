@@ -6,7 +6,7 @@ import pytest
 
 from godeaux2.alpha import SymPolyMatrix, make_table
 from godeaux2.rc import PAIRS
-from godeaux2.ring import MULTIPLIER
+from godeaux2.ring import MULTIPLIER, RingError, monomial_basis
 from godeaux2.surface import (
     SurfaceEquations,
     SurfaceError,
@@ -115,17 +115,18 @@ def test_membership_trivial_cases(run11):
     table = run11.table
     y1, y2 = table.var("y1"), table.var("y2")
     gens = [y1, y2]
-    assert membership_check(gens[0], gens) is True
+    assert membership_check([gens[0]], gens) == [True]
     x = table.var("x")
-    assert membership_check(y1 * y2 + x * x * y1, gens)
-    assert not membership_check(table.one(), gens)
-    assert membership_check(x * x, gens) is False
+    assert membership_check([y1 * y2 + x * x * y1], gens) == [True]
+    assert membership_check([table.one()], gens) == [False]
+    assert membership_check([x * x], gens) == [False]
+    assert membership_check([], gens) == []
     with pytest.raises(SurfaceError):
-        membership_check(y1, [])
+        membership_check([y1], [])
     with pytest.raises(SurfaceError, match="pure"):
-        membership_check(y1 * y2 + y2 * y2, gens)  # mixed involution sign
+        membership_check([y1 * y2 + y2 * y2], gens)  # mixed involution sign
     with pytest.raises(SurfaceError, match="nonzero"):
-        membership_check(table.zero(), gens)
+        membership_check([table.zero()], gens)
 
 
 def test_membership_rejects_multiplier_input(run11):
@@ -133,28 +134,83 @@ def test_membership_rejects_multiplier_input(run11):
     y1, y2 = table.var("y1"), table.var("y2")
     r = table.var(table.of_kind(MULTIPLIER)[0])
     with pytest.raises(SurfaceError, match="multiplier"):
-        membership_check(r * y1, [y1, y2])
+        membership_check([r * y1], [y1, y2])
     with pytest.raises(SurfaceError, match="multiplier"):
-        membership_check(y1, [r * y1, y2])
+        membership_check([y1], [r * y1, y2])
+    with pytest.raises(SurfaceError, match="multiplier"):
+        membership_check([y1, r * y2], [y1, y2])  # any one target
+
+
+def _all_gm(run):
+    """(r name, equation label, coefficient) of every r-coefficient, in r order."""
+    return [
+        (rname, label, G)
+        for rname, occurrences in sorted(run.gm.items(), key=lambda kv: run.table.index[kv[0]])
+        for label, G in occurrences
+    ]
 
 
 def test_all_gm_membership_spot(run11):
     F = [eq.poly for eq in run11.equations_raw.low_degree()]
-    certified = 0
-    for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
-        for label, G in occurrences:
-            assert membership_check(G, F), (rname, label)
-            certified += 1
-    assert certified == 94
+    found = _all_gm(run11)
+    assert membership_check([G for _, _, G in found], F) == [True] * 94
+    assert len(found) == 94
+
+
+def _perturbed_class_representatives(run):
+    """One coefficient of each (degree, sign) class present, with a term
+    outside the low-degree ideal added: {position in _all_gm: (rname, label,
+    perturbed G)}."""
+    classes = {}
+    for k, (rname, label, G) in enumerate(_all_gm(run)):
+        classes.setdefault(G.grading(), (k, rname, label, G))
+    return {
+        k: (rname, label, G + outside_low_degree_ideal(run, G)) for k, rname, label, G in classes.values()
+    }
 
 
 def test_perturbed_gm_is_refuted(run11):
-    # one coefficient of each (degree, sign) class present
     F = [eq.poly for eq in run11.equations_raw.low_degree()]
-    classes = {}
-    for rname, occurrences in sorted(run11.gm.items(), key=lambda kv: run11.table.index[kv[0]]):
-        for label, G in occurrences:
-            classes.setdefault(G.grading(), (rname, label, G))
-    assert len(classes) == 5
-    for rname, label, G in classes.values():
-        assert not membership_check(G + outside_low_degree_ideal(run11, G), F), (rname, label)
+    perturbed = _perturbed_class_representatives(run11)
+    assert len(perturbed) == 5
+    verdicts = membership_check([G for _, _, G in perturbed.values()], F)
+    for (rname, label, _), certified in zip(perturbed.values(), verdicts):
+        assert not certified, (rname, label)
+
+
+def test_batch_refutes_exactly_the_perturbed_positions(run11):
+    F = [eq.poly for eq in run11.equations_raw.low_degree()]
+    gs = [G for _, _, G in _all_gm(run11)]
+    perturbed = _perturbed_class_representatives(run11)
+    gs += [G for _, _, G in perturbed.values()]
+    verdicts = membership_check(gs, F)
+    assert [k for k, ok in enumerate(verdicts) if not ok] == list(range(94, 99))
+
+
+def test_mixed_class_batch_keeps_input_order(run11):
+    table = run11.table
+    x, y1, y2 = table.var("x"), table.var("y1"), table.var("y2")
+    gens = [y1, y2]
+    gs = [y1 * y2, x * x, x * x * y1, y1, x ** 4, y2 * y1 * y1, y2, x ** 3, y1 * y1]
+    want = [True, False, True, True, False, True, True, False, True]
+    # six classes, interleaved; (2, 1) and (4, 1) each hold a member of the
+    # ideal and one outside it
+    assert len({g.grading() for g in gs}) == 6
+    assert [gs[k].grading() for k in (1, 6, 4, 8)] == [(2, 1)] * 2 + [(4, 1)] * 2
+    assert membership_check(gs, gens) == want
+    assert membership_check(gs[::-1], gens) == want[::-1]
+    for g, verdict in zip(gs, want):
+        assert membership_check([g], gens) == [verdict]
+
+
+def test_class_beyond_the_slot_count_raises(run11):
+    table = run11.table
+    x, y1 = table.var("x"), table.var("y1")
+    geo = table.names[: table.geo_cut]
+    slots = len(table.of_kind(MULTIPLIER))
+    # the cofactors of x^2 and y1 and the target take more slots than there are
+    deg = 12
+    cofactors = len(monomial_basis(table, deg - 2, 1, geo)) + len(monomial_basis(table, deg - 2, -1, geo))
+    assert cofactors <= slots < cofactors + len(monomial_basis(table, deg, 1, geo))
+    with pytest.raises(RingError, match="slot names for"):
+        membership_check([x ** deg], [x * x, y1])

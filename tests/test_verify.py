@@ -213,6 +213,12 @@ def test_r_removal_fails_on_a_perturbed_coefficient(monkeypatch, run11):
     rep = verify_r_removal()
     assert rep.status == "fail"
     assert rep.witness == f"G[{rname}] in {label} is not in the ideal"
+    # with the first coefficient, in r order, moved out too, it is the witness
+    first = min(run11.gm, key=lambda n: run11.table.index[n])
+    label, G = gm[first][0]
+    gm[first][0] = (label, G + outside_low_degree_ideal(run11, G))
+    rep = verify_r_removal()
+    assert rep.witness == f"G[{first}] in {label} is not in the ideal"
 
 
 def test_central_minors(monkeypatch, run11):

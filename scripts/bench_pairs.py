@@ -11,10 +11,11 @@ metrics come from the JSON object on its last line of output.
 
 Prints every pair (parent value, change value and change/parent ratio per
 metric), then per metric each side's median and quartiles, the median of the
-per-pair ratios, the number of pairs in which the change was lower, and
-whether the change's median is within the metric's `bound` in
-BENCHMARK.json's `end_to_end`: no worse than the parent's median by more
-than that fraction.  Exits 1 as soon as a run fails or is not `correct`.
+per-pair ratios, the number of pairs in which the change was lower, whether
+the pairs show a gain (see `gain_shown`), and whether the change's median is
+within the metric's `bound` in BENCHMARK.json's `end_to_end`: no worse than
+the parent's median by more than that fraction.  Exits 1 as soon as a run
+fails or is not `correct`.
 The script only starts `perfbench/run.py`; each run cleans up after itself.
 """
 
@@ -62,6 +63,19 @@ def within_bound(name: str, before: float, after: float):
     return after >= before * (1 - metric["bound"])
 
 
+def gain_shown(name: str, pairs: list) -> bool:
+    """Whether the pairs show the change better on metric `name`: better in
+    at least 9 of every 10 pairs, and its median better than the parent's by
+    more than the parent's interquartile range.  Lower is better unless
+    BENCHMARK.json's `end_to_end` says otherwise."""
+    sign = -1 if END_TO_END.get(name, {}).get("better") == "higher" else 1
+    before = [sign * p[name] for p, _ in pairs]
+    after = [sign * c[name] for _, c in pairs]
+    q1, med, q3 = quartiles(before)
+    better = sum(c < p for p, c in zip(before, after))
+    return 10 * better >= 9 * len(pairs) and med - statistics.median(after) > q3 - q1
+
+
 def summarize(pairs: list) -> list:
     """One row per metric over (parent, change) metric dicts:
     (name, parent median, parent q1, parent q3, change median, change q1,
@@ -104,10 +118,11 @@ def main(argv=None) -> int:
         bound = "no bound"
         if ok is not None:
             bound = f"{'within' if ok else 'BEYOND'} bound {END_TO_END[name]['bound']:g}"
+        gain = "gain shown" if gain_shown(name, pairs) else "no gain shown"
         print(
             f"  {name:12s} parent {med:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]  "
             f"change {cmed:.4g} [q1 {c1:.4g}, q3 {c3:.4g}]  "
-            f"median ratio {ratio:.3f}  change lower in {lower}/{len(pairs)}  {bound}"
+            f"median ratio {ratio:.3f}  change lower in {lower}/{len(pairs)}  {gain}  {bound}"
         )
     return 0
 

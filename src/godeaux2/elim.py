@@ -19,12 +19,13 @@ variable.
 
 from __future__ import annotations
 
-import itertools
 import math
 import resource
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import contains
 from typing import Iterable, Sequence
 
 from .ring import Polynomial, RingError, mono_div, mono_mul
@@ -190,30 +191,32 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
 
     The result is an integer polynomial and a nonzero rational multiple of
     q(v = -h/c), so its primitive form is the same; no Fraction is made.
+    Only the terms holding v are rewritten, and the rewrite rules are applied
+    only when q or h holds a rule variable (a product holds one only if an
+    operand does).
     """
     powers = {1: neg_h.terms}  # j -> terms of (-h)^j
+    rules = neg_h.table.rules
+    h_plain = neg_h.support().isdisjoint(rules)
 
     def substitute(q: Polynomial) -> Polynomial:
-        table = q.table
-        held = []  # (m, j, a) for the terms a*m with v^j, j > 0, in m
-        free = []  # the terms free of v
-        for m, a in q.terms.items():
-            if v in m:
-                held.append((m, m.count(v), a))
-            else:
-                free.append((m, a))
-        k = max([j for _, j, _ in held], default=0)
+        table, terms = q.table, q.terms
+        held = list(compress(terms, map(contains, terms, repeat(v))))
+        degrees = list(map(tuple.count, held, repeat(v)))
+        k = max(degrees, default=0)
         ck = c ** k
-        out = {m: a * ck for m, a in free}
+        out = dict(terms) if ck == 1 else {m: a * ck for m, a in terms.items()}
+        for m in held:
+            del out[m]
         # add_terms inlined: it would take a generator per held term
         get = out.get
-        for m, j, a in held:
+        for m, j in zip(held, degrees):
             t = powers.get(j)
             if t is None:
                 t = powers[j] = (neg_h ** j).terms
             i = m.index(v)
             rest = m[:i] + m[i + j :]
-            scale = a * c ** (k - j)
+            scale = terms[m] * c ** (k - j)
             for hm, hc in t.items():
                 pm = mono_mul(rest, hm)
                 s = get(pm)
@@ -225,7 +228,9 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
                         out[pm] = s
                     else:
                         del out[pm]
-        return Polynomial(table, table.reduce_terms(out))
+        if not (h_plain and q.support().isdisjoint(rules)):
+            out = table.reduce_terms(out)
+        return Polynomial(table, out)
 
     return substitute
 
@@ -417,7 +422,7 @@ def driver(
         ("E", 0, True, lambda f, n: zero_free_vars(f, r_names, invertible)),
     )
     state = EliminationState(list(f))
-    for rnd in itertools.count(1):
+    for rnd in count(1):
         idle = True
         for stage, budget, fallback, move in ladder:
             if fallback and not idle:

@@ -52,5 +52,17 @@ def test_main_prints_both_sides_quartiles_and_the_bound_verdict(bench_pairs, mon
     assert bench_pairs.main(["--parent", "parent", "--change", "change", "--workload", "w", "--pairs", "2"]) == 0
     summary = capsys.readouterr().out.splitlines()[-2:]
     assert "parent 1 [q1 1, q3 1]  change 2 [q1 2, q3 2]" in summary[0]
-    assert summary[0].endswith("BEYOND bound 0.25")
+    assert summary[0].endswith("change lower in 0/2  no gain shown  BEYOND bound 0.25")
     assert summary[1].endswith("no bound")
+
+
+def test_gain_needs_nine_of_ten_pairs_and_a_median_gap_beyond_the_parent_iqr(bench_pairs):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # q1 1.175, q3 1.725
+    pairs = lambda change: [({"wall_s": p}, {"wall_s": c}) for p, c in zip(parent, change)]
+    # lower in all 10 pairs, medians 1.45 -> 0.85: a gap of 0.6 > IQR 0.55
+    assert bench_pairs.gain_shown("wall_s", pairs([p - 0.6 for p in parent]))
+    # the same gap, but lower in only 8 of the 10 pairs
+    assert not bench_pairs.gain_shown("wall_s", pairs([p - 0.6 for p in parent[:8]] + [5.0, 5.0]))
+    # lower in every pair, but a gap of 0.5 inside the parent's IQR
+    assert not bench_pairs.gain_shown("wall_s", pairs([p - 0.5 for p in parent]))
+

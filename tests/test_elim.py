@@ -21,7 +21,7 @@ from godeaux2.elim import (
     strip_content_var,
     survivors,
 )
-from godeaux2.ring import GEOMETRIC, PARAMETER, Polynomial, VariableTable
+from godeaux2.ring import ALGEBRAIC, GEOMETRIC, PARAMETER, Polynomial, RewriteRule, VariableTable
 
 from _oracle import dense_mono, find_pivot_reference, gauss_classify, max_degree_in
 
@@ -124,25 +124,42 @@ def test_primitive_form_returns_a_primitive_input_itself():
 
 def test_cleared_pivot_step_keeps_the_primitive_form():
     # lin_elim substitutes c^k * q(v = -h/c) with integer arithmetic; its
-    # primitive form must be that of the plain rational substitution
-    T = param_table(nr=3, extras=("g1", "g2", "d"))
+    # primitive form must be that of the plain rational substitution.  c^k = 1
+    # takes the unscaled copy of the v-free terms, c^k != 1 the scaled one;
+    # with the rule variable i (i^2 = -1) in q or h the rewrite must reduce,
+    # and with i in both, products i*i occur that only the reduction removes
+    T = VariableTable(
+        [(n, 0, 1, PARAMETER) for n in ("r1", "r2", "r3", "g1", "g2", "d")]
+        + [("i", 0, 1, ALGEBRAIC)],
+        rules=[RewriteRule("i", 2, {(): -1})],
+    )
+    i, r1 = T.index["i"], T.var("r1")
     rng = random.Random(11)
-    r1 = T.var("r1")
     tried = set()
-    for c in (2, -3, 6, 9):
-        for _ in range(10):
-            h = _random_poly(rng, T, ("r2", "g1", "g2"), max_exp=1, size=3)
-            if h.is_zero() or primitive_form(c * r1 + h) != c * r1 + h:
-                continue  # lin_elim would pivot on a rescaled c
-            q = _random_poly(rng, T, ("r1", "g1", "d"), max_exp=2, size=5)
-            if max_degree_in(q, ["r1"]) != 2:
-                continue
-            out, _, deps = lin_elim([c * r1 + h, q], [True, False], ["r1"], 1)
-            assert [dep.var for dep in deps] == ["r1"]
-            expected = primitive_form(q.substitute({"r1": -h * Fraction(1, c)}))
-            assert out == ([expected] if expected else [])
-            tried.add(c)
-    assert tried == {2, -3, 6, 9}
+    for rule_in in ("neither", "q", "h", "both"):
+        in_h, in_q = rule_in in ("h", "both"), rule_in in ("q", "both")
+        h_names = ("r2", "g1", "g2") + ("i",) * in_h
+        q_names = ("g1", "d") + ("i",) * in_q
+        for c in (1, -1, 2, -3, 6, 9):
+            for k in (1, 2):  # deg_r1 q
+                for _ in range(20):
+                    h = _random_poly(rng, T, h_names, max_exp=1, size=3)
+                    if h.is_zero() or primitive_form(c * r1 + h) != c * r1 + h:
+                        continue  # lin_elim would pivot on a rescaled c
+                    q = T.zero()
+                    for e in range(k + 1):
+                        q = q + r1 ** e * _random_poly(rng, T, q_names, size=2)
+                    if max_degree_in(q, ["r1"]) != k:
+                        continue
+                    if (i in h.support(), i in q.support()) != (in_h, in_q):
+                        continue
+                    out, _, deps = lin_elim([c * r1 + h, q], [True, False], ["r1"], 1)
+                    assert [dep.var for dep in deps] == ["r1"]
+                    expected = primitive_form(q.substitute({"r1": -h * Fraction(1, c)}))
+                    assert out == ([expected] if expected else [])
+                    assert all(m.count(i) < 2 for p in out for m in p.terms)
+                    tried.add((rule_in, c, k))
+    assert len(tried) == 4 * 6 * 2
 
 
 def test_duplicates_pruned_up_to_scale():

@@ -225,6 +225,26 @@ def test_a_discarded_pipeline_run_leaves_no_reference_cycle(monkeypatch):
     assert left == 0
 
 
+def test_substitute_leaves_no_reference_cycle(T):
+    # the cache of image products must not point back at itself (a nested
+    # function that calls itself would): every substitution with a bound
+    # part of two or more variables would then wait for the cyclic collector
+    x, y1, d = T.var("x"), T.var("y1"), T.var("d")
+    p = x ** 2 * y1 * d + x * y1 + d
+    gc.collect()
+    gc.disable()
+    try:
+        assert p.substitute({"x": y1 + d, "y1": d + 1}) != p
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == 0
+
+
 def test_canonical_text_is_grevlex_descending(T):
     x, y1, y2, y3 = (T.var(n) for n in ("x", "y1", "y2", "y3"))
     p = y3 ** 2 + y1 * y3 + y2 ** 2 + y1 ** 2 + x ** 2 * y2 + x ** 4

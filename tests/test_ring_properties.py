@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,10 @@ from godeaux2.elim import primitive_form
 from godeaux2.ring import (
     ALGEBRAIC,
     GEOMETRIC,
+    MULTIPLIER,
     PARAMETER,
     Polynomial,
+    RingError,
     RewriteRule,
     VariableTable,
     exponents,
@@ -170,6 +173,98 @@ def test_substitute_with_zero_images_matches_one_variable_at_a_time(p, img, name
     assert p.substitute(mixed) == stepwise.substitute({target: img})
 
 
+# the substitution properties also over an algebraic rule variable i
+# (i^2 = -1); t is a spare parameter that the drawn polynomials never hold
+ALG_TABLE = VariableTable(
+    [
+        ("x", 1, -1, GEOMETRIC),
+        ("y1", 2, -1, GEOMETRIC),
+        ("y2", 2, 1, GEOMETRIC),
+        ("d", 0, 1, PARAMETER),
+        ("t", 0, 1, PARAMETER),
+        ("i", 0, 1, ALGEBRAIC),
+    ],
+    rules=[RewriteRule("i", 2, {(): -1})],
+)
+ALG_NAMES = ("x", "y1", "y2", "d", "i")
+
+
+def _alg_poly(names, max_size=4):
+    """Polynomials over the named variables of ALG_TABLE, exponents up to 3,
+    reduced by the rule i^2 = -1."""
+    index = [ALG_TABLE.index[n] for n in names]
+    mono = st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)).map(
+        lambda es: tuple(sorted(v for v, e in zip(index, es) for _ in range(e)))
+    )
+    return st.dictionaries(mono, coeffs, max_size=max_size).map(
+        lambda t: Polynomial(ALG_TABLE, ALG_TABLE.reduce_terms({m: c for m, c in t.items() if c}))
+    )
+
+
+def _image(names):
+    """A substitution image over the named variables: a polynomial, or an
+    int or Fraction scalar."""
+    return st.one_of(_alg_poly(names, max_size=3), coeffs, st.just(0))
+
+
+def substitute_reference(p, steps):
+    """Substitute (name, image) steps one variable at a time, expanding each
+    term c*rest*v^e as rest * image**e with * and **."""
+    table = p.table
+    for name, image in steps:
+        v, image = table.index[name], table.zero() + image
+        out = table.zero()
+        for m, c in p.terms.items():
+            rest = Polynomial(table, {tuple(w for w in m if w != v): c})
+            out = out + rest * image ** m.count(v)
+        p = out
+    return p
+
+
+@given(_alg_poly(ALG_NAMES), st.permutations(ALG_NAMES), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_one_variable_at_a_time(p, names, k, data):
+    # images free of the bound variables: the simultaneous substitution is
+    # then the one-at-a-time one, in any order; terms hold up to three bound
+    # variables to powers up to 3, images hold i or are Fraction scalars, and
+    # i itself may be bound
+    bound, free = names[:k], names[k:]
+    bindings = {name: data.draw(_image(free)) for name in bound}
+    assert p.substitute(bindings) == substitute_reference(p, bindings.items())
+
+
+def test_substitute_matches_one_variable_at_a_time_on_a_fixed_case():
+    # the cases the property covers, in one polynomial: a term with two bound
+    # variables to the powers 2 and 3, an image whose square holds i^2, a
+    # Fraction image; then i itself bound
+    x, y1, y2, d, i = (ALG_TABLE.var(n) for n in ALG_NAMES)
+    p = x ** 2 * y1 ** 3 * d + i * x * y1 * y2 - Fraction(3, 4) * y2 ** 2 + x * i
+    for bindings in ({"x": d * i + 1, "y1": Fraction(-1, 2)}, {"i": 2 * d, "x": y2 - d}):
+        assert p.substitute(bindings) == substitute_reference(p, bindings.items())
+    # (d*i + 1)^2 = 1 - d^2 + 2*d*i, so no term keeps i^2
+    assert (x ** 2).substitute({"x": d * i + 1}) == 1 - d * d + 2 * d * i
+
+
+@given(_alg_poly(ALG_NAMES), st.permutations(ALG_NAMES).map(lambda names: names[:2]))
+@settings(max_examples=150, deadline=None)
+def test_substitute_swap_matches_one_variable_at_a_time(p, pair):
+    # a <-> b at once is a -> t, b -> a, t -> b through the spare t
+    a, b = pair
+    var = ALG_TABLE.var
+    swap = {a: var(b), b: var(a)}
+    steps = [(a, var("t")), (b, var(a)), ("t", var(b))]
+    assert p.substitute(swap) == substitute_reference(p, steps)
+
+
+@given(_alg_poly(ALG_NAMES))
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_repeated_multiplication(p):
+    product = ALG_TABLE.one()
+    for n in range(6):
+        assert p ** n == product
+        product = product * p
+
+
 @given(polys, st.permutations(TABLE.names).map(lambda names: names[:2]))
 @settings(max_examples=150, deadline=None)
 def test_substitute_swap_is_an_involution(p, pair):
@@ -280,3 +375,46 @@ def test_leading_mono_is_the_mono_key_minimum(ms, cut, parameters_only):
 @settings(max_examples=300, deadline=None)
 def test_lex_descending_matches_dense_oracle(ms):
     assert lex_descending(ms) == sorted(ms, key=lambda m: lex_dense_key(m, ORDER_NV), reverse=True)
+
+
+# coefficients_wrt against a split of dense exponent vectors, on the three
+# kinds of block the package splits at: a proper prefix of the geometric
+# block, the whole geometric block, and an interior block (the multipliers)
+BLOCK_TABLE = VariableTable(
+    [(n, 1, 1, GEOMETRIC) for n in ("x", "y1", "y2", "y3")]
+    + [(n, 0, 1, PARAMETER) for n in ("d", "g1")]
+    + [(n, 0, 1, MULTIPLIER) for n in ("r1", "r2", "r3")]
+    + [("i", 0, 1, ALGEBRAIC)]
+)
+BLOCKS = (("x", "y1"), ("x", "y1", "y2", "y3"), ("r1", "r2", "r3"))
+block_polys = st.dictionaries(
+    st.lists(st.integers(0, 2), min_size=10, max_size=10).map(dense_mono), coeffs, max_size=6
+).map(lambda t: Polynomial(BLOCK_TABLE, t))
+
+
+def dense_split(p, names):
+    """{inside monomial: {outside monomial: coefficient}} from dense vectors."""
+    inside = {BLOCK_TABLE.index[n] for n in names}
+    groups = {}
+    for m, c in p.terms.items():
+        exps = [m.count(v) for v in range(len(BLOCK_TABLE.names))]
+        ins = dense_mono([e if v in inside else 0 for v, e in enumerate(exps)])
+        out = dense_mono([0 if v in inside else e for v, e in enumerate(exps)])
+        groups.setdefault(ins, {})[out] = c
+    return groups
+
+
+@given(block_polys, st.sampled_from(BLOCKS).flatmap(st.permutations))
+@settings(max_examples=200, deadline=None)
+def test_coefficients_wrt_matches_a_dense_split(p, names):
+    split = p.coefficients_wrt(names)
+    expected = dense_split(p, names)
+    assert {m: c.terms for m, c in split} == expected
+    assert [m for m, _ in split] == sorted_monos(expected, BLOCK_TABLE)
+
+
+def test_coefficients_wrt_refuses_a_set_that_is_not_a_block():
+    p = BLOCK_TABLE.var("x") * BLOCK_TABLE.var("y2") + BLOCK_TABLE.var("d")
+    for names in (["x", "y2"], ["y3", "r1"], ["d", "r2", "r3"]):
+        with pytest.raises(RingError, match="contiguous block"):
+            p.coefficients_wrt(names)

@@ -98,15 +98,14 @@ def coordinate_entries(names) -> list:
     return [(n, *GRADING[n], GEOMETRIC) for n in names]
 
 
-def make_table(j: int) -> VariableTable:
-    """Pipeline variable table for case j.
+def make_table(case: AlphaCase) -> VariableTable:
+    """Pipeline variable table for `case`.
 
-    Geometric: x, y1, y2, y3|y4, z1..z4, t.  Parameters: d, g1..g10, b1..b12.
+    Geometric: x, y1, y2, case.w_name, z1..z4, t.  Parameters: d, g1..g10, b1..b12.
     Multipliers: r1..r380.  A trailing algebraic symbol r (r^2 = -15) makes
     specializations over Q(sqrt(-15)) plain substitutions on the same table.
     """
-    w = "y3" if j == 1 else "y4"
-    entries = coordinate_entries(("x", "y1", "y2", w, "z1", "z2", "z3", "z4", "t"))
+    entries = coordinate_entries(("x", "y1", "y2", case.w_name, "z1", "z2", "z3", "z4", "t"))
     entries += [("d", 0, 1, PARAMETER)]
     entries += [(n, 0, 1, PARAMETER) for n in BORDER_PARAMS]
     entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_SLOTS + 1)]
@@ -356,13 +355,13 @@ def bordered_matrix(x: Polynomial, G: Polynomial, qs, Q: Polynomial, central, ta
 
 
 def build_ansatz(case: AlphaCase):
-    """The generic matrix of the family (j, c) over a new `make_table(j)`
+    """The generic matrix of the family (j, c) over a new `make_table(case)`
     (the matrix's `table`).
 
     Returns (matrix, parameter names).  The parameter list has 23 entries for
     j=1,2 (g1..g10, b1..b12, d) and 22 for j=3 (d does not occur there).
     """
-    table = make_table(case.j)
+    table = make_table(case)
     G, qs = generic_border(table, case.geo4, iter(BORDER_PARAMS), _DROPPED[case.j])
     if len(G.terms) != 10:
         raise PatternError("G ansatz must have 10 slots")

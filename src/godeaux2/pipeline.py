@@ -79,14 +79,14 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
         raise
     resolved = resolve_dependencies(state.deps)
     # soundness: the dependency log must annihilate every coefficient of f
-    unsound = sum(1 for q in back_substitute(system.f, resolved) if q)
+    unsound = sum(1 for p in system.f if back_substitute(p, resolved))
     if unsound:
         raise EliminationError(
             f"dependency log leaves {unsound} of {len(system.f)} coefficients nonzero"
         )
-    alpha_final = back_substitute(alpha0, resolved)
+    alpha_final = alpha0.map_entries(lambda p: back_substitute(p, resolved))
     alpha_final.check_pattern()
-    l_final = back_substitute(l0.polys, resolved)
+    l_final = {k: back_substitute(p, resolved) for k, p in l0.polys.items()}
     gbd = survivors(params, state.deps)
     equations_raw = generate_equations(alpha_final, l_final)
     gm = collect_Gm(equations_raw)

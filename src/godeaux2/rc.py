@@ -114,15 +114,13 @@ def rc_residuals(cofactors: dict, multipliers: dict) -> list:
 class RCSystem:
     """The flattened coefficient system.
 
-    f[k] is a polynomial purely in parameters; provenance[k] = (pair, mono)
-    records the residual and geometric monomial it came from.  Coefficients
-    that repeat verbatim across slots are kept once (first occurrence): the
-    system size 876 for alpha_1, c=1 counts distinct coefficients (the raw
-    flattening has 896 slots with 20 exact repeats).
+    Each f[k] is a polynomial purely in parameters.  Coefficients that repeat
+    verbatim across slots are kept once (first occurrence): the system size
+    876 for alpha_1, c=1 counts distinct coefficients (the raw flattening has
+    896 slots with 20 exact repeats).
     """
 
     f: list
-    provenance: list
     param_names: list  # distinct parameters occurring in f, table order
 
     @property
@@ -136,7 +134,6 @@ def extract_system(residuals: list, case: AlphaCase) -> RCSystem:
     geo = case.geo4
     table = None
     f = []
-    provenance = []
     seen_params = set()
     seen_coeffs = set()
     for pair, res in zip(PAIRS, residuals):
@@ -144,7 +141,7 @@ def extract_system(residuals: list, case: AlphaCase) -> RCSystem:
             continue
         table = res.table
         geo_idx = {table.index[n] for n in geo}
-        for mono, coeff in res.coefficients_wrt(geo):
+        for _, coeff in res.coefficients_wrt(geo):
             support = coeff.support()
             if support & geo_idx:
                 raise RCError(
@@ -154,7 +151,6 @@ def extract_system(residuals: list, case: AlphaCase) -> RCSystem:
                 continue
             seen_coeffs.add(coeff)
             f.append(coeff)
-            provenance.append((pair, mono))
             seen_params |= support
     names = [table.names[v] for v in sorted(seen_params)] if table is not None else []
-    return RCSystem(f, provenance, names)
+    return RCSystem(f, names)

@@ -18,9 +18,12 @@ A Polynomial's `terms` dict is never mutated after construction: every
 operation builds a new dict.  The per-polynomial caches (leading monomial,
 support, hash, primitive-form marker) rely on this.
 
-`Polynomial.substitute` is the one substitution: it is simultaneous (every
-bound variable is replaced at once and images are never substituted again),
-so point evaluation, zeroing parameters and coordinate swaps all go through it.
+`Polynomial.substitute` is the one general substitution: it is simultaneous
+(every bound variable is replaced at once and images are never substituted
+again), so point evaluation, zeroing parameters, coordinate swaps and
+back-substitution all go through it.  The one deliberate exception is the
+elimination's fraction-free pivot rewrite, `elim._cleared_pivot_substitution`,
+whose docstring says why.
 
 Algebraic extensions (i = sqrt(-1), quartic roots, sqrt(-15)) are realized as
 extra weight-0 variables carrying a monic power rewrite rule v^k -> p with p
@@ -405,9 +408,6 @@ class Polynomial:
         if s is None:
             s = self._support = frozenset(chain.from_iterable(self.terms))
         return s
-
-    def variables(self) -> frozenset:
-        return frozenset(self.table.names[v] for v in self.support())
 
     def multipliers(self) -> frozenset:
         """Names of the multiplier parameters occurring in the polynomial."""

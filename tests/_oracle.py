@@ -2,14 +2,15 @@
 plain first-row cofactor expansion for determinants, dense comparisons
 for the canonical and the lex monomial orders, a form outside the ideal of
 the low-degree surface relations, the budget-last pivot search, and the
-ansatz matrix written out case by case; plus two readers of polynomials
-and systems that only the tests need (`max_degree_in`, `dump_text`), and
-`dense_mono`, which builds a monomial from a dense exponent vector.  Every
-oracle reads a monomial through `ring.exponents`."""
+ansatz matrix written out case by case; plus three readers of polynomials
+and systems that only the tests need (`max_degree_in`, `dump_text`,
+`support_names`), and `dense_mono`, which builds a monomial from a dense
+exponent vector.  Every oracle reads a monomial through `ring.exponents`."""
 
 from fractions import Fraction
 
 from godeaux2.alpha import SymPolyMatrix
+from godeaux2.rc import PAIRS
 from godeaux2.ring import Polynomial, exponents, generic_poly, lex_descending, monomial_basis
 
 
@@ -111,12 +112,23 @@ def max_degree_in(p, names):
     return max((sum(e for v, e in exponents(m) if v in idxs) for m in p.terms), default=0)
 
 
-def dump_text(system):
-    """Ordered canonical text of an RCSystem's f entries, one per line."""
+def dump_text(residuals, geo):
+    """Ordered canonical text of the flattened system of `residuals` (one per
+    pair of rc.PAIRS), one line per distinct coefficient in `geo`, labelled by
+    the pair and the geometric monomial where it first occurs."""
     lines = []
-    for (pair, mono), p in zip(system.provenance, system.f):
-        lines.append(f"[{pair[0]}{pair[1]}:{p.table.mono_str(mono) or '1'}] {p}")
+    seen = set()
+    for pair, res in zip(PAIRS, residuals):
+        for mono, p in res.coefficients_wrt(geo):
+            if p not in seen:
+                seen.add(p)
+                lines.append(f"[{pair[0]}{pair[1]}:{p.table.mono_str(mono) or '1'}] {p}")
     return "\n".join(lines) + "\n"
+
+
+def support_names(p):
+    """Names of the variables occurring in p."""
+    return {p.table.names[v] for v in p.support()}
 
 
 def outside_low_degree_ideal(run, G):

@@ -222,7 +222,7 @@ def test_det_even_in_x(case11):
 
 
 def test_make_table_main_pipeline_geometry():
-    table = make_table(1)
+    table = make_table(AlphaCase(1, 1))
     geo = [
         (table.names[v], table.weights[v], table.signs[v])
         for v in range(table.geo_cut)
@@ -238,6 +238,11 @@ def test_make_table_main_pipeline_geometry():
         ("z4", 3, 1),
         ("t", 4, -1),
     ]
+    # the fourth coordinate is the case's w_name: y4 for j = 2, 3
+    for j in (2, 3):
+        table = make_table(AlphaCase(j, 0))
+        assert table.names[:5] == ("x", "y1", "y2", "y4", "z1")
+        assert (table.weights[3], table.signs[3]) == (2, -1)
 
 
 def test_determinant_matches_independent_expansion(case11):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from godeaux2 import pipeline
-from godeaux2.alpha import make_table
+from godeaux2.alpha import AlphaCase, make_table
 from godeaux2.elim import EliminationError
 from godeaux2.pipeline import poly_to_json, run_pipeline, stats_dict, write_artifacts
 
@@ -32,7 +32,7 @@ def test_artifacts_match_reference(case, request, reference, tmp_path):
 
 def test_poly_to_json_writes_a_fraction_as_p_over_q():
     # no solved case writes a non-integral coefficient, so this path is pinned here
-    table = make_table(1)
+    table = make_table(AlphaCase(1, 1))
     p = table.const(Fraction(-7, 2)) * table.var("x") + 3 * table.var("d")
     assert poly_to_json(p) == {
         "text": "-7/2*x + 3*d",

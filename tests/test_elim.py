@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from godeaux2.alpha import BORDER_PARAMS
 from godeaux2.elim import (
     Dependency,
+    EliminationError,
     _find_pivot,
     _Worktable,
     back_substitute,
@@ -252,9 +253,12 @@ def test_back_substitute_identity_and_soundness():
     assert back_substitute(p, {}) == p
     deps = [Dependency("r1", r2 + g1), Dependency("r2", 2 * g1)]
     resolved = resolve_dependencies(deps)
-    assert resolved["r2"] == 2 * g1 and resolved["r1"] == 3 * g1
+    assert resolved == {T.index["r2"]: 2 * g1, T.index["r1"]: 3 * g1}
     out = back_substitute(p, resolved)
     assert out == 6 * g1  # r1 -> 3*g1, r2 -> 2*g1, plus the bare g1
+    # an image that still holds an eliminated variable is refused, by name
+    with pytest.raises(EliminationError, match=r"survive: \['r2'\]"):
+        back_substitute(p, {T.index["r1"]: r2, T.index["r2"]: g1})
 
 
 def test_linelim_matches_gauss_oracle():
@@ -301,7 +305,7 @@ def test_linelim_matches_gauss_oracle():
             resolved = resolve_dependencies(deps)
             for k, name in enumerate(names[:nv]):
                 want = T.const(solution[k])
-                got = resolved.get(name, T.var(name))
+                got = resolved.get(T.index[name], T.var(name))
                 assert got == want
         else:
             under += 1
@@ -311,14 +315,9 @@ def test_linelim_matches_gauss_oracle():
                     p = T.const(const)
                     for c, v in zip(coeffs, var_polys):
                         p = p + c * v
-                    need = p.variables() & resolved.keys()
-                    q = p.substitute({k: resolved[k] for k in need}) if need else p
-                    assert all(
-                        not mono for mono in q.terms
-                    ) or q.is_zero() or q.variables(), "unsound parametrization"
                     # soundness: the residual must vanish for all free values,
                     # i.e. be the zero polynomial
-                    assert q.is_zero()
+                    assert back_substitute(p, resolved).is_zero(), "unsound parametrization"
     assert unique + under + inconsistent == 150
     assert unique >= 25 and inconsistent >= 10  # the mix is genuinely exercised
 
@@ -343,9 +342,12 @@ def test_driver_monotone_f(run11):
 
 
 def test_resolution_hits_only_survivors(run11):
-    gone = {d.var for d in run11.elim.deps}
-    for var, expr in resolve_dependencies(run11.elim.deps).items():
-        assert not (expr.variables() & gone), f"{var} resolves through eliminated vars"
+    table = run11.table
+    gone = {table.index[d.var] for d in run11.elim.deps}
+    resolved = resolve_dependencies(run11.elim.deps)
+    assert resolved.keys() == gone
+    for v, expr in resolved.items():
+        assert not (expr.support() & gone), f"{table.names[v]} resolves through eliminated vars"
 
 
 def test_back_substituted_alpha_matches_ansatz_slots(run11):
@@ -371,14 +373,12 @@ def test_driver_invertible_content_stripping():
     d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
     f = [d * r1 - d * d * r2, r2 - d]
     # without stripping, d*r1 - d^2*r2 offers no constant pivot on r1
-    from godeaux2.elim import EliminationError
-
     with pytest.raises(EliminationError):
         driver(f, ["r1", "r2"], [])
     state = driver(f, ["r1", "r2"], [], invertible=("d",))
     assert not state.f
     resolved = resolve_dependencies(state.deps)
-    assert resolved["r2"] == d and resolved["r1"] == d * d
+    assert resolved == {T.index["r2"]: d, T.index["r1"]: d * d}
 
 
 def test_zero_free_vars_unit():

@@ -5,8 +5,9 @@ listed in the module's `__all__` counts as used; an import line marked
 `# noqa: F401` is kept on purpose (the line's comment says why).
 
 Every function, class and method defined under src, dunders aside, is read
-by name somewhere in src or scripts.  A definition only the tests read is
-test-only API and goes."""
+by name somewhere in src or scripts, and so is every field of a dataclass
+under src, as an attribute.  A definition only the tests read is test-only
+API and goes, and so does a field that is written and never read."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,63 @@ def test_every_src_definition_is_read_by_src_or_scripts():
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
     others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
     assert unreferenced_definitions(defining, others) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(defining: dict, others=()) -> list:
+    """(label, class, field) of every field of a dataclass of the `defining`
+    sources ({label: text}) that no source, of those or of the `others`
+    texts, reads as an attribute."""
+    read = set()
+    found = []
+    for label, text in [*defining.items(), *((None, t) for t in others)]:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif label is not None and isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [
+                    (label, node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return sorted(d for d in found if d[2] not in read)
+
+
+def test_field_scanner_flags_a_field_that_is_only_written():
+    defining = {
+        "m.py": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\n"
+            "class A:\n"
+            "    kept: int\n"
+            "    written: int\n"
+            "    unread: list = field(default_factory=list)\n"
+            "@dataclasses.dataclass\n"
+            "class B:\n"
+            "    other: int\n"
+            "class NotData:\n"
+            "    ignored: int\n"
+            "a = A(1, 2)\n"
+            "a.written = 3\n"
+        ),
+    }
+    others = ["print(a.kept, unread, other)\n"]
+    assert unread_dataclass_fields(defining, others) == [
+        ("m.py", "A", "unread"),
+        ("m.py", "A", "written"),
+        ("m.py", "B", "other"),
+    ]
+
+
+def test_every_src_dataclass_field_is_read_by_src_or_scripts():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
+    assert unread_dataclass_fields(defining, others) == []

@@ -20,6 +20,8 @@ from godeaux2.ring import (
     monomial_basis,
 )
 
+from _oracle import support_names
+
 
 def small_table(rules=()):
     return VariableTable(
@@ -292,7 +294,7 @@ def test_multipliers_exclude_algebraic_r():
         rules=[RewriteRule("r", 2, {(): -15})],
     )
     p = table.var("r") * table.var("r5") * table.var("x") + table.var("r") * table.var("d")
-    assert p.variables() == {"x", "d", "r5", "r"}
+    assert support_names(p) == {"x", "d", "r5", "r"}
     assert p.multipliers() == {"r5"}
     assert table.of_kind(MULTIPLIER) == ["r5"]
 

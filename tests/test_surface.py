@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from godeaux2.alpha import SymPolyMatrix, make_table
+from godeaux2.alpha import AlphaCase, SymPolyMatrix, make_table
 from godeaux2.rc import PAIRS
 from godeaux2.ring import MULTIPLIER, RingError, monomial_basis
 from godeaux2.surface import (
@@ -15,7 +15,7 @@ from godeaux2.surface import (
     remove_r,
 )
 
-from _oracle import outside_low_degree_ideal
+from _oracle import outside_low_degree_ideal, support_names
 
 
 def test_equation_count_and_labels(run11):
@@ -54,11 +54,11 @@ def test_low_degree_equations_r_free_and_removal(run11):
     allowed = {"b5", "b9", "b6", "b8", "d", "b2", "b11", "g9", "b12"}
     seen = set()
     for eq in final.eqs:
-        params = {n for n in eq.poly.variables() if n[0] in "gbd" and n != "b"}
+        params = {n for n in support_names(eq.poly) if n[0] in "gbd" and n != "b"}
         seen |= params
     geo = {"x", "y1", "y2", "y3", "z1", "z2", "z3", "z4", "t"}
     for eq in final.eqs:
-        assert eq.poly.variables() <= geo | allowed
+        assert support_names(eq.poly) <= geo | allowed
     assert seen == allowed
 
 
@@ -100,7 +100,7 @@ def test_collect_gm_homogeneous(run11):
 
 
 def test_degenerate_diag_input():
-    table = make_table(1)
+    table = make_table(AlphaCase(1, 1))
     t, y1, one, zero = table.var("t"), table.var("y1"), table.one(), table.zero()
     entries = [t * t, y1, y1, y1, y1, one]
     M = SymPolyMatrix(

@@ -70,3 +70,22 @@ def test_traced_closed_form_rc_checks_residuals_without_eliminating(run11):
     assert "elim.driver" not in names
     metrics = tracer.layer_metrics({})
     assert metrics["elim.rounds"] == metrics["elim.lin_elim.calls"] == 0
+
+
+def test_traced_cold_pipeline_times_back_substitution(monkeypatch):
+    # run_pipeline back-substitutes one polynomial per call through the
+    # pipeline module global, so the tracer sees every call; a local alias
+    # bound before the tracer is installed would escape it
+    monkeypatch.setattr(pipeline, "_CACHE", {})
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        run = pipeline.run_pipeline(1, 1)
+    finally:
+        tracer.uninstall()
+    names = [rec["name"] for rec in tracer.spans]
+    assert names.count("elim.resolve_dependencies") == 1
+    assert names.count("elim.back_substitute") == len(run.system.f) + 36 + len(run.l0.polys)
+    metrics = tracer.layer_metrics({})
+    assert metrics["elim.back_substitute.s"] > 0
+    assert metrics["elim.resolve_dependencies.s"] > 0

@@ -14,8 +14,10 @@ metric), then per metric each side's median and quartiles, the median of the
 per-pair ratios, the number of pairs in which the change was lower, whether
 the pairs show a gain (see `gain_shown`), and whether the change's median is
 within the metric's `bound` in BENCHMARK.json's `end_to_end`: no worse than
-the parent's median by more than that fraction.  Exits 1 as soon as a run
-fails or is not `correct`.
+the parent's median by more than that fraction.  A change within its bound
+is reported "unresolved" instead when the parent's own runs spread too
+widely to tell (see `unresolved`).  Exits 1 as soon as a run fails or is not
+`correct`.
 The script only starts `perfbench/run.py`; each run cleans up after itself.
 """
 
@@ -61,6 +63,21 @@ def within_bound(name: str, before: float, after: float):
     if metric["better"] == "lower":
         return after <= before * (1 + metric["bound"])
     return after >= before * (1 - metric["bound"])
+
+
+def unresolved(name: str, pairs: list) -> bool:
+    """Whether the runs spread too widely to call the change within the
+    bound of metric `name`: the parent's interquartile range exceeds the
+    bound times the parent's median, and some change run is no better than
+    some parent run.  False for a metric with no bound."""
+    metric = END_TO_END.get(name)
+    if metric is None:
+        return False
+    sign = -1 if metric["better"] == "higher" else 1
+    before = [sign * p[name] for p, _ in pairs]
+    after = [sign * c[name] for _, c in pairs]
+    q1, med, q3 = quartiles(before)
+    return q3 - q1 > metric["bound"] * abs(med) and max(after) >= min(before)
 
 
 def gain_shown(name: str, pairs: list) -> bool:
@@ -118,6 +135,8 @@ def main(argv=None) -> int:
         bound = "no bound"
         if ok is not None:
             bound = f"{'within' if ok else 'BEYOND'} bound {END_TO_END[name]['bound']:g}"
+            if ok and unresolved(name, pairs):
+                bound = f"unresolved: parent IQR > bound {END_TO_END[name]['bound']:g} x median"
         gain = "gain shown" if gain_shown(name, pairs) else "no gain shown"
         print(
             f"  {name:12s} parent {med:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]  "

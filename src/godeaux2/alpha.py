@@ -207,35 +207,26 @@ def _minor_det(grid, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
         return grid[0][0].table.one()
     if n == 1:
         return grid[rows[0]][cols[0]]
-    # expand along the line (row or column) with the most zero entries
-    best_zeros, best_is_row, best_k = -1, True, 0
-    for k, r in enumerate(rows):
-        z = sum(1 for c in cols if grid[r][c].is_zero())
-        if z > best_zeros:
-            best_zeros, best_is_row, best_k = z, True, k
-    for k, c in enumerate(cols):
-        z = sum(1 for r in rows if grid[r][c].is_zero())
-        if z > best_zeros:
-            best_zeros, best_is_row, best_k = z, False, k
+    # expand along the line (row or column) with the most zero entries; a
+    # column expansion is a row expansion of the transpose
+    by_row, by_col = (lambda a, b: grid[a][b]), (lambda a, b: grid[b][a])
+    best_zeros = -1
+    for at, lines, across in ((by_row, rows, cols), (by_col, cols, rows)):
+        for k, a in enumerate(lines):
+            z = sum(1 for b in across if at(a, b).is_zero())
+            if z > best_zeros:
+                best_zeros, best = z, (at, lines, across, k)
+    at, lines, across, k0 = best
+    line, rest = lines[k0], lines[:k0] + lines[k0 + 1 :]
     acc = grid[0][0].table.zero()
-    if best_is_row:
-        r = rows[best_k]
-        sub_rows = rows[:best_k] + rows[best_k + 1 :]
-        for k, c in enumerate(cols):
-            e = grid[r][c]
-            if e.is_zero():
-                continue
-            term = e * _minor_det(grid, sub_rows, cols[:k] + cols[k + 1 :], memo)
-            acc = acc + (term if (best_k + k) % 2 == 0 else -term)
-    else:
-        c = cols[best_k]
-        sub_cols = cols[:best_k] + cols[best_k + 1 :]
-        for k, r in enumerate(rows):
-            e = grid[r][c]
-            if e.is_zero():
-                continue
-            term = e * _minor_det(grid, rows[:k] + rows[k + 1 :], sub_cols, memo)
-            acc = acc + (term if (k + best_k) % 2 == 0 else -term)
+    for k, b in enumerate(across):
+        e = at(line, b)
+        if e.is_zero():
+            continue
+        others = across[:k] + across[k + 1 :]
+        minor = (rest, others) if at is by_row else (others, rest)
+        term = e * _minor_det(grid, *minor, memo)
+        acc = acc + (term if (k0 + k) % 2 == 0 else -term)
     memo[key] = acc
     return acc
 

@@ -1,9 +1,13 @@
 """Exact sparse multivariate polynomials over a table of weighted, signed variables.
 
-Coefficients are arbitrary-precision rationals kept in lowest terms (plain int
-where integral, fractions.Fraction otherwise); there is no floating point
-anywhere: a number meets a polynomial (in +, -, * and ==) only through
-`VariableTable.const`, which refuses anything but int and Fraction.
+Coefficients are arbitrary-precision rationals, int or fractions.Fraction.
+Constants and products by a Fraction scalar hold a plain int where the value
+is integral; other sums and products of Fraction coefficients (in
+`add_products`, `add_terms`, or an int scalar times a Fraction) may still
+leave an integral Fraction, which compares, hashes and prints as the int.
+There is no floating point anywhere: a number meets a polynomial (in +, -,
+* and ==) only through `VariableTable.const`, which refuses anything but int
+and Fraction.
 A monomial is the non-decreasing tuple of its variable indices, each index
 repeated by its exponent (x0^2*x3 is (0, 0, 3)); () is the unit monomial.
 Products, divisions, supports and block splits are then tuple sorts, slices,
@@ -27,7 +31,9 @@ whose docstring says why.
 
 Algebraic extensions (i = sqrt(-1), quartic roots, sqrt(-15)) are realized as
 extra weight-0 variables carrying a monic power rewrite rule v^k -> p with p
-free of v; products and substitutions are reduced to the rewrite fixpoint.
+free of v; products and substitutions are reduced to the rewrite fixpoint
+whenever an operand or an image holds a rule variable (so every polynomial
+built from reduced ones is reduced).
 
 Weight-0 parameters rule out grading the term order by weighted degree (it
 would not be well founded), so the canonical order is the elimination block
@@ -38,7 +44,6 @@ term order and renders parameters as trailing coefficients in text output.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,7 +228,6 @@ class VariableTable:
         "index",
         "rules",
         "geo_cut",
-        "_first_alg",
         "_var_cache",
     )
 
@@ -255,8 +259,6 @@ class VariableTable:
         self.index = {n: i for i, n in enumerate(names)}
         self._var_cache = {}  # name -> the term dict of the variable
         self.rules = {}
-        alg = [i for i, k in enumerate(kinds) if k == ALGEBRAIC]
-        self._first_alg = min(alg) if alg else len(names)
         for rule in rules:
             vi = self.index[rule.variable]
             if self.kinds[vi] != ALGEBRAIC:
@@ -311,24 +313,10 @@ class VariableTable:
             self.names[v] if e == 1 else f"{self.names[v]}^{e}" for v, e in exponents(par + geo)
         )
 
-    def has_reducible(self, terms: Mapping) -> bool:
-        if not self.rules:
-            return False
-        first = self._first_alg
-        rules = self.rules
-        for m in terms:
-            if m and m[-1] >= first:
-                for v, (power, _) in rules.items():
-                    if m.count(v) >= power:
-                        return True
-        return False
-
     def reduce_terms(self, terms: dict) -> dict:
         """Apply power rewrite rules to fixpoint.  Confluent for the rule sets
         used here (single power rule per variable, replacements free of all
         algebraic variables)."""
-        if not self.has_reducible(terms):
-            return terms
         rules = sorted(self.rules.items())  # the lowest reducible index goes first
         done = []
         work = list(terms.items())
@@ -442,12 +430,20 @@ class Polynomial:
             c = _as_coeff(other)
             if not c:
                 return self.table.zero()
-            return Polynomial(self.table, {m: v * c for m, v in self.terms.items()})
+            if isinstance(c, int):
+                return Polynomial(self.table, {m: v * c for m, v in self.terms.items()})
+            return Polynomial(self.table, {m: _as_coeff(v * c) for m, v in self.terms.items()})
         other = self._coerce(other)
         a, b = self.terms, other.terms
         if not a or not b:
             return self.table.zero()
-        return Polynomial(self.table, self.table.reduce_terms(add_products({}, a, b)))
+        table = self.table
+        out = add_products({}, a, b)
+        if table.rules and not (
+            self.support().isdisjoint(table.rules) and other.support().isdisjoint(table.rules)
+        ):
+            out = table.reduce_terms(out)
+        return Polynomial(table, out)
 
     __rmul__ = __mul__
 
@@ -585,7 +581,7 @@ class Polynomial:
         order = sorted_monos(list(groups), table)
         return [(m, Polynomial(table, groups[m])) for m in order]
 
-    # -- exact division and square root --------------------------------------------
+    # -- exact division ------------------------------------------------------------
 
     def exact_divide(self, q: "Polynomial") -> Optional["Polynomial"]:
         """h with self == q*h, else None.  Leading-term division with a final
@@ -610,51 +606,6 @@ class Polynomial:
         if q * h != self:
             return None
         return h
-
-    def poly_sqrt(self) -> Optional["Polynomial"]:
-        """s with s^2 == self (positive leading coefficient), else None."""
-        if self.is_zero():
-            return self.table.zero()
-        lt_m, lt_c = self.leading_term()
-        root_m = _mono_sqrt(lt_m)
-        root_c = _coeff_sqrt(lt_c)
-        if root_m is None or root_c is None:
-            return None
-        s = Polynomial(self.table, {root_m: root_c})
-        rem = self - s * s
-        cut = self.table.geo_cut
-        prev = None
-        while rem.terms:
-            rm, rc = rem.leading_term()
-            tm = mono_div(rm, root_m)
-            if tm is None:
-                return None
-            if prev is not None and mono_key(tm, cut) <= mono_key(prev, cut):
-                return None
-            tc = _coeff_div(rc, 2 * root_c)
-            t = Polynomial(self.table, {tm: tc})
-            rem = rem - (2 * s * t) - t * t
-            s = s + t
-            prev = tm
-        return s
-
-
-def _mono_sqrt(m: Mono) -> Optional[Mono]:
-    # every exponent is even exactly when the indices pair off in order
-    if len(m) % 2 or m[::2] != m[1::2]:
-        return None
-    return m[::2]
-
-
-def _coeff_sqrt(c: Coeff) -> Optional[Coeff]:
-    f = Fraction(c)
-    if f <= 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return _as_coeff(Fraction(rn, rd))
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +632,12 @@ def monomial_basis(table: VariableTable, degree: int, sign: int, names: Sequence
 
 def generic_poly(table: VariableTable, names: Sequence[str], monos: Sequence[Mono]) -> Polynomial:
     """sum_k names[k] * monos[k]: a generic polynomial with one coefficient
-    variable per slot monomial."""
+    variable per slot monomial.  No rewrite rule is applied, so neither the
+    names nor the monomials may hold a rule variable."""
     if len(names) != len(monos):
         raise RingError(f"{len(names)} slot names for {len(monos)} slot monomials")
     index = table.index
-    terms = {mono_mul((index[n],), m): 1 for n, m in zip(names, monos)}
-    return Polynomial(table, table.reduce_terms(terms))
+    return Polynomial(table, {mono_mul((index[n],), m): 1 for n, m in zip(names, monos)})
 
 
 def lex_descending(monos: Iterable[Mono]) -> list:

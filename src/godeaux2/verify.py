@@ -17,8 +17,10 @@ random seed.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .alpha import (
@@ -588,27 +590,33 @@ def verify_scaling() -> str:
 
 @check("alpha3_square")
 def verify_alpha3_square() -> str:
-    """det(alpha_3, c=0) of the raw generic matrix is a perfect square up to
-    sign, so the stratum is empty: every member's matrix is the raw ansatz
-    under a substitution, and a specialisation of a square is a square.
-    det(alpha_1, c=1) is not a square (control)."""
+    """det(alpha_3, c=0) of the raw generic matrix M is -S^2 with
+    S = M[1,6]^2 + x*(y2*M[1,4] - y1*M[1,3]), that is Q^2 + x^2*(y2*q3 - y1*q2),
+    so the stratum is empty: every member's matrix is the raw ansatz under a
+    substitution, and a specialisation of minus a square is minus a square.
+
+    Control: det(alpha_1, c=1) is not a square up to sign over Q.  At the BY
+    moduli with x = y1 = y2 = y3 = 1 it takes the integer value -10732032
+    (the all-ones point is a zero of it), and a rational whose square is an
+    integer is an integer, so a square root T over Q would make 10732032 a
+    perfect square, which it is not."""
     from .alpha import build_ansatz
 
     raw, _ = build_ansatz(AlphaCase(3, 0))
-    det = raw.determinant()
-    # the coefficient field is Q; over C the sign is itself a square
-    sq, sign = det.poly_sqrt(), 1
-    if sq is None:
-        sq, sign = (-det).poly_sqrt(), -1
-    if sq is None:
-        raise CheckFailed("raw generic det(alpha_3, c=0) is not a square up to sign")
-    if sign * (sq * sq) != det:
-        raise CheckFailed("raw generic square root verification failed")
+    x, y1, y2 = (raw.table.var(n) for n in ("x", "y1", "y2"))
+    root = raw[1, 6] ** 2 + x * (y2 * raw[1, 4] - y1 * raw[1, 3])
+    if raw.determinant() != -(root * root):
+        raise CheckFailed("raw generic det(alpha_3, c=0) is not -S^2")
     d11 = run_pipeline(1, 1).det_final()
-    if d11.poly_sqrt() is not None or (-d11).poly_sqrt() is not None:
-        raise CheckFailed("control failed: det(alpha_1, c=1) is a square")
+    value = d11.substitute(dict(BY_SURFACE.values, x=1, y1=1, y2=1, y3=1))
+    if value.support():
+        free = ", ".join(sorted(value.table.names[v] for v in value.support()))
+        raise CheckFailed(f"the control point leaves {free} free in det(alpha_1, c=1)")
+    magnitude = abs(Fraction(value.terms.get((), 0)))
+    if all(math.isqrt(n) ** 2 == n for n in (magnitude.numerator, magnitude.denominator)):
+        raise CheckFailed(f"control failed: det(alpha_1, c=1) = {value} at the point is +- a square")
     return (
-        f"raw generic det = {'-' if sign < 0 else ''}(...)^2, so is every specialisation;"
+        "raw generic det = -(...)^2, so is every specialisation;"
         " alpha_1 c=1 control is not a square"
     )
 

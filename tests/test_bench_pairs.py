@@ -66,3 +66,25 @@ def test_gain_needs_nine_of_ten_pairs_and_a_median_gap_beyond_the_parent_iqr(ben
     # lower in every pair, but a gap of 0.5 inside the parent's IQR
     assert not bench_pairs.gain_shown("wall_s", pairs([p - 0.5 for p in parent]))
 
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_verdict_unresolved(
+    bench_pairs, monkeypatch, capsys
+):
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8]  # q1 1.1, q3 1.7: an IQR of 0.6 > 0.25 * 1.4
+    pairs = lambda change: [({"wall_s": p}, {"wall_s": c}) for p, c in zip(parent, change)]
+    # a median within the bound says nothing while the parent spreads this wide
+    assert bench_pairs.unresolved("wall_s", pairs([1.5] * 5))
+    # unless every change run beats every parent run
+    assert not bench_pairs.unresolved("wall_s", pairs([0.9] * 5))
+    # a narrow parent: an IQR of 0.02 < 0.25 * 1.0
+    narrow = [({"wall_s": p}, {"wall_s": 1.1}) for p in (0.99, 1.0, 1.01)]
+    assert not bench_pairs.unresolved("wall_s", narrow)
+    # a metric with no bound has no verdict to withhold
+    unbound = [({"elim.pivots": p}, {"elim.pivots": 2}) for p in parent]
+    assert not bench_pairs.unresolved("elim.pivots", unbound)
+
+    runs = {"parent": iter(parent[:4]), "change": iter([1.5] * 4)}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload: {"wall_s": next(runs[checkout.name])})
+    bench_pairs.main(["--parent", "parent", "--change", "change", "--workload", "w", "--pairs", "4"])
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.endswith("no gain shown  unresolved: parent IQR > bound 0.25 x median")

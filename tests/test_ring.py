@@ -173,19 +173,6 @@ def test_exact_divide(T):
         q.exact_divide(T.zero())
 
 
-def test_poly_sqrt(T):
-    y1, y2 = T.var("y1"), T.var("y2")
-    s = ((y1 + y2) ** 2).poly_sqrt()
-    assert s == y1 + y2  # leading coefficient normalized positive
-    s = ((-y1 - y2) * (y1 + y2) * -1).poly_sqrt()
-    assert s == y1 + y2
-    assert (y1 ** 2 + y2 ** 2).poly_sqrt() is None
-    assert T.zero().poly_sqrt() == T.zero()
-    p = (3 * y1 - 2 * y2 + y1 * y2) ** 2
-    r = p.poly_sqrt()
-    assert r is not None and r * r == p
-
-
 def test_monomial_basis_q1_slots(T):
     basis = monomial_basis(T, 4, -1, ["x", "y1", "y2", "y3"])
     assert sorted(T.mono_str(m) for m in basis) == sorted(
@@ -260,6 +247,15 @@ def test_fraction_coefficients_render(T):
 
     p = Fraction(3, 2) * T.var("x") - Fraction(1, 2)
     assert str(p) == "3/2*x - 1/2"
+
+
+def test_a_fraction_scalar_leaves_an_int_where_the_product_is_integral(T):
+    from fractions import Fraction
+
+    p = (2 * T.var("x") + 3 * T.var("d")) * Fraction(1, 2)
+    coeffs = {T.mono_str(m): c for m, c in p.terms.items()}
+    assert coeffs == {"x": 1, "d": Fraction(3, 2)}
+    assert type(coeffs["x"]) is int
 
 
 def test_pattern_constants_validate():

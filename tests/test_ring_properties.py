@@ -131,14 +131,6 @@ def test_exact_divide_roundtrip(p, q):
     assert (p * q).exact_divide(q) == p
 
 
-@given(polys)
-@settings(max_examples=150, deadline=None)
-def test_poly_sqrt_roundtrip(p):
-    s = (p * p).poly_sqrt()
-    assert s is not None
-    assert s * s == p * p
-
-
 @given(polys, polys, polys)
 @settings(max_examples=150, deadline=None)
 def test_cached_support_and_hash_match_a_fresh_copy(p, q, img):

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -183,6 +184,20 @@ def test_alpha3_square_fails_on_a_non_square_raw_det(monkeypatch, run30, run11):
     )
     rep = verify_alpha3_square()
     assert rep.status == "fail" and "raw generic" in rep.witness
+
+
+def test_alpha3_square_control_fails_on_a_square_or_a_free_variable(monkeypatch, run11):
+    # negative controls of the (1,1) side: det_final() stubbed by minus a
+    # square, then by a polynomial that the BY point does not fully bind
+    table = run11.table
+    b5, x, y1, g1 = (table.var(n) for n in ("b5", "x", "y1", "g1"))
+    for det, witness in [
+        (-(b5 * x * y1) ** 2, "control failed: det(alpha_1, c=1) = -3600 at the point is +- a square"),
+        (run11.det_final() + g1, "the control point leaves g1 free in det(alpha_1, c=1)"),
+    ]:
+        _feed_run(monkeypatch, SimpleNamespace(det_final=lambda det=det: det))
+        rep = verify_alpha3_square()
+        assert rep.status == "fail" and rep.witness == witness
 
 
 def test_alpha2_basepoint(run20):

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .ring import (
     ALGEBRAIC,
     GEOMETRIC,
+    INVERTIBLE,
     MULTIPLIER,
     PARAMETER,
     Polynomial,
@@ -101,12 +102,14 @@ def coordinate_entries(names) -> list:
 def make_table(case: AlphaCase) -> VariableTable:
     """Pipeline variable table for `case`.
 
-    Geometric: x, y1, y2, case.w_name, z1..z4, t.  Parameters: d, g1..g10, b1..b12.
-    Multipliers: r1..r380.  A trailing algebraic symbol r (r^2 = -15) makes
-    specializations over Q(sqrt(-15)) plain substitutions on the same table.
+    Geometric: x, y1, y2, case.w_name, z1..z4, t.  Parameters: d, g1..g10, b1..b12;
+    d is INVERTIBLE for j=2, whose constraint keeps d != 0, so the elimination
+    may divide by it.  Multipliers: r1..r380.  A trailing algebraic symbol r
+    (r^2 = -15) makes specializations over Q(sqrt(-15)) plain substitutions on
+    the same table.
     """
     entries = coordinate_entries(("x", "y1", "y2", case.w_name, "z1", "z2", "z3", "z4", "t"))
-    entries += [("d", 0, 1, PARAMETER)]
+    entries += [("d", 0, 1, INVERTIBLE if case.j == 2 else PARAMETER)]
     entries += [(n, 0, 1, PARAMETER) for n in BORDER_PARAMS]
     entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_SLOTS + 1)]
     entries += [("r", 0, 1, ALGEBRAIC)]

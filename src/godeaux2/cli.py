@@ -72,7 +72,8 @@ def _golden_file_check():
 def cmd_verify(args: argparse.Namespace) -> int:
     registry = all_checks()
     registry["golden_file"] = _golden_file_check()
-    names = list(args.check) if args.check and "all" not in args.check else sorted(registry)
+    names = args.check if args.check and "all" not in args.check else sorted(registry)
+    names = list(dict.fromkeys(names))  # a check named twice runs once, where first named
     unknown = [n for n in names if n not in registry]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)

@@ -68,14 +68,14 @@ class EliminationState:
     round_log: list = field(default_factory=list)
 
 
-def strip_content_var(p: Polynomial, var: str) -> Polynomial:
-    """Divide out the largest power of `var` dividing every term.  Sound only
-    when the variable is invertible on the family (the j=2 constraint forces
-    d != 0).  Dividing every term by one monomial keeps their order, so the
-    leading monomial is handed on."""
+def strip_content_var(p: Polynomial, vi: int) -> Polynomial:
+    """Divide out the largest power of the variable with table index `vi`
+    dividing every term.  Sound only when the table declares that variable
+    INVERTIBLE (`alpha.make_table` does so for d when j=2, where the family's
+    constraint keeps d != 0).  Dividing every term by one monomial keeps their
+    order, so the leading monomial is handed on."""
     if not p.terms:
         return p
-    vi = p.table.index[var]
     k = None
     for m in p.terms:
         e = m.count(vi)
@@ -89,15 +89,15 @@ def strip_content_var(p: Polynomial, var: str) -> Polynomial:
     return Polynomial(p.table, terms, mono_div(p.leading_mono(), (vi,) * k))
 
 
-def primitive_form(p: Polynomial, invertible: tuple = ()) -> Polynomial:
+def primitive_form(p: Polynomial) -> Polynomial:
     """Integer content removed, leading (canonical) coefficient positive,
-    content in the invertible variables divided out.  A polynomial already in
-    that form is returned as it is, and remembers the `invertible` tuple it
-    was found primitive for, so a second call for that tuple returns at once."""
-    if not p.terms or p.primitive_for == invertible:
+    content in the variables that `p.table` declares INVERTIBLE divided out.
+    A polynomial already in that form is returned as it is, with its
+    `primitive` flag set, so a second call returns at once."""
+    if not p.terms or p.primitive:
         return p
-    for var in invertible:
-        p = strip_content_var(p, var)
+    for vi in p.table.invertible:
+        p = strip_content_var(p, vi)
     terms = p.terms
     nums = terms
     for c in terms.values():
@@ -113,7 +113,7 @@ def primitive_form(p: Polynomial, invertible: tuple = ()) -> Polynomial:
         g = -g
     if not (g == 1 and nums is terms):
         p = Polynomial(p.table, {m: n // g for m, n in nums.items()}, lead)
-    p.primitive_for = invertible
+    p.primitive = True
     return p
 
 
@@ -122,13 +122,12 @@ class _Worktable:
     primitive form, or None once it is zero, a copy of a live polynomial, or
     used up as a pivot."""
 
-    def __init__(self, f: Sequence[Polynomial], g_flags: Sequence[bool], invertible: tuple = ()):
-        self.invertible = tuple(invertible)
+    def __init__(self, f: Sequence[Polynomial], g_flags: Sequence[bool]):
         self.polys = [None] * len(f)
         self.in_g = list(g_flags)
         self.by_key = {}  # every live polynomial -> its slot
         for i, p in enumerate(f):
-            self.replace(i, primitive_form(p, self.invertible))
+            self.replace(i, primitive_form(p))
 
     def alive(self) -> list:
         return [p for p in self.polys if p is not None]
@@ -159,7 +158,7 @@ class _Worktable:
         rewritten = []
         for k, q in enumerate(self.polys):
             if q is not None and v in q.support():
-                self.replace(k, primitive_form(rewrite(q), self.invertible))
+                self.replace(k, primitive_form(rewrite(q)))
                 rewritten.append(k)
         return rewritten
 
@@ -272,13 +271,7 @@ def _find_pivot(p: Polynomial, targets: frozenset, var_idx: dict, n: int):
     return None
 
 
-def lin_elim(
-    f: Sequence[Polynomial],
-    g_flags: Sequence[bool],
-    var: Sequence[str],
-    n: int,
-    invertible: tuple = (),
-):
+def lin_elim(f: Sequence[Polynomial], g_flags: Sequence[bool], var: Sequence[str], n: int):
     """One fixpoint pass of the elimination primitive.
 
     Returns (new_f, new_g_flags, dependencies).  Scanning is restarted from
@@ -303,7 +296,7 @@ def lin_elim(
         dep = Dependency(table.names[v], neg_h * Fraction(1, c))
         return dep, v, _cleared_pivot_substitution(v, c, neg_h)
 
-    work = _Worktable(f, g_flags, invertible)
+    work = _Worktable(f, g_flags)
     deps = work.solve(pivot)
     return work.alive(), work.alive_flags(), deps
 
@@ -317,7 +310,7 @@ def stage_b_flags(f: Sequence[Polynomial], r_names: Iterable[str]) -> list:
     return [not (p.support() & r_idx) for p in f]
 
 
-def zero_free_vars(f: Sequence[Polynomial], var: Sequence[str], invertible: tuple = ()):
+def zero_free_vars(f: Sequence[Polynomial], var: Sequence[str]):
     """Specialize every target variable still occurring in f to zero, in var
     order, logging a zero dependency for each.  The end-to-end soundness check
     (dependencies substituted into the original system give zeros) remains the
@@ -331,16 +324,11 @@ def zero_free_vars(f: Sequence[Polynomial], var: Sequence[str], invertible: tupl
         return list(f), []
     zero = table.zero()
     bindings = {name: zero for name in names}
-    work = _Worktable([p.substitute(bindings) for p in f], [True] * len(f), invertible)
+    work = _Worktable([p.substitute(bindings) for p in f], [True] * len(f))
     return work.alive(), [Dependency(name, zero) for name in names]
 
 
-def monomial_elim(
-    f: Sequence[Polynomial],
-    r_var: Sequence[str],
-    all_var: Sequence[str] = (),
-    invertible: tuple = (),
-):
+def monomial_elim(f: Sequence[Polynomial], r_var: Sequence[str], all_var: Sequence[str] = ()):
     """Fallback moves on single-monomial entries of f.
 
     A pure power c*v^e forces v = 0 outright (the unique solution over a
@@ -372,17 +360,13 @@ def monomial_elim(
         zero = {table.names[v]: table.zero()}
         return Dependency(table.names[v], table.zero()), v, lambda q: q.substitute(zero)
 
-    work = _Worktable(f, [True] * len(f), invertible)
+    work = _Worktable(f, [True] * len(f))
     deps = work.solve(pivot)
     return work.alive(), deps
 
 
 def driver(
-    f: Sequence[Polynomial],
-    r_names: Sequence[str],
-    gb_names: Sequence[str],
-    *,
-    invertible: tuple = (),
+    f: Sequence[Polynomial], r_names: Sequence[str], gb_names: Sequence[str]
 ) -> EliminationState:
     """Run the elimination ladder, one round per budget n = 1, 2, ..., until
     f empties or a round is idle.
@@ -418,7 +402,7 @@ def driver(
 
     def sweep(var, flags):
         def move(f, n):
-            f, _, deps = lin_elim(f, flags(f), var, n, invertible)
+            f, _, deps = lin_elim(f, flags(f), var, n)
             return f, deps
 
         return move
@@ -430,9 +414,9 @@ def driver(
         # (stage, budget: None for the round number, fallback, move)
         ("A", None, False, sweep(r_names, everywhere)),
         ("B", STAGE_B_BUDGET, False, sweep(gb_names, lambda f: stage_b_flags(f, r_names))),
-        ("C", 0, True, lambda f, n: monomial_elim(f, r_names, gb_names, invertible)),
+        ("C", 0, True, lambda f, n: monomial_elim(f, r_names, gb_names)),
         ("D", STAGE_B_BUDGET, True, sweep(gb_names, everywhere)),
-        ("E", 0, True, lambda f, n: zero_free_vars(f, r_names, invertible)),
+        ("E", 0, True, lambda f, n: zero_free_vars(f, r_names)),
     )
     state = EliminationState(list(f))
     for rnd in count(1):

@@ -25,7 +25,7 @@ from .elim import (
     survivors,
 )
 from .rc import RCSystem, build_l_ansatz, extract_system, rc_residuals
-from .ring import Polynomial, exponents
+from .ring import INVERTIBLE, Polynomial, exponents
 from .surface import SurfaceEquations, collect_Gm, generate_equations, remove_r
 
 
@@ -60,9 +60,9 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     """Derive the family (j, c): the multiplier ansatz, the 15 residuals, the
     flattened system f, the driver over the r's and the border parameters
     BORDER_PARAMS, then back-substitution, equations and r-removal.  For j=2
-    the driver may divide by d, which the family's constraint keeps
-    invertible.  The driver's EliminationError propagates with the system
-    attached as `err.system`."""
+    the driver may divide by d, which `make_table` declares INVERTIBLE.  The
+    driver's EliminationError propagates with the system attached as
+    `err.system`."""
     key = (j, c)
     if key in _CACHE:
         return _CACHE[key]
@@ -71,9 +71,8 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     alpha0, params = build_ansatz(case)
     l0 = build_l_ansatz(alpha0, case)
     system = extract_system(rc_residuals(l0.cofactors, l0.polys), case)
-    invertible = ("d",) if case.j == 2 else ()
     try:
-        state = driver(system.f, list(l0.r_names), list(BORDER_PARAMS), invertible=invertible)
+        state = driver(system.f, list(l0.r_names), list(BORDER_PARAMS))
     except EliminationError as err:
         err.system = system
         raise
@@ -169,6 +168,7 @@ def stats_dict(result: PipelineResult) -> dict:
         "initial_f": len(result.system.f),
         "distinct_parameters": result.system.param_count,
         "r_count": len(result.l0.r_names),
+        "invertible": result.table.of_kind(INVERTIBLE),
         "rounds": [
             {
                 "stage": r.stage,

@@ -20,7 +20,7 @@ sign) pair that every term shares, None when two terms differ in either.
 
 A Polynomial's `terms` dict is never mutated after construction: every
 operation builds a new dict.  The per-polynomial caches (leading monomial,
-support, hash, primitive-form marker) rely on this.
+support, hash, primitive-form flag) rely on this.
 
 `Polynomial.substitute` is the one general substitution: it is simultaneous
 (every bound variable is replaced at once and images are never substituted
@@ -59,6 +59,7 @@ Scalar = (int, Fraction)
 GEOMETRIC = "geometric"
 PARAMETER = "parameter"
 MULTIPLIER = "multiplier"  # a parameter of the rank-condition multiplier ansatz
+INVERTIBLE = "invertible"  # a parameter the family keeps nonzero: its content may be divided out
 ALGEBRAIC = "algebraic"
 
 UNIT_MONO: Mono = ()
@@ -228,6 +229,7 @@ class VariableTable:
         "index",
         "rules",
         "geo_cut",
+        "invertible",
         "_var_cache",
     )
 
@@ -238,7 +240,7 @@ class VariableTable:
                 raise RingError(f"negative weight for {name}")
             if sign not in (1, -1):
                 raise RingError(f"sign of {name} must be +1 or -1")
-            if kind not in (GEOMETRIC, PARAMETER, MULTIPLIER, ALGEBRAIC):
+            if kind not in (GEOMETRIC, PARAMETER, MULTIPLIER, INVERTIBLE, ALGEBRAIC):
                 raise RingError(f"unknown kind {kind!r} for {name}")
             if kind != GEOMETRIC and (weight != 0 or sign != 1):
                 raise RingError(f"{kind} variable {name} must have weight 0, sign +1")
@@ -256,6 +258,7 @@ class VariableTable:
         self.weights = tuple(weights)
         self.signs = tuple(signs)
         self.kinds = tuple(kinds)
+        self.invertible = tuple(i for i, k in enumerate(kinds) if k == INVERTIBLE)
         self.index = {n: i for i, n in enumerate(names)}
         self._var_cache = {}  # name -> the term dict of the variable
         self.rules = {}
@@ -347,18 +350,20 @@ class Polynomial:
     `lead` may pass on a leading monomial the caller already knows (for
     example after dividing every term by one scalar); otherwise
     `leading_mono` finds it once and keeps it.  `support()` and the hash are
-    likewise computed at most once.  `primitive_for` is the tuple of
-    invertible variables `elim.primitive_form` last found the polynomial
-    primitive for, or None.
+    likewise computed at most once.  `primitive` is set once
+    `elim.primitive_form` has found the polynomial in primitive form; the
+    table fixes the INVERTIBLE variables that form strips, so the flag holds
+    for good.
     """
 
-    __slots__ = ("table", "terms", "_lead", "_support", "_hash", "primitive_for")
+    __slots__ = ("table", "terms", "_lead", "_support", "_hash", "primitive")
 
     def __init__(self, table: VariableTable, terms: dict, lead: Optional[Mono] = None):
         self.table = table
         self.terms = terms
         self._lead = lead
-        self._support = self._hash = self.primitive_for = None
+        self._support = self._hash = None
+        self.primitive = False
 
     # -- basics ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from godeaux2.alpha import (
     det_any,
     make_table,
 )
-from godeaux2.ring import GEOMETRIC, VariableTable, exponents
+from godeaux2.ring import GEOMETRIC, INVERTIBLE, VariableTable, exponents
 
 from _oracle import build_ansatz_reference, first_row_det
 
@@ -243,6 +243,9 @@ def test_make_table_main_pipeline_geometry():
         table = make_table(AlphaCase(j, 0))
         assert table.names[:5] == ("x", "y1", "y2", "y4", "z1")
         assert (table.weights[3], table.signs[3]) == (2, -1)
+    # the j=2 constraint keeps d != 0, and only there is d declared invertible
+    for j, c in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)):
+        assert make_table(AlphaCase(j, c)).of_kind(INVERTIBLE) == (["d"] if j == 2 else [])
 
 
 def test_determinant_matches_independent_expansion(case11):

@@ -48,18 +48,19 @@ def test_stats_record_soundness(run11, run20):
 
 
 # the deterministic stats.json fields per case:
-# initial_f, distinct_parameters, r_count, dependencies, sound_checked,
-# r_survivors, equations
+# initial_f, distinct_parameters, r_count, invertible, dependencies,
+# sound_checked, r_survivors, equations
 STATS = {
-    (1, 1): (876, 394, 371, 291, 876, 94, 21),
-    (3, 1): (692, 393, 371, 291, 692, 94, 21),
-    (3, 0): (596, 144, 371, 112, 596, 279, 21),
-    (2, 0): (741, 394, 371, 391, 741, 1, 21),
+    (1, 1): (876, 394, 371, [], 291, 876, 94, 21),
+    (3, 1): (692, 393, 371, [], 291, 692, 94, 21),
+    (3, 0): (596, 144, 371, [], 112, 596, 279, 21),
+    (2, 0): (741, 394, 371, ["d"], 391, 741, 1, 21),
 }
 STATS_FIELDS = (
     "initial_f",
     "distinct_parameters",
     "r_count",
+    "invertible",
     "dependencies",
     "sound_checked",
     "r_survivors",

@@ -61,6 +61,13 @@ def test_verify_selected_checks():
     assert main(["verify", "--check", "excluded_diagonal_rc", "--check", "y2_quartic_coefficient"]) == 0
 
 
+def test_verify_runs_a_check_named_twice_once(capsys):
+    names = ["y2_quartic_coefficient", "excluded_diagonal_rc", "y2_quartic_coefficient"]
+    assert main(["verify"] + [arg for name in names for arg in ("--check", name)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == names[:2]  # the order first named
+
+
 def test_r_removal_verdict_is_seed_independent(capsys, run11):
     lines = []
     for seed in ("0", "7"):

@@ -22,14 +22,23 @@ from godeaux2.elim import (
     strip_content_var,
     survivors,
 )
-from godeaux2.ring import ALGEBRAIC, GEOMETRIC, PARAMETER, Polynomial, RewriteRule, VariableTable
+from godeaux2.ring import (
+    ALGEBRAIC,
+    GEOMETRIC,
+    INVERTIBLE,
+    PARAMETER,
+    Polynomial,
+    RewriteRule,
+    VariableTable,
+)
 
 from _oracle import dense_mono, find_pivot_reference, gauss_classify, max_degree_in
 
 
-def param_table(nr=10, extras=("g1", "d")):
+def param_table(nr=10, extras=("g1", "d"), d_kind=PARAMETER):
+    """r1..r<nr> and the extras as parameters; d, if an extra, of kind d_kind."""
     entries = [(f"r{k}", 0, 1, PARAMETER) for k in range(1, nr + 1)]
-    entries += [(p, 0, 1, PARAMETER) for p in extras]
+    entries += [(p, 0, 1, d_kind if p == "d" else PARAMETER) for p in extras]
     return VariableTable(entries)
 
 
@@ -81,9 +90,10 @@ def test_primitive_form_normalizes():
 def test_strip_content_var():
     T = param_table()
     d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
-    assert strip_content_var(d * d * r1 - d * r2 * d, "d") == r1 - r2
+    vd = T.index["d"]
+    assert strip_content_var(d * d * r1 - d * r2 * d, vd) == r1 - r2
     p = d * r1 + r2  # no common d content
-    assert strip_content_var(p, "d") == p
+    assert strip_content_var(p, vd) == p
 
 
 def _random_poly(rng, T, names, max_exp=2, size=6):
@@ -103,14 +113,23 @@ def test_strip_content_var_hands_on_the_leading_monomial():
         + [(n, 0, 1, PARAMETER) for n in ("r1", "r2", "g1", "d")]
     )
     rng = random.Random(7)
-    d = T.var("d")
+    d, vd = T.var("d"), T.index["d"]
+    stripped = 0
     for _ in range(40):
-        p = _random_poly(rng, T, ("x", "y", "r1", "r2", "g1", "d")) * d ** rng.randint(1, 3)
+        k = rng.randint(1, 3)
+        p = _random_poly(rng, T, ("x", "y", "r1", "r2", "g1", "d")) * d**k
         if p.is_zero():
             continue
         p.leading_mono()
-        s = strip_content_var(p, "d")
+        s = strip_content_var(p, vd)
         assert s.leading_mono() == Polynomial(T, dict(s.terms)).leading_mono()
+        # the power stripped is the k multiplied in, plus any d content of
+        # the random factor
+        j = min(m.count(vd) for m in p.terms)
+        assert j >= k and s * d**j == p
+        assert any(vd not in m for m in s.terms)  # all d content removed
+        stripped += 1
+    assert stripped >= 30
 
 
 def test_primitive_form_returns_a_primitive_input_itself():
@@ -118,7 +137,9 @@ def test_primitive_form_returns_a_primitive_input_itself():
     d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
     q = r1 - 2 * r2 + 3 * d
     assert primitive_form(q) is q
-    assert primitive_form(q, ("d",)) is q  # no d content to strip
+    U = param_table(d_kind=INVERTIBLE)
+    u = U.var("r1") - 2 * U.var("r2") + 3 * U.var("d")
+    assert primitive_form(u) is u  # no d content to strip
     assert primitive_form(2 * q) == q and primitive_form(2 * q) is not 2 * q
     assert primitive_form(-q) == q
 
@@ -171,17 +192,21 @@ def test_duplicates_pruned_up_to_scale():
     assert len(out) == 2
 
 
-def test_primitive_form_marker_is_keyed_on_the_invertible_tuple():
+def test_primitive_form_strips_the_content_of_the_tables_invertible_d():
+    # over a PARAMETER d, the d content of a primitive polynomial stays
     T = param_table()
     d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
     p = d * r1 + 2 * d * r2  # primitive over the integers, d content d
+    assert not p.primitive
     assert primitive_form(p) is p
-    assert p.primitive_for == ()
-    # primitive for () says nothing about the content in d
-    assert primitive_form(p, ("d",)) == r1 + 2 * r2
-    q = primitive_form(3 * p, ("d",))
-    assert q == r1 + 2 * r2 and q.primitive_for == ("d",)
-    assert primitive_form(q, ("d",)) is q
+    assert p.primitive and p == d * (r1 + 2 * r2)
+    # over an INVERTIBLE d, both the 3 and the d go
+    U = param_table(d_kind=INVERTIBLE)
+    assert U.invertible == (U.index["d"],) and T.invertible == ()
+    d, r1, r2 = U.var("d"), U.var("r1"), U.var("r2")
+    q = primitive_form(3 * (d * r1 + 2 * d * r2))
+    assert q == r1 + 2 * r2 and q.primitive
+    assert primitive_form(q) is q
 
 
 @pytest.mark.parametrize(
@@ -236,13 +261,13 @@ def test_monomial_elim_rules():
     T = param_table()
     d, b, r5 = T.var("d"), T.var("g1"), T.var("r5")
     # mixed monomial with exactly one r: the r goes to zero
-    f, deps = monomial_elim([d * b * r5], ["r5"], [], ())
+    f, deps = monomial_elim([d * b * r5], ["r5"], [])
     assert f == [] and deps[0].var == "r5" and deps[0].expr.is_zero()
     # pure power of any target variable: forced zero
-    f, deps = monomial_elim([b * b], [], ["g1"], ())
+    f, deps = monomial_elim([b * b], [], ["g1"])
     assert f == [] and deps[0].var == "g1"
     # a two-variable monomial with no r is left alone
-    f, deps = monomial_elim([d * b], [], ["g1", "d"], ())
+    f, deps = monomial_elim([d * b], [], ["g1", "d"])
     assert not deps and len(f) == 1
 
 
@@ -369,16 +394,20 @@ def test_case31_survivor_count_matches_moduli_dimension():
 
 
 def test_driver_invertible_content_stripping():
-    T = param_table()
-    d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
-    f = [d * r1 - d * d * r2, r2 - d]
-    # without stripping, d*r1 - d^2*r2 offers no constant pivot on r1
+    def system(T):
+        d, r1, r2 = T.var("d"), T.var("r1"), T.var("r2")
+        return [d * r1 - d * d * r2, r2 - d]
+
+    # one f over two tables: with d a PARAMETER, d*r1 - d^2*r2 offers no
+    # constant pivot on r1; with d INVERTIBLE its d content goes first
     with pytest.raises(EliminationError):
-        driver(f, ["r1", "r2"], [])
-    state = driver(f, ["r1", "r2"], [], invertible=("d",))
+        driver(system(param_table()), ["r1", "r2"], [])
+    U = param_table(d_kind=INVERTIBLE)
+    state = driver(system(U), ["r1", "r2"], [])
     assert not state.f
     resolved = resolve_dependencies(state.deps)
-    assert resolved == {T.index["r2"]: d, T.index["r1"]: d * d}
+    d = U.var("d")
+    assert resolved == {U.index["r2"]: d, U.index["r1"]: d * d}
 
 
 def test_zero_free_vars_unit():
@@ -387,7 +416,7 @@ def test_zero_free_vars_unit():
     T = param_table()
     d, r1, r2, g1 = T.var("d"), T.var("r1"), T.var("r2"), T.var("g1")
     f = [r1 * r2 - r1 * d, g1 + r2]
-    out, deps = zero_free_vars(f, ["r1", "r2", "r3"], ())
+    out, deps = zero_free_vars(f, ["r1", "r2", "r3"])
     assert [dep.var for dep in deps] == ["r1", "r2"]
     assert all(dep.expr.is_zero() for dep in deps)
     assert out == [g1]
@@ -494,26 +523,28 @@ def test_stall_is_the_first_idle_round(j, c):
     ]
 
 
-DRIVER_TABLE = param_table(nr=3)
+# d a PARAMETER and d INVERTIBLE: both content rules of primitive_form
+DRIVER_TABLES = (param_table(nr=3), param_table(nr=3, d_kind=INVERTIBLE))
 DRIVER_TARGETS = (["r1", "r2", "r3"], ["g1"])
 driver_monos = st.lists(st.integers(0, 2), min_size=5, max_size=5).map(dense_mono)
-driver_systems = st.lists(
-    st.dictionaries(driver_monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(
-        lambda t: Polynomial(DRIVER_TABLE, t)
+driver_systems = st.tuples(
+    st.sampled_from(DRIVER_TABLES),
+    st.lists(
+        st.dictionaries(driver_monos, st.integers(-3, 3).filter(bool), min_size=1, max_size=4),
+        min_size=1,
+        max_size=4,
     ),
-    min_size=1,
-    max_size=4,
-)
+).map(lambda table_terms: [Polynomial(table_terms[0], t) for t in table_terms[1]])
 
 
-@given(driver_systems, st.sampled_from([(), ("d",)]))
+@given(driver_systems)
 @settings(max_examples=200, deadline=None)
-def test_driver_stops_at_its_first_idle_round(f, invertible):
+def test_driver_stops_at_its_first_idle_round(f):
     from godeaux2.elim import EliminationError
 
     r_names, gb_names = DRIVER_TARGETS
     try:
-        state = driver(f, r_names, gb_names, invertible=invertible)
+        state = driver(f, r_names, gb_names)
         assert not state.f
     except EliminationError as err:
         state = err.state
@@ -531,7 +562,7 @@ def test_zero_free_vars_keeps_the_first_of_equal_images_and_drops_zeros():
     T = param_table()
     d, r1, g1 = T.var("d"), T.var("r1"), T.var("g1")
     f = [g1 + r1, r1 * d, d * g1, 2 * g1 + 2 * r1 * d]
-    out, deps = zero_free_vars(f, ["r1"], ())
+    out, deps = zero_free_vars(f, ["r1"])
     assert [dep.var for dep in deps] == ["r1"]
     # r1*d goes to zero; 2*g1 normalises to the g1 already kept in front
     assert out == [g1, d * g1]
@@ -541,7 +572,7 @@ def test_monomial_elim_leaves_a_nonzero_constant_alone():
     # the unit monomial is neither a pure power nor holds an r
     T = param_table()
     r1, g1 = T.var("r1"), T.var("g1")
-    out, deps = monomial_elim([T.const(-3), g1 * r1, g1 ** 2], ["r1"], ["g1"], ())
+    out, deps = monomial_elim([T.const(-3), g1 * r1, g1 ** 2], ["r1"], ["g1"])
     assert [dep.var for dep in deps] == ["r1", "g1"]
     assert out == [T.one()]
 
@@ -558,7 +589,7 @@ def test_monomial_elim_rewrites_only_what_holds_v(monkeypatch):
         return substitute(self, bindings)
 
     monkeypatch.setattr(Polynomial, "substitute", spy)
-    out, deps = monomial_elim(f, ["r5", "r6"], [], ())
+    out, deps = monomial_elim(f, ["r5", "r6"], [])
     assert [dep.var for dep in deps] == ["r5"]
     assert rewritten == [g1 + d * r5]
     assert out == [g1, d + g1 * r6]

@@ -8,6 +8,7 @@ from godeaux2 import pipeline
 from godeaux2.ring import (
     ALGEBRAIC,
     GEOMETRIC,
+    INVERTIBLE,
     MULTIPLIER,
     PARAMETER,
     Polynomial,
@@ -267,6 +268,10 @@ def test_pattern_constants_validate():
         VariableTable([("r1", 1, 1, MULTIPLIER)])
     with pytest.raises(RingError):
         VariableTable([("r1", 0, -1, MULTIPLIER)])
+    with pytest.raises(RingError):
+        VariableTable([("d", 1, 1, INVERTIBLE)])
+    with pytest.raises(RingError):
+        VariableTable([("d", 0, -1, INVERTIBLE)])
     with pytest.raises(RingError):
         VariableTable([("x", 1, -1, GEOMETRIC), ("x", 2, 1, GEOMETRIC)])
 

@@ -13,6 +13,7 @@ from godeaux2.elim import primitive_form
 from godeaux2.ring import (
     ALGEBRAIC,
     GEOMETRIC,
+    INVERTIBLE,
     MULTIPLIER,
     PARAMETER,
     Polynomial,
@@ -36,7 +37,7 @@ TABLE = VariableTable(
         ("x", 1, -1, GEOMETRIC),
         ("y1", 2, -1, GEOMETRIC),
         ("y2", 2, 1, GEOMETRIC),
-        ("d", 0, 1, PARAMETER),
+        ("d", 0, 1, INVERTIBLE),  # primitive_form strips its content
     ]
 )
 
@@ -136,8 +137,8 @@ def test_exact_divide_roundtrip(p, q):
 def test_cached_support_and_hash_match_a_fresh_copy(p, q, img):
     for a in (p, q, img):  # fill the operands' caches first
         a.support(), hash(a)
-    results = [p + q, p * q, p.substitute({"y1": img}), primitive_form(p, ("d",))]
-    results.append(primitive_form(results[-1], ("d",)))  # returned as it is
+    results = [p + q, p * q, p.substitute({"y1": img}), primitive_form(p)]
+    results.append(primitive_form(results[-1]))  # returned as it is
     for r in results:
         fresh = Polynomial(TABLE, dict(r.terms))
         for _ in range(2):  # computed, then read back

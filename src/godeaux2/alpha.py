@@ -10,7 +10,8 @@ the others (j=1: y4 = d*y3, j=2: y3 = -2d*y1 cleared of denominators, j=3:
 y3 = 0); c in {0, 1} is the central x^2 coefficient.  The border polynomials
 G, q1..q4 are generic of weighted degrees 6 and 4 with signs (-, -, -, +, +),
 subject to the 8-slot normalization that row/column operations allow, leaving
-10 g-parameters and 12 b-parameters.
+10 g-parameters and 12 b-parameters; `ring.generic_poly` numbers their slots
+in descending lex order.
 
 `bordered_matrix` is the one layout of such a matrix (x^2*G in the corner,
 x*q_k along the border, the conic Q at (1,6), a central 4x4 block);
@@ -21,7 +22,6 @@ from `generic_border` and `central_block`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence
 
 from .ring import (
@@ -35,8 +35,6 @@ from .ring import (
     RingError,
     VariableTable,
     generic_poly,
-    lex_descending,
-    monomial_basis,
 )
 
 ROW_WEIGHTS = (4, 1, 1, 1, 1, 0)
@@ -295,22 +293,13 @@ _DROPPED[3] = _DROPPED[2]
 def generic_border(table: VariableTable, geo, names, dropped: Optional[dict] = None):
     """Generic border polynomials (G, [q1, q2, q3, q4]) over the geometric
     variables `geo`: G of weighted degree 6 and sign -1, q_k of degree 4 and
-    signs (-, -, +, +).  Each slot monomial, in descending lex order, takes
-    the next coefficient name from the iterator `names`; `dropped` maps k to
+    signs (-, -, +, +).  All five draw their coefficient names from the one
+    iterator `names`, G first, through `generic_poly`; `dropped` maps k to
     the q_k monomials (as text) that get no slot."""
     dropped = dropped or {}
-    geo = list(geo)
-
-    def generic(deg, sign, drop=()):
-        monos = lex_descending(monomial_basis(table, deg, sign, geo))
-        monos = [m for m in monos if table.mono_str(m) not in drop]
-        slot_names = list(islice(names, len(monos)))
-        if len(slot_names) < len(monos):
-            raise PatternError(f"{len(monos)} slot monomials but {len(slot_names)} names left")
-        return generic_poly(table, slot_names, monos)
-
-    G = generic(6, -1)
-    return G, [generic(4, sign, dropped.get(k, ())) for k, sign in ((1, -1), (2, -1), (3, 1), (4, 1))]
+    G = generic_poly(table, (6, -1), geo, names)
+    signs = ((1, -1), (2, -1), (3, 1), (4, 1))
+    return G, [generic_poly(table, (4, sign), geo, names, dropped.get(k, ())) for k, sign in signs]
 
 
 def central_block(case: AlphaCase, table: VariableTable):

@@ -72,13 +72,14 @@ def _golden_file_check():
 def cmd_verify(args: argparse.Namespace) -> int:
     registry = all_checks()
     registry["golden_file"] = _golden_file_check()
-    names = args.check if args.check and "all" not in args.check else sorted(registry)
-    names = list(dict.fromkeys(names))  # a check named twice runs once, where first named
-    unknown = [n for n in names if n not in registry]
+    names = list(dict.fromkeys(args.check))  # a check named twice runs once, where first named
+    unknown = [n for n in names if n not in registry and n != "all"]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(sorted(registry))}", file=sys.stderr)
         return 2
+    if not names or "all" in names:
+        names = sorted(registry)
     failed = 0
     for name in names:
         report = registry[name]()

@@ -3,9 +3,10 @@
 The rank condition asks every cofactor beta_ij to be an A-combination of the
 first-row cofactors: beta_ij = sum_k l_ij^k beta_1k.  The 15 unordered pairs
 (i, j), 2 <= i <= j <= 6 carry the content (pairs with i = 1 are tautological).
-Each l_ij^k is a generic polynomial over {x, y1, y2, w} of the forced weighted
-degree and sigma-sign, one fresh r-parameter per basis monomial; the forced
-degree is deg(beta_ij) - deg(beta_1k) and negative degrees mean l = 0.
+Each l_ij^k is a generic polynomial (`ring.generic_poly`) over {x, y1, y2, w}
+of the forced weighted degree and sigma-sign, one fresh r-parameter per slot
+monomial; the forced degree is deg(beta_ij) - deg(beta_1k) and negative
+degrees mean l = 0.
 
 Flattening the 15 residuals beta_ij - sum_k l_ij^k beta_1k along geometric
 monomials yields the system f of parameter polynomials, affine in the r's.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alpha import AlphaCase, SymPolyMatrix, cofactor_any, entry_grading
-from .ring import MULTIPLIER, RingError, generic_poly, lex_descending, monomial_basis
+from .ring import MULTIPLIER, RingError, generic_poly
 
 PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
 
@@ -66,26 +67,19 @@ def compute_cofactors(alpha: SymPolyMatrix) -> dict:
 
 
 def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
-    """Multiplier ansatz for the given matrix; r-slots are numbered over pairs
-    (2,2),(2,3),...,(6,6), then k = 1..6, then descending lex monomials."""
+    """Multiplier ansatz for the given matrix; the r-slots take the table's
+    multiplier pool in order, over pairs (2,2),(2,3),...,(6,6), then
+    k = 1..6, then descending lex monomials (`ring.generic_poly`)."""
     table = alpha.table
     betas = compute_cofactors(alpha)
-    geo = list(case.geo4)
     pool = table.of_kind(MULTIPLIER)
-    polys = {}
-    r_names = []
-    for (i, j) in PAIRS:
-        for k in range(1, 7):
-            grading = multiplier_grading(i, j, k)
-            if grading[0] < 0:
-                polys[(i, j, k)] = table.zero()
-                continue
-            monos = lex_descending(monomial_basis(table, *grading, geo))
-            names = pool[len(r_names) : len(r_names) + len(monos)]
-            if len(names) < len(monos):
-                raise RCError("variable table has too few multiplier parameters")
-            r_names += names
-            polys[(i, j, k)] = generic_poly(table, names, monos)
+    names = iter(pool)
+    polys = {
+        (i, j, k): generic_poly(table, multiplier_grading(i, j, k), case.geo4, names)
+        for (i, j) in PAIRS
+        for k in range(1, 7)
+    }
+    r_names = pool[: sum(len(p.terms) for p in polys.values())]
     if len(r_names) != EXPECTED_R_COUNT:
         raise RCError(
             f"multiplier ansatz has {len(r_names)} parameters, expected {EXPECTED_R_COUNT}"

@@ -22,6 +22,10 @@ A Polynomial's `terms` dict is never mutated after construction: every
 operation builds a new dict.  The per-polynomial caches (leading monomial,
 support, hash, primitive-form flag) rely on this.
 
+`generic_poly` is the one builder of generic polynomials: it alone pairs the
+slot monomials of a grading, in `lex_descending` order, with fresh
+coefficient names.
+
 `Polynomial.substitute` is the one general substitution: it is simultaneous
 (every bound variable is replaced at once and images are never substituted
 again), so point evaluation, zeroing parameters, coordinate swaps and
@@ -619,7 +623,7 @@ class Polynomial:
 
 def monomial_basis(table: VariableTable, degree: int, sign: int, names: Sequence[str]) -> list:
     """All monomials in the given variables of the given weighted degree and
-    sigma-sign, in canonical (descending) order."""
+    sigma-sign, in slot order (`lex_descending`)."""
     if degree < 0:
         raise RingError("degree must be nonnegative")
     idxs = [table.index[n] for n in names]
@@ -631,23 +635,32 @@ def monomial_basis(table: VariableTable, degree: int, sign: int, names: Sequence
         w = table.weights[v]
         partial = [(m + (v,) * e, left - e * w) for m, left in partial for e in range(left // w + 1)]
     found = [tuple(sorted(m)) for m, left in partial if left == 0]
-    keep = [m for m in found if table.mono_grading(m) == (degree, sign)]
-    return sorted_monos(keep, table)
+    return lex_descending(m for m in found if table.mono_grading(m) == (degree, sign))
 
 
-def generic_poly(table: VariableTable, names: Sequence[str], monos: Sequence[Mono]) -> Polynomial:
-    """sum_k names[k] * monos[k]: a generic polynomial with one coefficient
-    variable per slot monomial.  No rewrite rule is applied, so neither the
-    names nor the monomials may hold a rule variable."""
-    if len(names) != len(monos):
-        raise RingError(f"{len(names)} slot names for {len(monos)} slot monomials")
-    index = table.index
-    return Polynomial(table, {mono_mul((index[n],), m): 1 for n, m in zip(names, monos)})
+def generic_poly(table: VariableTable, grading: tuple, variables: Sequence[str], names, drop=()) -> Polynomial:
+    """The generic polynomial of (weighted degree, sigma sign) `grading` in
+    `variables`: each monomial of `monomial_basis`, in its order, less those
+    whose text is in `drop`, is a slot that takes the next coefficient name
+    from the iterator `names`.  A negative degree gives zero and takes no
+    name.  No rewrite rule is applied, so neither the names nor the
+    variables may hold a rule variable."""
+    degree, sign = grading
+    if degree < 0:
+        return table.zero()
+    monos = monomial_basis(table, degree, sign, variables)
+    if drop:
+        monos = [m for m in monos if table.mono_str(m) not in drop]
+    # zip draws a monomial before a name, so no name is taken past the last slot
+    terms = {mono_mul((table.index[n],), m): 1 for m, n in zip(monos, names)}
+    if len(terms) < len(monos):
+        raise RingError(f"{len(monos)} slot monomials but {len(terms)} names left")
+    return Polynomial(table, terms)
 
 
 def lex_descending(monos: Iterable[Mono]) -> list:
     """Descending lexicographic order over the table's variable order (the
-    layout used for ansatz slot numbering).  At the first position where two
+    slot order of every generic polynomial).  At the first position where two
     index tuples differ, the smaller variable index is the larger monomial
     (it has the higher exponent there); a monomial that extends the other is
     the larger one."""

@@ -28,7 +28,7 @@ from . import elim
 from .alpha import SymPolyMatrix
 from .elim import back_substitute, resolve_dependencies
 from .rc import PAIRS, rc_residuals
-from .ring import MULTIPLIER, Polynomial, RingError, generic_poly, monomial_basis
+from .ring import MULTIPLIER, Polynomial, RingError, generic_poly
 
 
 # the highest weighted degree of the r-free relations (rows 2..6 of alpha*v)
@@ -141,10 +141,11 @@ def membership_check(gs: Sequence[Polynomial], generators: Sequence[Polynomial])
 
     The targets are solved together, one elimination per (weighted degree,
     sign) class.  For each generator F_i of degree <= deg, h_i is a generic
-    polynomial of degree deg - deg F_i and sign sign*sign(F_i) in the
-    geometric variables, one multiplier slot of the table per monomial; the
-    class's generic target T = sum t_m m over monomial_basis(deg, sign) takes
-    the slots after them.  The coefficients of T - sum h_i F_i over the
+    polynomial (`ring.generic_poly`) of degree deg - deg F_i and sign
+    sign*sign(F_i) in the geometric variables, one multiplier slot of the
+    table per monomial, in slot (descending lex) order; the class's generic
+    target T = sum t_m m over the monomials of (deg, sign) takes the slots
+    after them, in the same order.  The coefficients of T - sum h_i F_i over the
     geometric monomials are solved for the cofactor slots by one lin_elim,
     whose pivots are integer constants, and one back substitution gives
     `solved`, linear in the t_m.  A target's verdict is whether `solved` with
@@ -181,22 +182,16 @@ def _solve_class(deg: int, sign: int, generators, generator_gradings, geo) -> tu
     """(T - sum h_i F_i with the cofactor slots solved, {geometric monomial m:
     the name of its target slot t_m}) for one (degree, sign) class."""
     table = generators[0].table
-    slots = table.of_kind(MULTIPLIER)
-    unknowns: list = []
-    residual = table.zero()
-    for F, (fdeg, fsign) in zip(generators, generator_gradings):
-        if fdeg > deg:
-            continue
-        monos = monomial_basis(table, deg - fdeg, sign * fsign, geo)
-        # generic_poly rejects a slot list that runs out before the monomials
-        names = slots[len(unknowns) : len(unknowns) + len(monos)]
-        unknowns += names
-        residual = residual - generic_poly(table, names, monos) * F
-    basis = monomial_basis(table, deg, sign, geo)
-    t_names = slots[len(unknowns) : len(unknowns) + len(basis)]
-    residual = residual + generic_poly(table, t_names, basis)
+    pool = table.of_kind(MULTIPLIER)
+    names = iter(pool)
+    hs = [generic_poly(table, (deg - d, sign * s), geo, names) for d, s in generator_gradings]
+    unknowns = pool[: sum(len(h.terms) for h in hs)]
+    T = generic_poly(table, (deg, sign), geo, names)
+    residual = T - sum((h * F for h, F in zip(hs, generators) if h), table.zero())
     f = [c for _, c in residual.coefficients_wrt(geo)]
     # looked up on elim at call time, so that a wrapper installed on
     # elim.lin_elim (perfbench/tracing.py) also sees this call
     deps = elim.lin_elim(f, [True] * len(f), unknowns, len(unknowns))[2] if unknowns else []
-    return back_substitute(residual, resolve_dependencies(deps)), dict(zip(basis, t_names))
+    # each term of T is t_m*m, and t_m's index is above every geometric one
+    targets = {tm[:-1]: table.names[tm[-1]] for tm in T.terms}
+    return back_substitute(residual, resolve_dependencies(deps)), targets

@@ -1,17 +1,19 @@
 """Independent oracles: dense rational Gaussian elimination for LinElim, a
 plain first-row cofactor expansion for determinants, dense comparisons
 for the canonical and the lex monomial orders, a form outside the ideal of
-the low-degree surface relations, the budget-last pivot search, and the
-ansatz matrix written out case by case; plus three readers of polynomials
+the low-degree surface relations, the budget-last pivot search, the
+ansatz matrix written out case by case, and the r-slot layout of the
+rank-condition ansatz re-derived from the row gradings; plus three readers of polynomials
 and systems that only the tests need (`max_degree_in`, `dump_text`,
 `support_names`), and `dense_mono`, which builds a monomial from a dense
 exponent vector.  Every oracle reads a monomial through `ring.exponents`."""
 
 from fractions import Fraction
+from itertools import product
 
 from godeaux2.alpha import SymPolyMatrix
 from godeaux2.rc import PAIRS
-from godeaux2.ring import Polynomial, exponents, generic_poly, lex_descending, monomial_basis
+from godeaux2.ring import Polynomial, exponents, monomial_basis
 
 
 def gauss_classify(rows, nvars):
@@ -177,49 +179,30 @@ def find_pivot_reference(p, support, var_idx, n):
     return None
 
 
-# q-monomials dropped by the normalization, per case j and border k
-_DROPPED_REFERENCE = {
-    1: {
-        1: {"x^2*y1", "x^2*y3"},
-        2: set(),
-        3: {"y1^2", "y1*y3", "y3^2"},
-        4: {"x^2*y2", "y1^2", "y2^2"},
-    },
-    2: {
-        1: {"x^2*y1", "x^2*y4"},
-        2: set(),
-        3: {"y1^2"},
-        4: {"x^2*y2", "y2^2", "y1^2", "y1*y4", "y4^2"},
-    },
-}
-_DROPPED_REFERENCE[3] = _DROPPED_REFERENCE[2]
-
-
 def build_ansatz_reference(case, table):
     """The generic matrix of the family (j, c) and its parameter names, with
-    the slots, the central block and the 6x6 layout written out per case."""
-    geo = list(case.geo4)
-    g_monos = lex_descending(monomial_basis(table, 6, -1, geo))
-    assert len(g_monos) == 10
-    slots = {"G": g_monos}
-    dropped = _DROPPED_REFERENCE[case.j]
-    for k, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
-        monos = lex_descending(monomial_basis(table, 4, sign, geo))
-        slots[f"q{k}"] = [m for m in monos if table.mono_str(m) not in dropped[k]]
-    assert sum(len(slots[f"q{k}"]) for k in (1, 2, 3, 4)) == 12
+    the slot sums, the central block and the 6x6 layout written out per
+    case.  G and the q_k list their monomials in descending lex order over
+    (x, y1, y2, w), less the q-monomials the normalization drops."""
+    x, y1, y2, w = (table.var(n) for n in ("x", "y1", "y2", case.w_name))
+    g = [table.var(f"g{k}") for k in range(1, 11)]
+    b = [table.var(f"b{k}") for k in range(1, 13)]
+    G = (
+        g[0] * x**4 * y1 + g[1] * x**4 * w + g[2] * x**2 * y1 * y2 + g[3] * x**2 * y2 * w
+        + g[4] * y1**3 + g[5] * y1**2 * w + g[6] * y1 * y2**2 + g[7] * y1 * w**2
+        + g[8] * y2**2 * w + g[9] * w**3
+    )
+    q1 = b[0] * y1 * y2 + b[1] * y2 * w
+    q2 = b[2] * x**2 * y1 + b[3] * x**2 * w + b[4] * y1 * y2 + b[5] * y2 * w
+    if case.j == 1:
+        q3 = b[6] * x**4 + b[7] * x**2 * y2 + b[8] * y2**2
+        q4 = b[9] * x**4 + b[10] * y1 * w + b[11] * w**2
+    else:
+        q3 = b[6] * x**4 + b[7] * x**2 * y2 + b[8] * y1 * w + b[9] * y2**2 + b[10] * w**2
+        q4 = b[11] * x**4
+    qs = [q1, q2, q3, q4]
     g_names = [f"g{k}" for k in range(1, 11)]
     b_names = [f"b{k}" for k in range(1, 13)]
-    G = generic_poly(table, g_names, slots["G"])
-    qs = []
-    used = 0
-    for k in (1, 2, 3, 4):
-        monos = slots[f"q{k}"]
-        qs.append(generic_poly(table, b_names[used : used + len(monos)], monos))
-        used += len(monos)
-    x = table.var("x")
-    y1 = table.var("y1")
-    y2 = table.var("y2")
-    w = table.var(case.w_name)
     d = table.var("d")
     cx2 = table.const(case.c) * x * x
     zero = table.zero()
@@ -260,3 +243,39 @@ def build_ansatz_reference(case, table):
         [Q, x, zero, zero, zero, zero],
     ]
     return SymPolyMatrix(rows), params
+
+
+# row weights and involution signs of alpha, and the geometric grading of
+# (x, y1, y2, w): the r-slot layout below re-derives every grading from these
+_ROW_WEIGHTS = (4, 1, 1, 1, 1, 0)
+_ROW_SIGNS = (1, -1, -1, 1, 1, -1)
+_GEO4_GRADING = ((1, -1), (2, -1), (2, 1), (2, -1))
+
+
+def multiplier_slots_reference():
+    """(i, j, k, dense exponent vector over (x, y1, y2, w)) of every r-slot
+    of the rank-condition ansatz, in slot order: pairs (2,2), (2,3), ...,
+    (6,6), then k = 1..6, then the monomials of l_ij^k by descending
+    exponent vector.  l_ij^k = beta_ij / beta_1k has weighted degree
+    w_1 + w_k - w_i - w_j and sign eps_i*eps_j*eps_1*eps_k."""
+    w, eps = _ROW_WEIGHTS, _ROW_SIGNS
+    slots = []
+    for i in range(2, 7):
+        for j in range(i, 7):
+            for k in range(1, 7):
+                deg = w[0] + w[k - 1] - w[i - 1] - w[j - 1]
+                sign = eps[i - 1] * eps[j - 1] * eps[0] * eps[k - 1]
+                ranges = [range(deg // weight + 1) for weight, _ in _GEO4_GRADING]
+                exps = [e for e in product(*ranges) if _dense_grading(e) == (deg, sign)]
+                slots += [(i, j, k, e) for e in sorted(exps, reverse=True)]
+    return slots
+
+
+def _dense_grading(exps):
+    """(weighted degree, sign) of the monomial over (x, y1, y2, w) with the
+    dense exponent vector `exps`."""
+    deg, sign = 0, 1
+    for n, (weight, s) in zip(exps, _GEO4_GRADING):
+        deg += n * weight
+        sign *= s**n
+    return deg, sign

@@ -1,6 +1,7 @@
 """CLI behavior: artifacts, determinism, exit codes, negative controls."""
 
 import argparse
+import hashlib
 import json
 import re
 
@@ -79,8 +80,13 @@ def test_r_removal_verdict_is_seed_independent(capsys, run11):
     assert lines[0][2] == "all 94 r-coefficients certified by exact cofactors over Q[moduli]"
 
 
-def test_verify_unknown_check_is_usage_error():
+def test_verify_unknown_check_is_usage_error(capsys):
     assert main(["verify", "--check", "nonsense"]) == 2
+    # with "all" given as well, the unknown name is still reported, and no check runs
+    assert main(["verify", "--check", "all", "--check", "no_such_check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown checks: no_such_check" in err
 
 
 def test_verify_corrupted_golden_fails(tmp_path, monkeypatch):
@@ -187,9 +193,19 @@ def test_pipeline_deep_ladder_case(tmp_path, run20):
     assert len(eqs["equations"]) == 21
 
 
+# (lines, sha256) of residual_f.txt for each case that stalls; the r-slot
+# numbering feeds both stalls, so a renumbered ansatz changes these bytes
+STALL_DUMPS = {
+    (1, 0): (73, "05647d5904351fda655ab8c24b104fde9d692171cb7243876977a70dd00daee5"),
+    (2, 1): (155, "f6c2732e1e9b37718c08f10fe291b050be9f995098ee4f89d9268cca4878817e"),
+}
+
+
 def test_pipeline_honest_stall_case(tmp_path):
-    out = tmp_path / "a10"
-    rc = main(["pipeline", "--alpha", "1", "--c", "0", "--out", str(out)])
-    assert rc == 1
-    dump = out / "residual_f.txt"
-    assert len(dump.read_text().splitlines()) == 73
+    for (j, c), (lines, digest) in STALL_DUMPS.items():
+        out = tmp_path / f"a{j}{c}"
+        rc = main(["pipeline", "--alpha", str(j), "--c", str(c), "--out", str(out)])
+        assert rc == 1
+        dump = out / "residual_f.txt"
+        assert len(dump.read_text().splitlines()) == lines
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest

@@ -16,7 +16,7 @@ from godeaux2.rc import (
 )
 from godeaux2.ring import MULTIPLIER
 
-from _oracle import dump_text, max_degree_in, support_names
+from _oracle import dense_mono, dump_text, max_degree_in, multiplier_slots_reference, support_names
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,19 @@ def rc11():
 def test_r_count_is_371(rc11):
     _, _, _, l, _, _ = rc11
     assert len(l.r_names) == 371
+
+
+def test_r_slot_layout_matches_the_reference(rc11):
+    # r1..r371 in pool order, each on the (i, j, k) and monomial the
+    # independently derived layout gives its place in the order
+    _, table, _, l, _, _ = rc11
+    ref = multiplier_slots_reference()
+    assert l.r_names == [f"r{n}" for n in range(1, len(ref) + 1)]
+    assert l.r_names == table.of_kind(MULTIPLIER)[: len(ref)]
+    want = {(i, j, k): {} for i in range(2, 7) for j in range(i, 7) for k in range(1, 7)}
+    for name, (i, j, k, exps) in zip(l.r_names, ref):
+        want[i, j, k][dense_mono(exps) + (table.index[name],)] = 1
+    assert {key: p.terms for key, p in l.polys.items()} == want
 
 
 def test_multiplier_degrees(rc11):

@@ -276,12 +276,54 @@ def test_pattern_constants_validate():
         VariableTable([("x", 1, -1, GEOMETRIC), ("x", 2, 1, GEOMETRIC)])
 
 
-def test_generic_poly_one_coefficient_per_slot(T):
-    monos = monomial_basis(T, 4, -1, ["x", "y1", "y2", "y3"])[:2]
-    p = generic_poly(T, ["d", "g9"], monos)
-    assert p == T.var("d") * Polynomial(T, {monos[0]: 1}) + T.var("g9") * Polynomial(T, {monos[1]: 1})
-    with pytest.raises(RingError):
-        generic_poly(T, ["d"], monos)
+GEO = ["x", "y1", "y2", "y3"]
+
+
+@pytest.fixture
+def S():
+    """The geometric variables of `small_table` and six coefficient names."""
+    entries = [("x", 1, -1, GEOMETRIC), ("y1", 2, -1, GEOMETRIC), ("y2", 2, 1, GEOMETRIC)]
+    entries += [("y3", 2, -1, GEOMETRIC)] + [(f"c{k}", 0, 1, PARAMETER) for k in range(1, 7)]
+    return VariableTable(entries)
+
+
+def test_generic_poly_one_coefficient_per_slot_in_lex_order(S):
+    x, y1, y2, y3 = (S.var(n) for n in GEO)
+    c = [S.var(f"c{k}") for k in range(1, 7)]
+    names = iter([f"c{k}" for k in range(1, 7)])
+    # y1*y3 before y2^2 in lex order; the canonical (grevlex) order has y2^2 first
+    want = c[0] * x**4 + c[1] * x**2 * y2 + c[2] * y1**2 + c[3] * y1 * y3 + c[4] * y2**2 + c[5] * y3**2
+    assert generic_poly(S, (4, 1), GEO, names) == want
+    assert next(names, None) is None
+
+
+def test_generic_poly_reports_both_counts_when_the_names_run_out(S):
+    with pytest.raises(RingError, match="^4 slot monomials but 3 names left$"):
+        generic_poly(S, (4, -1), GEO, iter(["c1", "c2", "c3"]))
+
+
+def test_generic_poly_negative_degree_is_zero_and_takes_no_name(S):
+    names = iter(["c1", "c2"])
+    assert generic_poly(S, (-2, 1), GEO, names).is_zero()
+    assert list(names) == ["c1", "c2"]
+
+
+def test_generic_poly_drop_skips_its_monomials(S):
+    x, y1, y2, y3 = (S.var(n) for n in GEO)
+    c1, c2 = S.var("c1"), S.var("c2")
+    names = iter(["c1", "c2", "c3"])
+    p = generic_poly(S, (4, -1), GEO, names, drop={"x^2*y1", "y1*y2"})
+    assert p == c1 * x**2 * y3 + c2 * y2 * y3
+    assert list(names) == ["c3"]
+
+
+def test_generic_poly_calls_on_one_iterator_continue_the_numbering(S):
+    x, y1, y2, y3 = (S.var(n) for n in GEO)
+    c = [S.var(f"c{k}") for k in range(1, 7)]
+    names = iter([f"c{k}" for k in range(1, 7)])
+    assert generic_poly(S, (2, -1), GEO, names) == c[0] * y1 + c[1] * y3
+    assert generic_poly(S, (3, 1), GEO, names) == c[2] * x * y1 + c[3] * x * y3
+    assert generic_poly(S, (2, 1), GEO, names) == c[4] * x**2 + c[5] * y2
 
 
 def test_multipliers_exclude_algebraic_r():

@@ -57,8 +57,8 @@ GRADING = {
 # the coefficients of the border polynomials G and q1..q4, in slot order
 BORDER_PARAMS = tuple([f"g{k}" for k in range(1, 11)] + [f"b{k}" for k in range(1, 13)])
 
-# r-slots in the pipeline table: the 371 multipliers of the ansatz plus spares
-MULTIPLIER_SLOTS = 380
+# the multipliers r1..r371: one per slot of the rank-condition ansatz
+MULTIPLIER_COUNT = 371
 
 
 class PatternError(RingError):
@@ -102,14 +102,14 @@ def make_table(case: AlphaCase) -> VariableTable:
 
     Geometric: x, y1, y2, case.w_name, z1..z4, t.  Parameters: d, g1..g10, b1..b12;
     d is INVERTIBLE for j=2, whose constraint keeps d != 0, so the elimination
-    may divide by it.  Multipliers: r1..r380.  A trailing algebraic symbol r
-    (r^2 = -15) makes specializations over Q(sqrt(-15)) plain substitutions on
-    the same table.
+    may divide by it.  Multipliers: r1..r371, one per rank-condition slot
+    (`rc.build_l_ansatz`).  A trailing algebraic symbol r (r^2 = -15) makes
+    specializations over Q(sqrt(-15)) plain substitutions on the same table.
     """
     entries = coordinate_entries(("x", "y1", "y2", case.w_name, "z1", "z2", "z3", "z4", "t"))
     entries += [("d", 0, 1, INVERTIBLE if case.j == 2 else PARAMETER)]
     entries += [(n, 0, 1, PARAMETER) for n in BORDER_PARAMS]
-    entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_SLOTS + 1)]
+    entries += [(f"r{k}", 0, 1, MULTIPLIER) for k in range(1, MULTIPLIER_COUNT + 1)]
     entries += [("r", 0, 1, ALGEBRAIC)]
     return VariableTable(entries, rules=[RewriteRule("r", 2, {(): -15})])
 
@@ -339,17 +339,17 @@ def bordered_matrix(x: Polynomial, G: Polynomial, qs, Q: Polynomial, central, ta
 
 def build_ansatz(case: AlphaCase):
     """The generic matrix of the family (j, c) over a new `make_table(case)`
-    (the matrix's `table`).
+    (the matrix's `table`).  Its border uses up BORDER_PARAMS, or it raises.
 
     Returns (matrix, parameter names).  The parameter list has 23 entries for
     j=1,2 (g1..g10, b1..b12, d) and 22 for j=3 (d does not occur there).
     """
     table = make_table(case)
-    G, qs = generic_border(table, case.geo4, iter(BORDER_PARAMS), _DROPPED[case.j])
-    if len(G.terms) != 10:
-        raise PatternError("G ansatz must have 10 slots")
-    if sum(len(q.terms) for q in qs) != 12:
-        raise PatternError("q ansatz must have 12 slots after normalization")
+    names = iter(BORDER_PARAMS)
+    G, qs = generic_border(table, case.geo4, names, _DROPPED[case.j])
+    left = list(names)
+    if left:
+        raise PatternError(f"border ansatz leaves {', '.join(left)} unused")
     central, Q = central_block(case, table)
     x, zero = table.var("x"), table.zero()
     M = bordered_matrix(x, G, qs, Q, central, [x, zero, zero, zero])

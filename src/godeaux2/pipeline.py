@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .alpha import BORDER_PARAMS, AlphaCase, SymPolyMatrix, build_ansatz
 from .elim import (
@@ -25,7 +24,7 @@ from .elim import (
     survivors,
 )
 from .rc import RCSystem, build_l_ansatz, extract_system, rc_residuals
-from .ring import INVERTIBLE, Polynomial, exponents
+from .ring import INVERTIBLE, MULTIPLIER, Polynomial, exponents
 from .surface import SurfaceEquations, collect_Gm, generate_equations, remove_r
 
 
@@ -34,7 +33,6 @@ class PipelineResult:
     case: AlphaCase
     table: object
     params: list
-    l0: object
     system: RCSystem
     elim: EliminationState
     alpha_final: SymPolyMatrix
@@ -45,12 +43,6 @@ class PipelineResult:
     gbd_survivors: list
     wall_time: float
     peak_kb: int
-    _det: Optional[Polynomial] = field(default=None, repr=False)
-
-    def det_final(self) -> Polynomial:
-        if self._det is None:
-            self._det = self.alpha_final.determinant()
-        return self._det
 
 
 _CACHE: dict = {}
@@ -58,11 +50,11 @@ _CACHE: dict = {}
 
 def run_pipeline(j: int, c: int) -> PipelineResult:
     """Derive the family (j, c): the multiplier ansatz, the 15 residuals, the
-    flattened system f, the driver over the r's and the border parameters
-    BORDER_PARAMS, then back-substitution, equations and r-removal.  For j=2
-    the driver may divide by d, which `make_table` declares INVERTIBLE.  The
-    driver's EliminationError propagates with the system attached as
-    `err.system`."""
+    flattened system f, the driver over the table's multipliers and the
+    border parameters BORDER_PARAMS, then back-substitution, equations and
+    r-removal.  For j=2 the driver may divide by d, which `make_table`
+    declares INVERTIBLE.  The driver's EliminationError propagates with the
+    system attached as `err.system`."""
     key = (j, c)
     if key in _CACHE:
         return _CACHE[key]
@@ -72,7 +64,7 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     l0 = build_l_ansatz(alpha0, case)
     system = extract_system(rc_residuals(l0.cofactors, l0.polys), case)
     try:
-        state = driver(system.f, list(l0.r_names), list(BORDER_PARAMS))
+        state = driver(system.f, alpha0.table.of_kind(MULTIPLIER), list(BORDER_PARAMS))
     except EliminationError as err:
         err.system = system
         raise
@@ -94,7 +86,6 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
         case=case,
         table=alpha0.table,
         params=params,
-        l0=l0,
         system=system,
         elim=state,
         alpha_final=alpha_final,
@@ -167,7 +158,7 @@ def stats_dict(result: PipelineResult) -> dict:
         "case": {"alpha": result.case.j, "c": result.case.c},
         "initial_f": len(result.system.f),
         "distinct_parameters": result.system.param_count,
-        "r_count": len(result.l0.r_names),
+        "r_count": len(result.table.of_kind(MULTIPLIER)),
         "invertible": result.table.of_kind(INVERTIBLE),
         "rounds": [
             {

@@ -6,7 +6,7 @@ first-row cofactors: beta_ij = sum_k l_ij^k beta_1k.  The 15 unordered pairs
 Each l_ij^k is a generic polynomial (`ring.generic_poly`) over {x, y1, y2, w}
 of the forced weighted degree and sigma-sign, one fresh r-parameter per slot
 monomial; the forced degree is deg(beta_ij) - deg(beta_1k) and negative
-degrees mean l = 0.
+degrees mean l = 0.  The slots use up the table's multipliers r1..r371.
 
 Flattening the 15 residuals beta_ij - sum_k l_ij^k beta_1k along geometric
 monomials yields the system f of parameter polynomials, affine in the r's.
@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alpha import AlphaCase, SymPolyMatrix, cofactor_any, entry_grading
+from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, cofactor_any, entry_grading
 from .ring import MULTIPLIER, RingError, generic_poly
 
 PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
-
-EXPECTED_R_COUNT = 371
 
 
 class RCError(RingError):
@@ -35,7 +33,7 @@ def cofactor_grading(i: int, j: int) -> tuple:
     """Required (weighted degree, sigma sign) of beta_ij: the degree of the
     octic det less that of entry (i, j), and the entry's sign."""
     degree, sign = entry_grading(i, j)
-    return 16 - degree, sign
+    return 2 * sum(ROW_WEIGHTS) - degree, sign
 
 
 def multiplier_grading(i: int, j: int, k: int) -> tuple:
@@ -49,7 +47,6 @@ class LAnsatz:
     """Generic multipliers with one fresh r-parameter per monomial slot."""
 
     polys: dict  # (i, j, k) -> Polynomial
-    r_names: list
     cofactors: dict  # (i, j) -> beta_ij, for row 1 and all pairs
 
 
@@ -68,23 +65,20 @@ def compute_cofactors(alpha: SymPolyMatrix) -> dict:
 
 def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
     """Multiplier ansatz for the given matrix; the r-slots take the table's
-    multiplier pool in order, over pairs (2,2),(2,3),...,(6,6), then
-    k = 1..6, then descending lex monomials (`ring.generic_poly`)."""
+    multipliers in order, over pairs (2,2),(2,3),...,(6,6), then k = 1..6,
+    then descending lex monomials (`ring.generic_poly`), and use them all up."""
     table = alpha.table
     betas = compute_cofactors(alpha)
-    pool = table.of_kind(MULTIPLIER)
-    names = iter(pool)
+    names = iter(table.of_kind(MULTIPLIER))
     polys = {
         (i, j, k): generic_poly(table, multiplier_grading(i, j, k), case.geo4, names)
         for (i, j) in PAIRS
         for k in range(1, 7)
     }
-    r_names = pool[: sum(len(p.terms) for p in polys.values())]
-    if len(r_names) != EXPECTED_R_COUNT:
-        raise RCError(
-            f"multiplier ansatz has {len(r_names)} parameters, expected {EXPECTED_R_COUNT}"
-        )
-    return LAnsatz(polys, r_names, betas)
+    left = sum(1 for _ in names)
+    if left:
+        raise RCError(f"multiplier ansatz leaves {left} of the table's multipliers unused")
+    return LAnsatz(polys, betas)
 
 
 def rc_residuals(cofactors: dict, multipliers: dict) -> list:

@@ -34,10 +34,10 @@ elimination's fraction-free pivot rewrite, `elim._cleared_pivot_substitution`,
 whose docstring says why.
 
 Algebraic extensions (i = sqrt(-1), quartic roots, sqrt(-15)) are realized as
-extra weight-0 variables carrying a monic power rewrite rule v^k -> p with p
-free of v; products and substitutions are reduced to the rewrite fixpoint
-whenever an operand or an image holds a rule variable (so every polynomial
-built from reduced ones is reduced).
+extra weight-0 ALGEBRAIC variables, each with one monic power rewrite rule
+v^k -> p, p free of them all; products and substitutions are reduced to the
+rewrite fixpoint whenever an operand or an image holds a rule variable (so
+every polynomial built from reduced ones is reduced).
 
 Weight-0 parameters rule out grading the term order by weighted degree (it
 would not be well founded), so the canonical order is the elimination block
@@ -206,7 +206,7 @@ def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """Power rewrite v^power -> replacement, with replacement free of v.
+    """Power rewrite v^power -> replacement, free of every algebraic variable.
 
     The replacement is given name-based as {((name, exp), ...): coeff} so rules
     can be declared before the table exists.
@@ -267,16 +267,21 @@ class VariableTable:
         self._var_cache = {}  # name -> the term dict of the variable
         self.rules = {}
         for rule in rules:
+            unknown = {rule.variable, *(n for mono in rule.replacement for n, _ in mono)} - self.index.keys()
+            if unknown:
+                raise RingError(f"rewrite rule names unknown variables {sorted(unknown)}")
             vi = self.index[rule.variable]
             if self.kinds[vi] != ALGEBRAIC:
                 raise RingError(f"rewrite rule on non-algebraic variable {rule.variable}")
+            if vi in self.rules:
+                raise RingError(f"second rewrite rule on {rule.variable}")
             if rule.power < 2:
                 raise RingError("rewrite power must be >= 2")
             terms = {}
             for named_mono, coeff in rule.replacement.items():
                 mono = tuple(sorted(v for n, e in named_mono for v in (self.index[n],) * e))
-                if vi in mono:
-                    raise RingError(f"rule replacement for {rule.variable} involves itself")
+                if any(self.kinds[v] == ALGEBRAIC for v in mono):
+                    raise RingError(f"rule replacement for {rule.variable} holds an algebraic variable")
                 terms[mono] = _as_coeff(coeff)
             self.rules[vi] = (rule.power, terms)
 
@@ -321,9 +326,9 @@ class VariableTable:
         )
 
     def reduce_terms(self, terms: dict) -> dict:
-        """Apply power rewrite rules to fixpoint.  Confluent for the rule sets
-        used here (single power rule per variable, replacements free of all
-        algebraic variables)."""
+        """Apply power rewrite rules to fixpoint.  `__init__` admits one rule
+        per variable, with a replacement free of every algebraic variable, so
+        the rewrites terminate and their order does not matter."""
         rules = sorted(self.rules.items())  # the lowest reducible index goes first
         done = []
         work = list(terms.items())
@@ -642,9 +647,12 @@ def generic_poly(table: VariableTable, grading: tuple, variables: Sequence[str],
     """The generic polynomial of (weighted degree, sigma sign) `grading` in
     `variables`: each monomial of `monomial_basis`, in its order, less those
     whose text is in `drop`, is a slot that takes the next coefficient name
-    from the iterator `names`.  A negative degree gives zero and takes no
+    from the iterator `names`; a list or tuple, which each call would
+    restart, raises RingError.  A negative degree gives zero and takes no
     name.  No rewrite rule is applied, so neither the names nor the
     variables may hold a rule variable."""
+    if iter(names) is not names:
+        raise RingError("generic_poly needs an iterator of names, not a sequence each call restarts")
     degree, sign = grading
     if degree < 0:
         return table.zero()

@@ -572,7 +572,7 @@ def verify_scaling() -> str:
     than 0 and +-1 the two sides are equal exactly when every term of D is
     invariant."""
     run = run_pipeline(1, 1)
-    D = run.det_final()
+    D = run.alpha_final.determinant()
     table = run.table
     xi = table.index["x"]
     if any(m.count(xi) % 2 for m in D.terms):
@@ -599,7 +599,8 @@ def verify_alpha3_square() -> str:
     moduli with x = y1 = y2 = y3 = 1 it takes the integer value -10732032
     (the all-ones point is a zero of it), and a rational whose square is an
     integer is an integer, so a square root T over Q would make 10732032 a
-    perfect square, which it is not."""
+    perfect square, which it is not.  The value is the determinant of the
+    matrix evaluated at the point, since det(M(p)) = det(M)(p)."""
     from .alpha import build_ansatz
 
     raw, _ = build_ansatz(AlphaCase(3, 0))
@@ -607,8 +608,8 @@ def verify_alpha3_square() -> str:
     root = raw[1, 6] ** 2 + x * (y2 * raw[1, 4] - y1 * raw[1, 3])
     if raw.determinant() != -(root * root):
         raise CheckFailed("raw generic det(alpha_3, c=0) is not -S^2")
-    d11 = run_pipeline(1, 1).det_final()
-    value = d11.substitute(dict(BY_SURFACE.values, x=1, y1=1, y2=1, y3=1))
+    point = dict(BY_SURFACE.values, x=1, y1=1, y2=1, y3=1)
+    value = run_pipeline(1, 1).alpha_final.substitute(point).determinant()
     if value.support():
         free = ", ".join(sorted(value.table.names[v] for v in value.support()))
         raise CheckFailed(f"the control point leaves {free} free in det(alpha_1, c=1)")

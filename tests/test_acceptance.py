@@ -39,7 +39,7 @@ def test_criterion_01_system_size(run11):
     ok = len(run11.system.f) == 876 and run11.system.param_count == 394
     multipliers = set(run11.table.of_kind(MULTIPLIER))
     rs = [n for n in run11.system.param_names if n in multipliers]
-    ok = ok and len(rs) == 371 and len(run11.l0.r_names) == 371
+    ok = ok and len(rs) == 371 and len(multipliers) == 371
     assert _line(1, ok, "876 coefficients over 394 = 371 + 23 parameters")
 
 

@@ -68,7 +68,7 @@ def test_build_ansatz_matches_the_written_out_reference(j, c):
 
 
 @pytest.mark.parametrize(
-    "change,message", [("one_short", "3 slot monomials but 2 names left"), ("one_extra", "12 slots")]
+    "change,message", [("one_short", "3 slot monomials but 2 names left"), ("one_extra", "leaves b12 unused")]
 )
 def test_ansatz_rejects_a_wrong_q_slot_count(monkeypatch, change, message):
     # a normalization table one monomial short leaves 13 q slots for 12
@@ -79,9 +79,17 @@ def test_ansatz_rejects_a_wrong_q_slot_count(monkeypatch, change, message):
     else:
         dropped[2].add("x^2*y1")
     monkeypatch.setitem(alpha._DROPPED, 1, dropped)
-    # too few names is generic_poly's RingError; too many slots, build_ansatz's PatternError
+    # too few names is generic_poly's RingError; a name left over, build_ansatz's PatternError
     with pytest.raises(RingError if change == "one_short" else PatternError, match=message):
         build_ansatz(AlphaCase(1, 1))
+
+
+def test_ansatz_rejects_a_border_name_left_over(monkeypatch):
+    # one name more than the border has slots: the table declares it, and
+    # build_ansatz refuses to leave it unused
+    monkeypatch.setattr(alpha, "BORDER_PARAMS", alpha.BORDER_PARAMS + ("b13",))
+    with pytest.raises(PatternError, match="^border ansatz leaves b13 unused$"):
+        build_ansatz(AlphaCase(2, 1))
 
 
 def test_ansatz_q_slots_match_expected_layout(case11):

@@ -83,7 +83,7 @@ def _eval(p, point):
 
 def test_final_det_matches_gaussian_elimination(run11):
     table = run11.table
-    D = run11.det_final()
+    D = run11.alpha_final.determinant()
     rng = random.Random(31337)
     for _ in range(8):
         point = {

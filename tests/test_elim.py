@@ -26,6 +26,7 @@ from godeaux2.ring import (
     ALGEBRAIC,
     GEOMETRIC,
     INVERTIBLE,
+    MULTIPLIER,
     PARAMETER,
     Polynomial,
     RewriteRule,
@@ -350,7 +351,7 @@ def test_linelim_matches_gauss_oracle():
 def test_driver_reproduces_survivors_and_is_deterministic(run11):
     state1 = run11.elim
     # fresh second run over the same input system
-    state2 = driver(run11.system.f, list(run11.l0.r_names), list(BORDER_PARAMS))
+    state2 = driver(run11.system.f, run11.table.of_kind(MULTIPLIER), list(BORDER_PARAMS))
     assert [d.var for d in state1.deps] == [d.var for d in state2.deps]
     assert all(a.expr == b.expr for a, b in zip(state1.deps, state2.deps))
     assert [(r.stage, r.n, r.eliminated, r.f_size) for r in state1.round_log] == [

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from godeaux2 import alpha
 from godeaux2.alpha import BORDER_PARAMS, AlphaCase, build_ansatz, cofactor_any
 from godeaux2.rc import (
     PAIRS,
+    RCError,
     build_l_ansatz,
     cofactor_grading,
     extract_system,
@@ -31,8 +33,8 @@ def rc11():
 
 
 def test_r_count_is_371(rc11):
-    _, _, _, l, _, _ = rc11
-    assert len(l.r_names) == 371
+    _, table, _, _, _, _ = rc11
+    assert len(table.of_kind(MULTIPLIER)) == 371
 
 
 def test_r_slot_layout_matches_the_reference(rc11):
@@ -40,10 +42,10 @@ def test_r_slot_layout_matches_the_reference(rc11):
     # independently derived layout gives its place in the order
     _, table, _, l, _, _ = rc11
     ref = multiplier_slots_reference()
-    assert l.r_names == [f"r{n}" for n in range(1, len(ref) + 1)]
-    assert l.r_names == table.of_kind(MULTIPLIER)[: len(ref)]
+    r_names = table.of_kind(MULTIPLIER)
+    assert r_names == [f"r{n}" for n in range(1, len(ref) + 1)]
     want = {(i, j, k): {} for i in range(2, 7) for j in range(i, 7) for k in range(1, 7)}
-    for name, (i, j, k, exps) in zip(l.r_names, ref):
+    for name, (i, j, k, exps) in zip(r_names, ref, strict=True):
         want[i, j, k][dense_mono(exps) + (table.index[name],)] = 1
     assert {key: p.terms for key, p in l.polys.items()} == want
 
@@ -59,14 +61,29 @@ def test_multiplier_degrees(rc11):
                 assert l.polys[(i, j, k)].is_zero()
 
 
-def test_every_r_in_exactly_one_slot(rc11):
-    _, _, _, l, _, _ = rc11
-    seen = {}
-    for (i, j, k), p in l.polys.items():
-        for name in p.multipliers():
-            assert name not in seen
-            seen[name] = (i, j, k)
-    assert len(seen) == 371
+def test_every_r_in_exactly_one_slot():
+    # in every case the table's multipliers are r1..r371, and the ansatz
+    # gives each of them exactly one slot
+    for case in (AlphaCase(j, c) for j in (1, 2, 3) for c in (0, 1)):
+        M, _ = build_ansatz(case)
+        l = build_l_ansatz(M, case)
+        assert M.table.of_kind(MULTIPLIER) == [f"r{n}" for n in range(1, 372)]
+        seen = {}
+        for (i, j, k), p in l.polys.items():
+            for m in p.terms:
+                name = M.table.names[m[-1]]  # a slot term is its monomial times its r
+                assert name not in seen
+                seen[name] = (i, j, k)
+        assert sorted(seen) == sorted(M.table.of_kind(MULTIPLIER))
+
+
+def test_a_multiplier_left_over_raises(monkeypatch):
+    # a table with r1..r372 has one multiplier more than the ansatz has slots
+    monkeypatch.setattr(alpha, "MULTIPLIER_COUNT", 372)
+    case = AlphaCase(1, 1)
+    M, _ = build_ansatz(case)
+    with pytest.raises(RCError, match="^multiplier ansatz leaves 1 of the table's multipliers unused$"):
+        build_l_ansatz(M, case)
 
 
 def test_multiplier_signs_match_cofactors(rc11):
@@ -106,9 +123,9 @@ def test_system_size_and_parameters(rc11):
 
 
 def test_f_entries_parameter_only_and_affine_in_r(rc11):
-    case, _, _, l, _, system = rc11
+    case, table, _, _, _, system = rc11
     geo = set(case.geo4)
-    r_names = set(l.r_names)
+    r_names = set(table.of_kind(MULTIPLIER))
     for p in system.f:
         names = support_names(p)
         assert not (names & geo)

@@ -98,6 +98,30 @@ def test_quartic_root_rule():
     assert r ** 8 == d ** 4
 
 
+def _algebraic_table(rules):
+    entries = [("d", 0, 1, PARAMETER), ("i", 0, 1, ALGEBRAIC), ("s", 0, 1, ALGEBRAIC)]
+    return VariableTable(entries, rules=rules)
+
+
+def test_a_rule_replacement_holding_an_algebraic_variable_is_refused():
+    # i^2 -> s^3 with s^2 -> i^3 would rewrite i*i forever
+    with pytest.raises(RingError, match="^rule replacement for i holds an algebraic variable$"):
+        _algebraic_table([RewriteRule("i", 2, {(("s", 3),): 1}), RewriteRule("s", 2, {(("i", 3),): 1})])
+
+
+def test_a_second_rule_on_one_variable_is_refused():
+    with pytest.raises(RingError, match="^second rewrite rule on i$"):
+        _algebraic_table([RewriteRule("i", 2, {(): -1}), RewriteRule("i", 4, {(): 1})])
+
+
+@pytest.mark.parametrize(
+    "rule", [RewriteRule("j", 2, {(): -1}), RewriteRule("i", 2, {(("e", 1),): 1})], ids=["variable", "replacement"]
+)
+def test_a_rule_naming_an_unknown_variable_is_refused(rule):
+    with pytest.raises(RingError, match="^rewrite rule names unknown variables"):
+        _algebraic_table([rule])
+
+
 def test_weighted_degree(T):
     x, y1, y2, y3, d = (T.var(n) for n in ("x", "y1", "y2", "y3", "d"))
     assert (x * x).grading() == (2, 1)
@@ -315,6 +339,12 @@ def test_generic_poly_drop_skips_its_monomials(S):
     p = generic_poly(S, (4, -1), GEO, names, drop={"x^2*y1", "y1*y2"})
     assert p == c1 * x**2 * y3 + c2 * y2 * y3
     assert list(names) == ["c3"]
+
+
+@pytest.mark.parametrize("names", [["c1", "c2"], ("c1", "c2")], ids=["list", "tuple"])
+def test_generic_poly_refuses_names_that_each_call_would_restart(S, names):
+    with pytest.raises(RingError, match="iterator of names"):
+        generic_poly(S, (2, -1), GEO, names)
 
 
 def test_generic_poly_calls_on_one_iterator_continue_the_numbering(S):

@@ -85,7 +85,7 @@ def test_traced_cold_pipeline_times_back_substitution(monkeypatch):
         tracer.uninstall()
     names = [rec["name"] for rec in tracer.spans]
     assert names.count("elim.resolve_dependencies") == 1
-    assert names.count("elim.back_substitute") == len(run.system.f) + 36 + len(run.l0.polys)
+    assert names.count("elim.back_substitute") == len(run.system.f) + 36 + len(run.l_final)
     metrics = tracer.layer_metrics({})
     assert metrics["elim.back_substitute.s"] > 0
     assert metrics["elim.resolve_dependencies.s"] > 0

@@ -187,15 +187,21 @@ def test_alpha3_square_fails_on_a_non_square_raw_det(monkeypatch, run30, run11):
 
 
 def test_alpha3_square_control_fails_on_a_square_or_a_free_variable(monkeypatch, run11):
-    # negative controls of the (1,1) side: det_final() stubbed by minus a
-    # square, then by a polynomial that the BY point does not fully bind
+    # negative controls of the (1,1) side: alpha_final stubbed by a constant
+    # symmetric matrix of determinant minus a square, then by one whose
+    # determinant the BY point does not fully bind
     table = run11.table
-    b5, x, y1, g1 = (table.var(n) for n in ("b5", "x", "y1", "g1"))
-    for det, witness in [
-        (-(b5 * x * y1) ** 2, "control failed: det(alpha_1, c=1) = -3600 at the point is +- a square"),
-        (run11.det_final() + g1, "the control point leaves g1 free in det(alpha_1, c=1)"),
+    one, g1 = table.one(), table.var("g1")
+
+    def diagonal(*entries):
+        return SymPolyMatrix([[e if a == b else table.zero() for b in range(6)] for a, e in enumerate(entries)])
+
+    for matrix, witness in [
+        (diagonal(-60 * one, 60 * one, one, one, one, one),
+         "control failed: det(alpha_1, c=1) = -3600 at the point is +- a square"),
+        (diagonal(g1, one, one, one, one, one), "the control point leaves g1 free in det(alpha_1, c=1)"),
     ]:
-        _feed_run(monkeypatch, SimpleNamespace(det_final=lambda det=det: det))
+        _feed_run(monkeypatch, SimpleNamespace(alpha_final=matrix))
         rep = verify_alpha3_square()
         assert rep.status == "fail" and rep.witness == witness
 

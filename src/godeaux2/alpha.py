@@ -293,13 +293,19 @@ _DROPPED[3] = _DROPPED[2]
 def generic_border(table: VariableTable, geo, names, dropped: Optional[dict] = None):
     """Generic border polynomials (G, [q1, q2, q3, q4]) over the geometric
     variables `geo`: G of weighted degree 6 and sign -1, q_k of degree 4 and
-    signs (-, -, +, +).  All five draw their coefficient names from the one
-    iterator `names`, G first, through `generic_poly`; `dropped` maps k to
-    the q_k monomials (as text) that get no slot."""
+    signs (-, -, +, +).  All five draw their coefficient names, in order, from
+    the one sequence `names`, G first, through `generic_poly`, and use them
+    all up, or it raises; `dropped` maps k to the q_k monomials (as text)
+    that get no slot."""
     dropped = dropped or {}
+    names = iter(names)
     G = generic_poly(table, (6, -1), geo, names)
     signs = ((1, -1), (2, -1), (3, 1), (4, 1))
-    return G, [generic_poly(table, (4, sign), geo, names, dropped.get(k, ())) for k, sign in signs]
+    qs = [generic_poly(table, (4, sign), geo, names, dropped.get(k, ())) for k, sign in signs]
+    left = list(names)
+    if left:
+        raise PatternError(f"border ansatz leaves {', '.join(left)} unused")
+    return G, qs
 
 
 def central_block(case: AlphaCase, table: VariableTable):
@@ -345,11 +351,7 @@ def build_ansatz(case: AlphaCase):
     j=1,2 (g1..g10, b1..b12, d) and 22 for j=3 (d does not occur there).
     """
     table = make_table(case)
-    names = iter(BORDER_PARAMS)
-    G, qs = generic_border(table, case.geo4, names, _DROPPED[case.j])
-    left = list(names)
-    if left:
-        raise PatternError(f"border ansatz leaves {', '.join(left)} unused")
+    G, qs = generic_border(table, case.geo4, BORDER_PARAMS, _DROPPED[case.j])
     central, Q = central_block(case, table)
     x, zero = table.var("x"), table.zero()
     M = bordered_matrix(x, G, qs, Q, central, [x, zero, zero, zero])

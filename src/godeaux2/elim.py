@@ -328,14 +328,15 @@ def zero_free_vars(f: Sequence[Polynomial], var: Sequence[str]):
     return work.alive(), [Dependency(name, zero) for name in names]
 
 
-def monomial_elim(f: Sequence[Polynomial], r_var: Sequence[str], all_var: Sequence[str] = ()):
+def monomial_elim(f: Sequence[Polynomial], r_var: Sequence[str], all_var: Sequence[str]):
     """Fallback moves on single-monomial entries of f.
 
     A pure power c*v^e forces v = 0 outright (the unique solution over a
-    reduced ring), for any target variable v.  A mixed monomial containing
-    exactly one r-parameter (to the first power) forces that r to 0 on the
-    component where the geometric moduli stay free; either substitution kills
-    the monomial identically, so soundness is unaffected.
+    reduced ring), for any target variable v: an r of `r_var` or a name of
+    `all_var`.  A mixed monomial containing exactly one r-parameter (to the
+    first power) forces that r to 0 on the component where the geometric
+    moduli stay free; either substitution kills the monomial identically, so
+    soundness is unaffected.
 
     Never needed for (alpha_1, c=1); the reducible cases (j=2 and c=0 systems)
     stall on entries like b3*r57 and b4^2 without it.

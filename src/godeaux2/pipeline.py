@@ -23,13 +23,18 @@ from .elim import (
     resolve_dependencies,
     survivors,
 )
-from .rc import RCSystem, build_l_ansatz, extract_system, rc_residuals
+from .rc import RCSystem, build_l_ansatz, compute_cofactors, extract_system, rc_residuals
 from .ring import INVERTIBLE, MULTIPLIER, Polynomial, exponents
-from .surface import SurfaceEquations, collect_Gm, generate_equations, remove_r
+from .surface import collect_Gm, generate_equations, remove_r
 
 
 @dataclass
 class PipelineResult:
+    """One derived family.  `l_final` maps (i, j, k) to the solved multiplier
+    l_ij^k, `equations` maps each label (vv_22..vv_66, row_1..row_6) to its
+    r-free equation, and `gm` each surviving r to its (label, coefficient)
+    pairs: plain dicts of polynomials."""
+
     case: AlphaCase
     table: object
     params: list
@@ -37,8 +42,7 @@ class PipelineResult:
     elim: EliminationState
     alpha_final: SymPolyMatrix
     l_final: dict
-    equations_raw: SurfaceEquations
-    equations: SurfaceEquations
+    equations: dict
     gm: dict  # one key per r left in the raw equations
     gbd_survivors: list
     wall_time: float
@@ -61,8 +65,8 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     t0 = time.monotonic()
     case = AlphaCase(j, c)
     alpha0, params = build_ansatz(case)
-    l0 = build_l_ansatz(alpha0, case)
-    system = extract_system(rc_residuals(l0.cofactors, l0.polys), case)
+    l0 = build_l_ansatz(alpha0.table, case)
+    system = extract_system(rc_residuals(compute_cofactors(alpha0), l0), case)
     try:
         state = driver(system.f, alpha0.table.of_kind(MULTIPLIER), list(BORDER_PARAMS))
     except EliminationError as err:
@@ -77,7 +81,7 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
         )
     alpha_final = alpha0.map_entries(lambda p: back_substitute(p, resolved))
     alpha_final.check_pattern()
-    l_final = {k: back_substitute(p, resolved) for k, p in l0.polys.items()}
+    l_final = {k: back_substitute(p, resolved) for k, p in l0.items()}
     gbd = survivors(params, state.deps)
     equations_raw = generate_equations(alpha_final, l_final)
     gm = collect_Gm(equations_raw)
@@ -90,7 +94,6 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
         elim=state,
         alpha_final=alpha_final,
         l_final=l_final,
-        equations_raw=equations_raw,
         equations=equations,
         gm=gm,
         gbd_survivors=gbd,
@@ -130,21 +133,19 @@ def alpha_to_json(result: PipelineResult) -> dict:
 
 
 def equations_to_json(result: PipelineResult) -> dict:
+    equations = []
+    for label, p in result.equations.items():
+        degree, sign = p.grading()
+        equations.append(
+            {"label": label, "weighted_degree": degree, "sigma_sign": sign, **poly_to_json(p)}
+        )
     return {
         "case": {"alpha": result.case.j, "c": result.case.c},
         "variables": [
             result.table.names[v] for v in range(result.table.geo_cut)
         ],
         "parameters": result.gbd_survivors,
-        "equations": [
-            {
-                "label": eq.label,
-                "weighted_degree": eq.degree,
-                "sigma_sign": eq.sign,
-                **poly_to_json(eq.poly),
-            }
-            for eq in result.equations.eqs
-        ],
+        "equations": equations,
     }
 
 
@@ -176,7 +177,7 @@ def stats_dict(result: PipelineResult) -> dict:
         "sound_checked": len(result.system.f),
         "survivors": result.gbd_survivors,
         "r_survivors": len(result.gm),
-        "equations": len(result.equations.eqs),
+        "equations": len(result.equations),
         "wall_time_s": round(result.wall_time, 6),
         "peak_memory_kb": result.peak_kb,
     }

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, cofactor_any, entry_grading
-from .ring import MULTIPLIER, RingError, generic_poly
+from .ring import MULTIPLIER, RingError, VariableTable, generic_poly
 
 PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
 
@@ -42,14 +42,6 @@ def multiplier_grading(i: int, j: int, k: int) -> tuple:
     return dij - d1k, sij * s1k
 
 
-@dataclass
-class LAnsatz:
-    """Generic multipliers with one fresh r-parameter per monomial slot."""
-
-    polys: dict  # (i, j, k) -> Polynomial
-    cofactors: dict  # (i, j) -> beta_ij, for row 1 and all pairs
-
-
 def compute_cofactors(alpha: SymPolyMatrix) -> dict:
     """beta_1k for k = 1..6 plus beta_ij for the 15 pairs, one shared cache."""
     wanted = [(1, k) for k in range(1, 7)] + list(PAIRS)
@@ -63,12 +55,12 @@ def compute_cofactors(alpha: SymPolyMatrix) -> dict:
     return betas
 
 
-def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
-    """Multiplier ansatz for the given matrix; the r-slots take the table's
-    multipliers in order, over pairs (2,2),(2,3),...,(6,6), then k = 1..6,
-    then descending lex monomials (`ring.generic_poly`), and use them all up."""
-    table = alpha.table
-    betas = compute_cofactors(alpha)
+def build_l_ansatz(table: VariableTable, case: AlphaCase) -> dict:
+    """The generic multipliers {(i, j, k): l_ij^k} of the family over `table`.
+    The r-slots take the table's multipliers in order, over pairs (2,2),
+    (2,3),...,(6,6), then k = 1..6, then descending lex monomials
+    (`ring.generic_poly`), and use them all up.  The cofactors the multipliers
+    combine come from `compute_cofactors`."""
     names = iter(table.of_kind(MULTIPLIER))
     polys = {
         (i, j, k): generic_poly(table, multiplier_grading(i, j, k), case.geo4, names)
@@ -78,7 +70,7 @@ def build_l_ansatz(alpha: SymPolyMatrix, case: AlphaCase) -> LAnsatz:
     left = sum(1 for _ in names)
     if left:
         raise RCError(f"multiplier ansatz leaves {left} of the table's multipliers unused")
-    return LAnsatz(polys, betas)
+    return polys
 
 
 def rc_residuals(cofactors: dict, multipliers: dict) -> list:

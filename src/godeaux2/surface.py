@@ -4,9 +4,11 @@ The 21 equations live on the nine geometric variables: 15 quadric relations
 v_i*v_j = sum_k l_ij^k v_k over the section vector v = (1, z1, z2, z3, z4, t)
 and the 6 rows of alpha*v.  The quadric relations are the rank-condition
 identity of `rc.rc_residuals` with v_i*v_j in place of beta_ij (and v_k in
-place of beta_1k), over the multipliers that solve it.  Every equation is
-weighted-homogeneous with a pure involution sign; the five relations of
-weighted degree <= 5 come from rows 2..6 of alpha*v and never involve the
+place of beta_1k), over the multipliers that solve it.  A set of equations is
+a plain dict {label: polynomial} with keys vv_22..vv_66, then row_1..row_6.
+Every equation is weighted-homogeneous with a pure involution sign, so its
+(weighted degree, sign) is `p.grading()`; the five relations of weighted
+degree <= 5 come from rows 2..6 of alpha*v and never involve the
 multipliers, hence no r-parameters.
 
 Surviving r's enter the higher-degree equations linearly, as r_m times a
@@ -21,7 +23,6 @@ coefficients for the t_m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import elim
@@ -39,28 +40,17 @@ class SurfaceError(RingError):
     pass
 
 
-@dataclass(frozen=True)
-class SurfaceEquation:
-    label: str
-    degree: int
-    sign: int
-    poly: Polynomial
+def low_degree(eqs: dict) -> dict:
+    """The relations of weighted degree <= LOW_DEGREE (r-free), by label."""
+    return {label: p for label, p in eqs.items() if p.grading()[0] <= LOW_DEGREE}
 
 
-@dataclass
-class SurfaceEquations:
-    eqs: list
+def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> dict:
+    """The 15 quadric relations and 6 row relations, fully expanded, as
+    {label: polynomial}.
 
-    def low_degree(self) -> list:
-        """The relations of weighted degree <= LOW_DEGREE (r-free)."""
-        return [eq for eq in self.eqs if eq.degree <= LOW_DEGREE]
-
-
-def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEquations:
-    """The 15 quadric relations and 6 row relations, fully expanded.
-
-    Aborts if any equation fails weighted- or sigma-homogeneity, which would
-    signal a pipeline bug upstream.
+    Aborts if any equation is zero or fails weighted- or sigma-homogeneity,
+    which would signal a pipeline bug upstream.
     """
     table = alpha_final.table
     v = [
@@ -75,63 +65,60 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> SurfaceEqua
     products = {(1, k): v[k - 1] for k in range(1, 7)}
     products.update({(i, j): v[i - 1] * v[j - 1] for (i, j) in PAIRS})
     residuals = rc_residuals(products, l_final)
-    eqs = [(f"vv_{i}{j}", res) for (i, j), res in zip(PAIRS, residuals)]
+    eqs = {f"vv_{i}{j}": res for (i, j), res in zip(PAIRS, residuals)}
     for i in range(1, 7):
         acc = table.zero()
         for j in range(1, 7):
             acc = acc + alpha_final[i, j] * v[j - 1]
-        eqs.append((f"row_{i}", acc))
-    out = []
-    for label, p in eqs:
+        eqs[f"row_{i}"] = acc
+    for label, p in eqs.items():
         if p.is_zero():
             raise SurfaceError(f"equation {label} collapsed to zero")
-        grading = p.grading()
-        if grading is None:
+        if p.grading() is None:
             raise SurfaceError(f"equation {label} is not homogeneous and pure")
-        out.append(SurfaceEquation(label, *grading, p))
-    return SurfaceEquations(out)
+    return eqs
 
 
-def remove_r(eqs: SurfaceEquations) -> SurfaceEquations:
+def remove_r(eqs: dict) -> dict:
     """Assert the degree <= 5 equations are r-free, then set every r of each
-    equation to 0 (collect_Gm owns the set of r's that occur)."""
-    for eq in eqs.low_degree():
-        bad = eq.poly.multipliers()
+    equation to 0 (collect_Gm owns the set of r's that occur).  An r-free
+    equation comes back as the same object."""
+    for label, p in low_degree(eqs).items():
+        bad = p.multipliers()
         if bad:
             raise SurfaceError(
-                f"degree-{eq.degree} equation {eq.label} depends on {sorted(bad)}"
+                f"degree-{p.grading()[0]} equation {label} depends on {sorted(bad)}"
             )
-    zero = eqs.eqs[0].poly.table.zero()
-    out = []
-    for eq in eqs.eqs:
-        p = eq.poly.substitute(dict.fromkeys(eq.poly.multipliers(), zero))
-        if p.is_zero():
-            raise SurfaceError(f"equation {eq.label} vanished under r-removal")
-        out.append(SurfaceEquation(eq.label, eq.degree, eq.sign, p))
-    return SurfaceEquations(out)
+    out = {}
+    for label, p in eqs.items():
+        q = p.substitute(dict.fromkeys(p.multipliers(), p.table.zero()))
+        if q.is_zero():
+            raise SurfaceError(f"equation {label} vanished under r-removal")
+        out[label] = q
+    return out
 
 
-def collect_Gm(eqs: SurfaceEquations) -> dict:
+def collect_Gm(eqs: dict) -> dict:
     """Coefficients of the surviving r-parameters, per equation.
 
     Returns {r_name: [(label, coefficient polynomial)]}.  Aborts if any r
     occurs nonlinearly (jointly, across all r's in a monomial).
     """
-    table = eqs.eqs[0].poly.table
+    table = next(iter(eqs.values())).table
     r_names = table.of_kind(MULTIPLIER)
     out: dict = {}
-    for eq in eqs.eqs:
-        for r_mono, g in eq.poly.coefficients_wrt(r_names):
+    for label, p in eqs.items():
+        for r_mono, g in p.coefficients_wrt(r_names):
             if not r_mono:
                 continue
             if len(r_mono) > 1:
                 raise SurfaceError(
-                    f"equation {eq.label} is nonlinear in the r-parameters"
+                    f"equation {label} is nonlinear in the r-parameters"
                 )
             grading = g.grading()
             if grading is None or grading[0] <= 0:
                 raise SurfaceError("r-coefficient fails homogeneity of positive degree")
-            out.setdefault(table.names[r_mono[0]], []).append((eq.label, g))
+            out.setdefault(table.names[r_mono[0]], []).append((label, g))
     return out
 
 

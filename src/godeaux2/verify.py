@@ -36,7 +36,7 @@ from .alpha import (
 from .pipeline import run_pipeline
 from .rc import PAIRS, compute_cofactors, rc_residuals
 from .ring import ALGEBRAIC, PARAMETER, Polynomial, RewriteRule, VariableTable
-from .surface import membership_check
+from .surface import low_degree, membership_check
 
 # never called here: the rank condition is solved only inside run_pipeline,
 # and verify checks the multipliers it returns.  perfbench/tracing.py installs
@@ -436,7 +436,7 @@ def verify_extension_shuffle() -> str:
     entries = coordinate_entries(("x", "y1", "y2", "y3"))
     table = VariableTable(entries + [(p, 0, 1, PARAMETER) for p in ["d"] + params])
     x, y1, y2, y3, d, c2 = (table.var(n) for n in ("x", "y1", "y2", "y3", "d", "c2"))
-    G, qs = generic_border(table, ["x", "y1", "y2", "y3"], iter(params[1:]))
+    G, qs = generic_border(table, ["x", "y1", "y2", "y3"], params[1:])
     Q = y1 * y1 - y2 * y2 - d * d * y3 * y3
     zero = table.zero()
     central = [
@@ -499,12 +499,12 @@ def verify_c_normalization() -> str:
     change is checked with its inverse x -> s x, y4 -> s^2 y4 applied to the
     target instead, which leaves both sides polynomial:
     T(x, s^2 y3, y4) = s^2 want(s x, y3, s^2 y4)."""
-    params = [f"h{k}" for k in range(1, 16)] + [f"k{k}" for k in range(1, 41)]
+    params = [f"h{k}" for k in range(1, 16)] + [f"k{k}" for k in range(1, 35)]
     entries = coordinate_entries(("x", "y1", "y2", "y3", "y4"))
     entries += [(p, 0, 1, PARAMETER) for p in params] + [("s", 0, 1, ALGEBRAIC)]
     table = VariableTable(entries)
     x, y1, y2, y3, y4, s = (table.var(n) for n in ("x", "y1", "y2", "y3", "y4", "s"))
-    G, qs = generic_border(table, ["x", "y1", "y2", "y3", "y4"], iter(params))
+    G, qs = generic_border(table, ["x", "y1", "y2", "y3", "y4"], params)
     Q = y1 * y1 - y2 * y2 - y3 * y4
     zero = table.zero()
     cx2 = s ** 4 * x * x
@@ -633,15 +633,15 @@ def verify_alpha2_basepoint() -> str:
     run = run_pipeline(2, 0)
     point = dict(BASE_POINT)
     point["y4"] = 1
-    for eq in run.equations.eqs:
-        val = eq.poly.substitute(point)
+    for label, p in run.equations.items():
+        val = p.substitute(point)
         if not val.is_zero():
-            raise CheckFailed(f"{eq.label}: {val}")
+            raise CheckFailed(f"{label}: {val}")
     # control: the coordinate point with t = 1 is not on the surface
     other = dict(BASE_POINT)
     other["y4"] = 0
     other["t"] = 1
-    if all(eq.poly.substitute(other).is_zero() for eq in run.equations.eqs):
+    if all(p.substitute(other).is_zero() for p in run.equations.values()):
         raise CheckFailed("control point t=1 annihilates all equations")
     return "all 21 equations vanish identically (symbolic parameters)"
 
@@ -654,9 +654,10 @@ def verify_r_removal() -> str:
     and makes one substitution per coefficient.  The first coefficient not
     certified, in r order, is the witness.  That those relations are r-free
     is asserted by remove_r inside run_pipeline, whose SurfaceError the check
-    runner reports as a failure."""
+    runner reports as a failure; remove_r returns them unchanged, so they are
+    read from the final equations."""
     run = run_pipeline(1, 1)
-    F = [eq.poly for eq in run.equations_raw.low_degree()]
+    F = list(low_degree(run.equations).values())
     found = [
         (rname, label, G)
         for rname, occurrences in sorted(run.gm.items(), key=lambda kv: run.table.index[kv[0]])
@@ -855,12 +856,12 @@ def verify_special(surface: SpecialSurface) -> str:
     failure = _conic_witness(M)
     if failure:
         raise CheckFailed(f"specialized: {failure}")
-    for eq in run.equations.eqs:
-        p = eq.poly.substitute(bind)
-        if p.is_zero():
-            raise CheckFailed(f"equation {eq.label} collapses")
-        if p.grading() != (eq.degree, eq.sign):
-            raise CheckFailed(f"equation {eq.label} loses its grading")
+    for label, p in run.equations.items():
+        q = p.substitute(bind)
+        if q.is_zero():
+            raise CheckFailed(f"equation {label} collapses")
+        if q.grading() != p.grading():
+            raise CheckFailed(f"equation {label} loses its grading")
     ext = "Q(sqrt(-15))" if any(isinstance(v, tuple) for v in surface.values.values()) else "Q"
     return f"matrix pattern, det != 0, conic divisibility, 21 equations over {ext}"
 

@@ -14,6 +14,7 @@ from itertools import product
 from godeaux2.alpha import SymPolyMatrix
 from godeaux2.rc import PAIRS
 from godeaux2.ring import Polynomial, exponents, monomial_basis
+from godeaux2.surface import low_degree
 
 
 def gauss_classify(rows, nvars):
@@ -140,8 +141,8 @@ def outside_low_degree_ideal(run, G):
     in z1..z4, t alone does not."""
     table = run.table
     low = {table.index[n] for n in table.names[: table.geo_cut] if n == "x" or n[0] == "y"}
-    for eq in run.equations_raw.low_degree():
-        assert all(any(v in low for v, _ in exponents(m)) for m in eq.poly.terms), eq.label
+    for label, p in low_degree(run.equations).items():
+        assert all(any(v in low for v, _ in exponents(m)) for m in p.terms), label
     monos = monomial_basis(table, *G.grading(), ["z1", "z2", "z3", "z4", "t"])
     return Polynomial(table, {monos[0]: 1})
 

@@ -12,10 +12,12 @@ from godeaux2.alpha import (
     SymPolyMatrix,
     build_ansatz,
     cofactor_any,
+    coordinate_entries,
     det_any,
+    generic_border,
     make_table,
 )
-from godeaux2.ring import GEOMETRIC, INVERTIBLE, RingError, VariableTable, exponents
+from godeaux2.ring import GEOMETRIC, INVERTIBLE, PARAMETER, RingError, VariableTable, exponents
 
 from _oracle import build_ansatz_reference, first_row_det
 
@@ -90,6 +92,19 @@ def test_ansatz_rejects_a_border_name_left_over(monkeypatch):
     monkeypatch.setattr(alpha, "BORDER_PARAMS", alpha.BORDER_PARAMS + ("b13",))
     with pytest.raises(PatternError, match="^border ansatz leaves b13 unused$"):
         build_ansatz(AlphaCase(2, 1))
+
+
+def test_generic_border_rejects_a_spare_name_in_its_pool():
+    # a verify-style table (extension_shuffle's coordinates and its 30
+    # border names) plus one spare name: the pool is a plain sequence, and
+    # generic_border refuses to leave the spare unused
+    names = [f"h{k}" for k in range(1, 11)] + [f"k{k}" for k in range(1, 22)]
+    geo = ("x", "y1", "y2", "y3")
+    table = VariableTable(coordinate_entries(geo) + [(n, 0, 1, PARAMETER) for n in names])
+    with pytest.raises(PatternError, match="^border ansatz leaves k21 unused$"):
+        generic_border(table, geo, names)
+    G, qs = generic_border(table, geo, names[:-1])
+    assert sum(len(p.terms) for p in (G, *qs)) == 30
 
 
 def test_ansatz_q_slots_match_expected_layout(case11):

@@ -11,7 +11,13 @@ import pytest
 from godeaux2 import pipeline
 from godeaux2.alpha import AlphaCase, make_table
 from godeaux2.elim import EliminationError
-from godeaux2.pipeline import poly_to_json, run_pipeline, stats_dict, write_artifacts
+from godeaux2.pipeline import (
+    equations_to_json,
+    poly_to_json,
+    run_pipeline,
+    stats_dict,
+    write_artifacts,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 ARTIFACTS = ("alpha.json", "equations.json", "deps.log")
@@ -28,6 +34,16 @@ def test_artifacts_match_reference(case, request, reference, tmp_path):
     write_artifacts(run, tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert got == reference[f"alpha_{run.case.j}_{run.case.c}"]
+
+
+@pytest.mark.parametrize("case", ["run11", "run20", "run30", "run31"])
+def test_equations_json_grading_is_the_polynomial_grading(case, request):
+    # each entry's (weighted_degree, sigma_sign) is read from its polynomial
+    run = run_pipeline(3, 1) if case == "run31" else request.getfixturevalue(case)
+    entries = equations_to_json(run)["equations"]
+    assert [e["label"] for e in entries] == list(run.equations)
+    for entry, p in zip(entries, run.equations.values()):
+        assert (entry["weighted_degree"], entry["sigma_sign"]) == p.grading()
 
 
 def test_poly_to_json_writes_a_fraction_as_p_over_q():

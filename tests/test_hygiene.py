@@ -6,8 +6,9 @@ listed in the module's `__all__` counts as used; an import line marked
 
 Every function, class and method defined under src, dunders aside, is read
 by name somewhere in src or scripts, and so is every field of a dataclass
-under src, as an attribute.  A definition only the tests read is test-only
-API and goes, and so does a field that is written and never read."""
+under src, as an attribute, and every module-level constant assigned under
+src.  A definition only the tests read is test-only API and goes, and so does
+a field or a constant that is written and never read."""
 
 import ast
 from pathlib import Path
@@ -171,3 +172,65 @@ def test_every_src_dataclass_field_is_read_by_src_or_scripts():
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
     others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
     assert unread_dataclass_fields(defining, others) == []
+
+
+def _assigned_names(stmt) -> list:
+    """Names a module-level assignment binds, tuple targets unpacked."""
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    names = []
+    for target in targets:
+        nodes = target.elts if isinstance(target, ast.Tuple) else [target]
+        names += [n.id for n in nodes if isinstance(n, ast.Name)]
+    return names
+
+
+def unread_module_constants(defining: dict, others=()) -> list:
+    """(label, line, name) of every non-dunder name assigned at the top level
+    of the `defining` sources ({label: text}) that no source, of those or of
+    the `others` texts, reads as a variable or an attribute."""
+    read = set()
+    found = []
+    for label, text in [*defining.items(), *((None, t) for t in others)]:
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        if label is not None:
+            found += [
+                (label, stmt.lineno, name)
+                for stmt in tree.body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for name in _assigned_names(stmt)
+                if not (name.startswith("__") and name.endswith("__"))
+            ]
+    return sorted(d for d in found if d[2] not in read)
+
+
+def test_constant_scanner_flags_a_constant_nothing_reads():
+    defining = {
+        "m.py": (
+            "KEPT = 1\n"
+            "SPARE = 2\n"
+            "LOW, HIGH = 3, 4\n"
+            "TYPED: int = 5\n"
+            "__version__ = '1'\n"
+            "TABLE = {}\n"
+            "TABLE[1] = KEPT\n"
+            "def f():\n"
+            "    LOCAL = 6\n"
+            "    return LOCAL + LOW\n"
+        ),
+    }
+    others = ["import m\nprint(m.TYPED)\nSPARE = 7\n"]
+    assert unread_module_constants(defining, others) == [
+        ("m.py", 2, "SPARE"),
+        ("m.py", 3, "HIGH"),
+    ]
+
+
+def test_every_src_constant_is_read_by_src_or_scripts():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
+    assert unread_module_constants(defining, others) == []

@@ -12,6 +12,7 @@ from godeaux2.rc import (
     RCError,
     build_l_ansatz,
     cofactor_grading,
+    compute_cofactors,
     extract_system,
     multiplier_grading,
     rc_residuals,
@@ -26,39 +27,40 @@ def rc11():
     case = AlphaCase(1, 1)
     M, params = build_ansatz(case)
     table = M.table
-    l = build_l_ansatz(M, case)
-    res = rc_residuals(l.cofactors, l.polys)
+    l = build_l_ansatz(table, case)
+    betas = compute_cofactors(M)
+    res = rc_residuals(betas, l)
     system = extract_system(res, case)
-    return case, table, M, l, res, system
+    return case, table, M, l, betas, res, system
 
 
 def test_r_count_is_371(rc11):
-    _, table, _, _, _, _ = rc11
+    _, table, _, _, _, _, _ = rc11
     assert len(table.of_kind(MULTIPLIER)) == 371
 
 
 def test_r_slot_layout_matches_the_reference(rc11):
     # r1..r371 in pool order, each on the (i, j, k) and monomial the
     # independently derived layout gives its place in the order
-    _, table, _, l, _, _ = rc11
+    _, table, _, l, _, _, _ = rc11
     ref = multiplier_slots_reference()
     r_names = table.of_kind(MULTIPLIER)
     assert r_names == [f"r{n}" for n in range(1, len(ref) + 1)]
     want = {(i, j, k): {} for i in range(2, 7) for j in range(i, 7) for k in range(1, 7)}
     for name, (i, j, k, exps) in zip(r_names, ref, strict=True):
         want[i, j, k][dense_mono(exps) + (table.index[name],)] = 1
-    assert {key: p.terms for key, p in l.polys.items()} == want
+    assert {key: p.terms for key, p in l.items()} == want
 
 
 def test_multiplier_degrees(rc11):
     assert cofactor_grading(2, 2) == (14, -1) and cofactor_grading(1, 6) == (12, 1)
     assert multiplier_grading(2, 2, 6) == (14 - 12, -1)
     # negative required degree -> identically zero, no parameters
-    _, _, _, l, _, _ = rc11
+    _, _, _, l, _, _, _ = rc11
     for (i, j) in PAIRS:
         for k in range(1, 7):
             if multiplier_grading(i, j, k)[0] < 0:
-                assert l.polys[(i, j, k)].is_zero()
+                assert l[(i, j, k)].is_zero()
 
 
 def test_every_r_in_exactly_one_slot():
@@ -66,10 +68,10 @@ def test_every_r_in_exactly_one_slot():
     # gives each of them exactly one slot
     for case in (AlphaCase(j, c) for j in (1, 2, 3) for c in (0, 1)):
         M, _ = build_ansatz(case)
-        l = build_l_ansatz(M, case)
+        l = build_l_ansatz(M.table, case)
         assert M.table.of_kind(MULTIPLIER) == [f"r{n}" for n in range(1, 372)]
         seen = {}
-        for (i, j, k), p in l.polys.items():
+        for (i, j, k), p in l.items():
             for m in p.terms:
                 name = M.table.names[m[-1]]  # a slot term is its monomial times its r
                 assert name not in seen
@@ -83,38 +85,38 @@ def test_a_multiplier_left_over_raises(monkeypatch):
     case = AlphaCase(1, 1)
     M, _ = build_ansatz(case)
     with pytest.raises(RCError, match="^multiplier ansatz leaves 1 of the table's multipliers unused$"):
-        build_l_ansatz(M, case)
+        build_l_ansatz(M.table, case)
 
 
 def test_multiplier_signs_match_cofactors(rc11):
-    _, _, _, l, _, _ = rc11
-    for (i, j, k), p in l.polys.items():
+    _, _, _, l, betas, _, _ = rc11
+    for (i, j, k), p in l.items():
         if p.is_zero():
             continue
-        bij = l.cofactors[(i, j)]
-        b1k = l.cofactors[(1, k)]
+        bij = betas[(i, j)]
+        b1k = betas[(1, k)]
         if bij.is_zero() or b1k.is_zero():
             continue
         assert p.grading()[1] == bij.grading()[1] * b1k.grading()[1]
 
 
 def test_residual_count_and_zero_l(rc11):
-    _, table, _, l, res, _ = rc11
+    _, table, _, l, betas, res, _ = rc11
     assert len(res) == 15
-    bare = rc_residuals(l.cofactors, {key: table.zero() for key in l.polys})
+    bare = rc_residuals(betas, {key: table.zero() for key in l})
     for (i, j), r in zip(PAIRS, bare):
-        assert r == l.cofactors[(i, j)]
+        assert r == betas[(i, j)]
 
 
 def test_cofactor_symmetry(rc11):
-    _, _, M, _, _, _ = rc11
+    _, _, M, _, _, _, _ = rc11
     memo = {}
     for (i, j) in [(2, 3), (2, 6), (4, 5)]:
         assert cofactor_any(M.rows, i, j, memo) == cofactor_any(M.rows, j, i, memo)
 
 
 def test_system_size_and_parameters(rc11):
-    _, table, _, _, _, system = rc11
+    _, table, _, _, _, _, system = rc11
     assert len(system.f) == 876
     assert system.param_count == 394
     multipliers = set(table.of_kind(MULTIPLIER))
@@ -123,7 +125,7 @@ def test_system_size_and_parameters(rc11):
 
 
 def test_f_entries_parameter_only_and_affine_in_r(rc11):
-    case, table, _, _, _, system = rc11
+    case, table, _, _, _, _, system = rc11
     geo = set(case.geo4)
     r_names = set(table.of_kind(MULTIPLIER))
     for p in system.f:
@@ -135,7 +137,7 @@ def test_f_entries_parameter_only_and_affine_in_r(rc11):
 
 
 def test_extraction_commutes_with_specialization(rc11):
-    case, table, _, _, res, system = rc11
+    case, table, _, _, _, res, system = rc11
     rng = random.Random(17)
     spec = {
         n: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -155,9 +157,9 @@ def test_extraction_commutes_with_specialization(rc11):
 
 
 def test_l_lives_on_four_variables(rc11):
-    _, _, _, l, _, _ = rc11
+    _, _, _, l, _, _, _ = rc11
     allowed = {"x", "y1", "y2", "y3"}
-    for p in l.polys.values():
+    for p in l.values():
         geo = {n for n in support_names(p) if not n[0] in "rgbd"}
         assert geo <= allowed
 
@@ -183,7 +185,7 @@ def test_exact_multipliers_give_zero_residuals():
 
 
 def test_system_dump_is_stable(rc11):
-    case, _, _, _, res, system = rc11
+    case, _, _, _, _, res, system = rc11
     dump = dump_text(res, case.geo4)
     lines = dump.splitlines()
     assert len(lines) == 876

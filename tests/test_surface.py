@@ -1,16 +1,14 @@
 """Tests for equation generation, r-removal, and exact membership."""
 
-import dataclasses
-
 import pytest
 
 from godeaux2.alpha import AlphaCase, SymPolyMatrix, make_table
 from godeaux2.rc import PAIRS
 from godeaux2.ring import MULTIPLIER, RingError, monomial_basis
 from godeaux2.surface import (
-    SurfaceEquations,
     SurfaceError,
     generate_equations,
+    low_degree,
     membership_check,
     remove_r,
 )
@@ -18,66 +16,76 @@ from godeaux2.surface import (
 from _oracle import outside_low_degree_ideal, support_names
 
 
+@pytest.fixture(scope="module")
+def raw11(run11):
+    """The (1,1) equations before r-removal."""
+    return generate_equations(run11.alpha_final, run11.l_final)
+
+
 def test_equation_count_and_labels(run11):
     eqs = run11.equations
-    assert len(eqs.eqs) == 21
-    labels = [eq.label for eq in eqs.eqs]
+    assert len(eqs) == 21
+    labels = list(eqs)
     assert labels[:15] == [f"vv_{i}{j}" for (i, j) in PAIRS]
     assert labels[15:] == [f"row_{i}" for i in range(1, 7)]
 
 
 def test_row6_is_conic_plus_xz1(run11):
     table = run11.table
-    row6 = {eq.label: eq.poly for eq in run11.equations.eqs}["row_6"]
+    row6 = run11.equations["row_6"]
     Q = run11.alpha_final[1, 6]
     assert row6 == Q + table.var("x") * table.var("z1")
 
 
 def test_equation_degrees_and_signs(run11):
     eqs = run11.equations
-    by_label = {eq.label: eq for eq in eqs.eqs}
     for (i, j) in PAIRS:
         w = [None, 0, 3, 3, 3, 3, 4]
-        eq = by_label[f"vv_{i}{j}"]
-        assert eq.degree == w[i] + w[j]
-    assert [by_label[f"row_{i}"].degree for i in range(1, 7)] == [8, 5, 5, 5, 5, 4]
+        assert eqs[f"vv_{i}{j}"].grading()[0] == w[i] + w[j]
+    assert [eqs[f"row_{i}"].grading()[0] for i in range(1, 7)] == [8, 5, 5, 5, 5, 4]
     # the degree-5 relations split two invariant, two anti-invariant
-    five = [eq.sign for eq in eqs.eqs if eq.degree == 5]
+    five = [p.grading()[1] for p in eqs.values() if p.grading()[0] == 5]
     assert sorted(five) == [-1, -1, 1, 1]
 
 
-def test_low_degree_equations_r_free_and_removal(run11):
-    raw = run11.equations_raw
-    for eq in raw.low_degree():
-        assert not eq.poly.multipliers()
+def test_low_degree_is_rows_2_to_6(run11, raw11):
+    # remove_r returns the r-free low-degree relations as the same objects
+    low = low_degree(run11.equations)
+    assert list(low) == [f"row_{i}" for i in range(2, 7)]
+    assert low == low_degree(raw11)
+    final = remove_r(raw11)
+    assert all(final[label] is raw11[label] for label in low)
+
+
+def test_low_degree_equations_r_free_and_removal(run11, raw11):
+    for p in low_degree(raw11).values():
+        assert not p.multipliers()
     final = run11.equations
     allowed = {"b5", "b9", "b6", "b8", "d", "b2", "b11", "g9", "b12"}
     seen = set()
-    for eq in final.eqs:
-        params = {n for n in support_names(eq.poly) if n[0] in "gbd" and n != "b"}
+    for p in final.values():
+        params = {n for n in support_names(p) if n[0] in "gbd" and n != "b"}
         seen |= params
     geo = {"x", "y1", "y2", "y3", "z1", "z2", "z3", "z4", "t"}
-    for eq in final.eqs:
-        assert support_names(eq.poly) <= geo | allowed
+    for p in final.values():
+        assert support_names(p) <= geo | allowed
     assert seen == allowed
 
 
 def test_remove_r_idempotent(run11):
     final = run11.equations
     again = remove_r(final)
-    assert [str(eq.poly) for eq in again.eqs] == [str(eq.poly) for eq in final.eqs]
+    assert [str(p) for p in again.values()] == [str(p) for p in final.values()]
 
 
-def test_remove_r_rejects_a_multiplier_in_a_low_degree_equation(run11):
+def test_remove_r_rejects_a_multiplier_in_a_low_degree_equation(run11, raw11):
     # the degree <= 5 relations must be r-free; r1 times row_6 (degree 4)
     # is the guard's negative control
     r1 = run11.table.var("r1")
-    eqs = [
-        dataclasses.replace(eq, poly=r1 * eq.poly) if eq.label == "row_6" else eq
-        for eq in run11.equations_raw.eqs
-    ]
+    eqs = dict(raw11)
+    eqs["row_6"] = r1 * eqs["row_6"]
     with pytest.raises(SurfaceError, match=r"degree-4 equation row_6 depends on \['r1'\]"):
-        remove_r(SurfaceEquations(eqs))
+        remove_r(eqs)
 
 
 def test_removal_commutes_with_generation(run11):
@@ -88,8 +96,8 @@ def test_removal_commutes_with_generation(run11):
     l_zeroed = {k: p.substitute(bind) for k, p in run11.l_final.items()}
     alpha_zeroed = run11.alpha_final.substitute(bind)
     direct = generate_equations(alpha_zeroed, l_zeroed)
-    assert [str(eq.poly) for eq in direct.eqs] == [
-        str(eq.poly) for eq in run11.equations.eqs
+    assert [str(p) for p in direct.values()] == [
+        str(p) for p in run11.equations.values()
     ]
 
 
@@ -108,7 +116,7 @@ def test_degenerate_diag_input():
     )
     l_zero = {(i, j, k): zero for (i, j) in PAIRS for k in range(1, 7)}
     eqs = generate_equations(M, l_zero)
-    assert {eq.label: eq.poly for eq in eqs.eqs}["vv_22"] == table.var("z1") ** 2
+    assert eqs["vv_22"] == table.var("z1") ** 2
 
 
 def test_membership_trivial_cases(run11):
@@ -151,7 +159,7 @@ def _all_gm(run):
 
 
 def test_all_gm_membership_spot(run11):
-    F = [eq.poly for eq in run11.equations_raw.low_degree()]
+    F = list(low_degree(run11.equations).values())
     found = _all_gm(run11)
     assert membership_check([G for _, _, G in found], F) == [True] * 94
     assert len(found) == 94
@@ -170,7 +178,7 @@ def _perturbed_class_representatives(run):
 
 
 def test_perturbed_gm_is_refuted(run11):
-    F = [eq.poly for eq in run11.equations_raw.low_degree()]
+    F = list(low_degree(run11.equations).values())
     perturbed = _perturbed_class_representatives(run11)
     assert len(perturbed) == 5
     verdicts = membership_check([G for _, _, G in perturbed.values()], F)
@@ -179,7 +187,7 @@ def test_perturbed_gm_is_refuted(run11):
 
 
 def test_batch_refutes_exactly_the_perturbed_positions(run11):
-    F = [eq.poly for eq in run11.equations_raw.low_degree()]
+    F = list(low_degree(run11.equations).values())
     gs = [G for _, _, G in _all_gm(run11)]
     perturbed = _perturbed_class_representatives(run11)
     gs += [G for _, _, G in perturbed.values()]

@@ -53,6 +53,7 @@ class RoundRecord:
     n: int
     eliminated: int
     f_size: int
+    f_terms: int  # terms of f after the move, summed over its polynomials
     seconds: float
     peak_kb: int = 0
 
@@ -117,16 +118,32 @@ def primitive_form(p: Polynomial) -> Polynomial:
     return p
 
 
+def _bucket_key(p: Polynomial) -> tuple:
+    """(size, leading monomial, leading coefficient): equal polynomials have
+    equal keys, and the key costs no pass over the terms."""
+    lead = p.leading_mono()
+    return len(p.terms), lead, p.terms[lead]
+
+
 class _Worktable:
     """Mutable view of (f, g) during one move.  Slot i holds a polynomial in
     primitive form, or None once it is zero, a copy of a live polynomial, or
-    used up as a pivot."""
+    used up as a pivot.
 
-    def __init__(self, f: Sequence[Polynomial], g_flags: Sequence[bool]):
-        self.polys = [None] * len(f)
+    The worktable takes the list f over as its slot list: each input is
+    replaced by its primitive form, and each polynomial a rewrite replaces or
+    drops leaves f at once, so nothing keeps it alive until the move ends.
+    The caller must keep its own references to any input it still needs.
+    Copies are found by comparing term dicts only within a bucket of live
+    slots that share (number of terms, leading monomial, leading
+    coefficient)."""
+
+    def __init__(self, f: list, g_flags: Sequence[bool]):
+        self.polys = f
         self.in_g = list(g_flags)
-        self.by_key = {}  # every live polynomial -> its slot
+        self.buckets = {}  # (size, lead, lead coefficient) -> live slots
         for i, p in enumerate(f):
+            f[i] = None
             self.replace(i, primitive_form(p))
 
     def alive(self) -> list:
@@ -140,14 +157,20 @@ class _Worktable:
         then joins g if slot i was in it), leaves the slot empty."""
         old = self.polys[i]
         if old is not None:
-            del self.by_key[old]
+            key = _bucket_key(old)
+            bucket = self.buckets[key]
+            bucket.remove(i)
+            if not bucket:
+                del self.buckets[key]
             self.polys[i] = None
         if p.is_zero():
             return
-        prior = self.by_key.setdefault(p, i)
-        if prior != i:
-            self.in_g[prior] = self.in_g[prior] or self.in_g[i]
-            return
+        bucket = self.buckets.setdefault(_bucket_key(p), [])
+        for prior in bucket:
+            if self.polys[prior].terms == p.terms:
+                self.in_g[prior] = self.in_g[prior] or self.in_g[i]
+                return
+        bucket.append(i)
         self.polys[i] = p
 
     def eliminate(self, i: int, v: int, rewrite) -> list:
@@ -210,6 +233,9 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
     powers = {1: neg_h.terms}  # j -> terms of (-h)^j
     rules = neg_h.table.rules
     h_plain = neg_h.support().isdisjoint(rules)
+    # the one tuple of each product monomial that enters an output as a new
+    # key, shared by every polynomial this pivot rewrites
+    shared = {}.setdefault
 
     def substitute(q: Polynomial) -> Polynomial:
         table, terms = q.table, q.terms
@@ -233,7 +259,7 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
                 pm = mono_mul(rest, hm)
                 s = get(pm)
                 if s is None:
-                    out[pm] = scale * hc
+                    out[shared(pm, pm)] = scale * hc
                 else:
                     s = s + scale * hc
                     if s:
@@ -242,7 +268,8 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
                         del out[pm]
         if not (h_plain and q.support().isdisjoint(rules)):
             out = table.reduce_terms(out)
-        return Polynomial(table, out)
+        # a copy sized for its terms: a dict never shrinks after deletions
+        return Polynomial(table, dict(out))
 
     return substitute
 
@@ -271,12 +298,14 @@ def _find_pivot(p: Polynomial, targets: frozenset, var_idx: dict, n: int):
     return None
 
 
-def lin_elim(f: Sequence[Polynomial], g_flags: Sequence[bool], var: Sequence[str], n: int):
+def lin_elim(f: list, g_flags: Sequence[bool], var: Sequence[str], n: int):
     """One fixpoint pass of the elimination primitive.
 
     Returns (new_f, new_g_flags, dependencies).  Scanning is restarted from
     the beginning of g after every elimination; no-progress is a normal
-    outcome (empty dependency list).
+    outcome (empty dependency list).  The worktable is built inside the list
+    f (see `_Worktable`): afterwards f holds only live slots and None, so a
+    caller that needs an input polynomial again keeps its own reference.
     """
     if n < 1:
         raise EliminationError("variable budget n must be >= 1")
@@ -328,7 +357,7 @@ def zero_free_vars(f: Sequence[Polynomial], var: Sequence[str]):
     return work.alive(), [Dependency(name, zero) for name in names]
 
 
-def monomial_elim(f: Sequence[Polynomial], r_var: Sequence[str], all_var: Sequence[str]):
+def monomial_elim(f: list, r_var: Sequence[str], all_var: Sequence[str]):
     """Fallback moves on single-monomial entries of f.
 
     A pure power c*v^e forces v = 0 outright (the unique solution over a
@@ -339,7 +368,8 @@ def monomial_elim(f: Sequence[Polynomial], r_var: Sequence[str], all_var: Sequen
     soundness is unaffected.
 
     Never needed for (alpha_1, c=1); the reducible cases (j=2 and c=0 systems)
-    stall on entries like b3*r57 and b4^2 without it.
+    stall on entries like b3*r57 and b4^2 without it.  Like `lin_elim`, it
+    builds its worktable inside the list f.
     """
     if not f:
         return [], []
@@ -428,9 +458,11 @@ def driver(
             n = rnd if budget is None else budget
             t0 = time.monotonic()
             state.f, new = move(state.f, n)
+            seconds = time.monotonic() - t0
             state.deps.extend(new)
+            f_terms = sum(len(p.terms) for p in state.f)
             state.round_log.append(
-                RoundRecord(stage, n, len(new), len(state.f), time.monotonic() - t0, _peak_kb())
+                RoundRecord(stage, n, len(new), len(state.f), f_terms, seconds, _peak_kb())
             )
             if not state.f:
                 return state

@@ -167,6 +167,7 @@ def stats_dict(result: PipelineResult) -> dict:
                 "n": r.n,
                 "eliminated": r.eliminated,
                 "f_size": r.f_size,
+                "f_terms": r.f_terms,
                 "seconds": round(r.seconds, 6),
                 "peak_kb": r.peak_kb,
             }

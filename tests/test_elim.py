@@ -1,6 +1,7 @@
 """Tests for the elimination primitive and the staged driver."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -429,33 +430,40 @@ def test_dependency_vars_unique(run11, run20):
         assert len(names) == len(set(names))
 
 
-# (stage, n, eliminated, f_size) of every driver round of the four cases
-# that solve; (2,0) is the one that climbs to the C, D and E fallbacks
+# (stage, n, eliminated, f_size, f_terms) of every driver round of the four
+# cases that solve; (2,0) is the one that climbs to the C, D and E
+# fallbacks, and its D and A13 moves grow f from 1,787 to 47,705 terms and
+# from 37,349 to 82,251
 ROUND_LOGS = {
     (1, 1): [
-        ("A", 1, 82, 576), ("B", 22, 3, 558), ("A", 2, 115, 294), ("B", 22, 11, 195),
-        ("A", 3, 17, 162), ("B", 22, 0, 162), ("A", 4, 38, 69), ("B", 22, 0, 69),
-        ("A", 5, 11, 34), ("B", 22, 0, 34), ("A", 6, 8, 12), ("B", 22, 0, 12),
-        ("A", 7, 3, 6), ("B", 22, 0, 6), ("A", 8, 3, 0),
+        ("A", 1, 82, 576, 6789), ("B", 22, 3, 558, 6276), ("A", 2, 115, 294, 4728),
+        ("B", 22, 11, 195, 4203), ("A", 3, 17, 162, 3516), ("B", 22, 0, 162, 3516),
+        ("A", 4, 38, 69, 1470), ("B", 22, 0, 69, 1470), ("A", 5, 11, 34, 703),
+        ("B", 22, 0, 34, 703), ("A", 6, 8, 12, 282), ("B", 22, 0, 12, 282),
+        ("A", 7, 3, 6, 128), ("B", 22, 0, 6, 128), ("A", 8, 3, 0, 0),
     ],
     (3, 1): [
-        ("A", 1, 143, 314), ("B", 22, 14, 204), ("A", 2, 88, 76), ("B", 22, 0, 76),
-        ("A", 3, 19, 33), ("B", 22, 0, 33), ("A", 4, 7, 21), ("B", 22, 0, 21),
-        ("A", 5, 9, 11), ("B", 22, 0, 11), ("A", 6, 11, 0),
+        ("A", 1, 143, 314, 2934), ("B", 22, 14, 204, 1514), ("A", 2, 88, 76, 714),
+        ("B", 22, 0, 76, 714), ("A", 3, 19, 33, 343), ("B", 22, 0, 33, 343),
+        ("A", 4, 7, 21, 221), ("B", 22, 0, 21, 221), ("A", 5, 9, 11, 117),
+        ("B", 22, 0, 11, 117), ("A", 6, 11, 0, 0),
     ],
     (3, 0): [
-        ("A", 1, 87, 176), ("B", 22, 20, 15), ("A", 2, 5, 0),
+        ("A", 1, 87, 176, 804), ("B", 22, 20, 15, 54), ("A", 2, 5, 0, 0),
     ],
     (2, 0): [
-        ("A", 1, 53, 473), ("B", 22, 10, 346), ("A", 2, 48, 290), ("B", 22, 0, 290),
-        ("A", 3, 57, 192), ("B", 22, 0, 192), ("A", 4, 7, 184), ("B", 22, 0, 184),
-        ("A", 5, 9, 175), ("B", 22, 0, 175), ("A", 6, 2, 173), ("B", 22, 0, 173),
-        ("A", 7, 2, 171), ("B", 22, 0, 171), ("A", 8, 0, 171), ("B", 22, 0, 171),
-        ("C", 0, 4, 167), ("A", 9, 0, 167), ("B", 22, 0, 167), ("C", 0, 0, 167),
-        ("D", 22, 11, 153), ("A", 10, 11, 136), ("B", 22, 0, 136), ("A", 11, 1, 135),
-        ("B", 22, 0, 135), ("A", 12, 1, 134), ("B", 22, 0, 134), ("A", 13, 5, 129),
-        ("B", 22, 0, 129), ("A", 14, 0, 129), ("B", 22, 0, 129), ("C", 0, 0, 129),
-        ("D", 22, 0, 129), ("E", 0, 170, 0),
+        ("A", 1, 53, 473, 4349), ("B", 22, 10, 346, 2458), ("A", 2, 48, 290, 2276),
+        ("B", 22, 0, 290, 2276), ("A", 3, 57, 192, 1805), ("B", 22, 0, 192, 1805),
+        ("A", 4, 7, 184, 1830), ("B", 22, 0, 184, 1830), ("A", 5, 9, 175, 1891),
+        ("B", 22, 0, 175, 1891), ("A", 6, 2, 173, 1839), ("B", 22, 0, 173, 1839),
+        ("A", 7, 2, 171, 1809), ("B", 22, 0, 171, 1809), ("A", 8, 0, 171, 1809),
+        ("B", 22, 0, 171, 1809), ("C", 0, 4, 167, 1787), ("A", 9, 0, 167, 1787),
+        ("B", 22, 0, 167, 1787), ("C", 0, 0, 167, 1787), ("D", 22, 11, 153, 47705),
+        ("A", 10, 11, 136, 37487), ("B", 22, 0, 136, 37487), ("A", 11, 1, 135, 37432),
+        ("B", 22, 0, 135, 37432), ("A", 12, 1, 134, 37349), ("B", 22, 0, 134, 37349),
+        ("A", 13, 5, 129, 82251), ("B", 22, 0, 129, 82251), ("A", 14, 0, 129, 82251),
+        ("B", 22, 0, 129, 82251), ("C", 0, 0, 129, 82251), ("D", 22, 0, 129, 82251),
+        ("E", 0, 170, 0, 0),
     ],
 }
 
@@ -465,7 +473,7 @@ def test_driver_round_logs_are_pinned(j, c):
     from godeaux2.pipeline import run_pipeline
 
     log = run_pipeline(j, c).elim.round_log
-    assert [(r.stage, r.n, r.eliminated, r.f_size) for r in log] == ROUND_LOGS[j, c]
+    assert [(r.stage, r.n, r.eliminated, r.f_size, r.f_terms) for r in log] == ROUND_LOGS[j, c]
 
 
 def test_run_pipeline_stall_carries_the_system_and_the_state():
@@ -590,8 +598,58 @@ def test_monomial_elim_rewrites_only_what_holds_v(monkeypatch):
         return substitute(self, bindings)
 
     monkeypatch.setattr(Polynomial, "substitute", spy)
+    untouched = f[2]  # monomial_elim takes the list f over
     out, deps = monomial_elim(f, ["r5", "r6"], [])
     assert [dep.var for dep in deps] == ["r5"]
     assert rewritten == [g1 + d * r5]
     assert out == [g1, d + g1 * r6]
-    assert out[1] is f[2]  # untouched, not a copy
+    assert out[1] is untouched  # not a copy
+
+
+def test_lin_elim_frees_what_it_rewrites_or_drops():
+    # the worktable is built inside f: a pivot, a rewritten polynomial and a
+    # copy leave the caller's list during the call, an untouched one stays
+    T = param_table()
+    r1, r2, g1, d = T.var("r1"), T.var("r2"), T.var("g1"), T.var("d")
+    pivot, held, copy, untouched = r1 - g1, r1 * r2 + d, 2 * g1 * r2 + 2 * d, g1 + d
+    f = [pivot, held, copy, untouched]
+    out, _, deps = lin_elim(f, [True, False, False, False], ["r1"], 1)
+    assert [dep.var for dep in deps] == ["r1"]
+    assert out == [g1 * r2 + d, untouched] and out[1] is untouched
+    ids = {id(p) for p in f}
+    assert not ids & {id(pivot), id(held), id(copy)}
+    assert id(untouched) in ids
+
+
+def test_worktable_keeps_different_polynomials_of_one_bucket():
+    # same size, leading monomial and leading coefficient, different terms
+    T = param_table()
+    r1, r2, r3 = T.var("r1"), T.var("r2"), T.var("r3")
+    p, q = r1 + r2, r1 + r3
+    assert len(p.terms) == len(q.terms) and p.leading_mono() == q.leading_mono()
+    work = _Worktable([p, q], [True, False])
+    assert work.polys == [p, q] and work.alive_flags() == [True, False]
+
+
+def test_rewrites_store_term_dicts_sized_for_their_terms():
+    # each rewrite deletes the terms that held r1 and every product that
+    # cancels; what it returns must not keep the room those took
+    T = param_table()
+    r = [T.var(f"r{k}") for k in range(1, 9)]
+    g1, d = T.var("g1"), T.var("d")
+    tail = sum(r[2:], T.zero())
+    f = [r[0] - g1 - d, r[0] * tail + (g1 + d) * (r[1] - tail), r[0] ** 2 * r[1] - d]
+    out, _, _ = lin_elim(f, [True, False, False], ["r1"], 1)
+    assert len(out) == 2 and len(out[0].terms) == 2  # twelve products cancelled
+    for p in out:
+        assert sys.getsizeof(p.terms) <= sys.getsizeof(dict(p.terms))
+
+
+def test_one_pivot_shares_its_product_monomials():
+    T = param_table()
+    r1, r2, r3, r4, g1 = (T.var(n) for n in ("r1", "r2", "r3", "r4", "g1"))
+    out, _, _ = lin_elim([r1 - g1, r1 * r2 + r3, r1 * r2 + r4], [True, False, False], ["r1"], 1)
+    assert out == [g1 * r2 + r3, g1 * r2 + r4]
+    (product,) = (g1 * r2).terms
+    first, second = ([m for m in p.terms if m == product][0] for p in out)
+    assert first is second

@@ -89,3 +89,22 @@ def test_traced_cold_pipeline_times_back_substitution(monkeypatch):
     metrics = tracer.layer_metrics({})
     assert metrics["elim.back_substitute.s"] > 0
     assert metrics["elim.resolve_dependencies.s"] > 0
+
+
+def test_traced_f_terms_in_is_read_before_lin_elim_takes_f_over(monkeypatch):
+    # lin_elim builds its worktable inside the list it is given, so the
+    # tracer must count f's terms on entry; (1,1) runs only A and B moves,
+    # each a lin_elim whose input is the f the move before it left
+    monkeypatch.setattr(pipeline, "_CACHE", {})
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        run = pipeline.run_pipeline(1, 1)
+    finally:
+        tracer.uninstall()
+    log = run.elim.round_log
+    assert {r.stage for r in log} == {"A", "B"}
+    entering = [sum(len(p.terms) for p in run.system.f)] + [r.f_terms for r in log[:-1]]
+    traced = [rec["f_terms_in"] for rec in tracer.spans if rec["name"] == "elim.lin_elim"]
+    assert traced == entering
+    assert tracer.layer_metrics({})["elim.f_terms_in"] == sum(entering)

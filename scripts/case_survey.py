@@ -34,7 +34,7 @@ def survey() -> None:
                 continue
             surv = run.gbd_survivors
             stages = "".join(r.stage for r in run.elim.round_log)
-            print(f"alpha_{j} c={c}: |f|={len(run.system.f)} params={run.system.param_count}"
+            print(f"alpha_{j} c={c}: |f|={run.initial_f} params={len(run.param_names)}"
                   f"  solved [{stages}] in {time.monotonic() - t0:.1f}s; "
                   f"survivors ({len(surv)}): {', '.join(surv)}")
 

@@ -23,7 +23,7 @@ from .elim import (
     resolve_dependencies,
     survivors,
 )
-from .rc import RCSystem, build_l_ansatz, compute_cofactors, extract_system, rc_residuals
+from .rc import build_l_ansatz, compute_cofactors, extract_system, rc_residuals
 from .ring import INVERTIBLE, MULTIPLIER, Polynomial, exponents
 from .surface import collect_Gm, generate_equations, remove_r
 
@@ -33,12 +33,19 @@ class PipelineResult:
     """One derived family.  `l_final` maps (i, j, k) to the solved multiplier
     l_ij^k, `equations` maps each label (vv_22..vv_66, row_1..row_6) to its
     r-free equation, and `gm` each surviving r to its (label, coefficient)
-    pairs: plain dicts of polynomials."""
+    pairs: plain dicts of polynomials.
+
+    Of the flattened system f a cached run keeps two fields: `initial_f`,
+    the number of coefficients the soundness check back-substituted, and
+    `param_names`, the distinct parameters of f in table order.  Nothing
+    after that check reads f itself, and several runs stay cached at once,
+    so f is freed when `run_pipeline` returns."""
 
     case: AlphaCase
     table: object
     params: list
-    system: RCSystem
+    initial_f: int
+    param_names: list
     elim: EliminationState
     alpha_final: SymPolyMatrix
     l_final: dict
@@ -57,8 +64,11 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     flattened system f, the driver over the table's multipliers and the
     border parameters BORDER_PARAMS, then back-substitution, equations and
     r-removal.  For j=2 the driver may divide by d, which `make_table`
-    declares INVERTIBLE.  The driver's EliminationError propagates with the
-    system attached as `err.system`."""
+    declares INVERTIBLE.  The soundness check back-substitutes all
+    `initial_f` coefficients of f; a run whose dependency log leaves one
+    nonzero raises EliminationError and is not cached.  The driver's
+    EliminationError (a stall) propagates with the full system attached as
+    `err.system`."""
     key = (j, c)
     if key in _CACHE:
         return _CACHE[key]
@@ -90,7 +100,8 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
         case=case,
         table=alpha0.table,
         params=params,
-        system=system,
+        initial_f=len(system.f),
+        param_names=system.param_names,
         elim=state,
         alpha_final=alpha_final,
         l_final=l_final,
@@ -157,8 +168,8 @@ def deps_log_text(result: PipelineResult) -> str:
 def stats_dict(result: PipelineResult) -> dict:
     return {
         "case": {"alpha": result.case.j, "c": result.case.c},
-        "initial_f": len(result.system.f),
-        "distinct_parameters": result.system.param_count,
+        "initial_f": result.initial_f,
+        "distinct_parameters": len(result.param_names),
         "r_count": len(result.table.of_kind(MULTIPLIER)),
         "invertible": result.table.of_kind(INVERTIBLE),
         "rounds": [
@@ -175,7 +186,7 @@ def stats_dict(result: PipelineResult) -> dict:
         ],
         "dependencies": len(result.elim.deps),
         "sound": True,
-        "sound_checked": len(result.system.f),
+        "sound_checked": result.initial_f,
         "survivors": result.gbd_survivors,
         "r_survivors": len(result.gm),
         "equations": len(result.equations),

@@ -4,7 +4,8 @@ pass/fail line each.  Run with `pytest tests/test_acceptance.py -v -s`."""
 import random
 from fractions import Fraction
 
-from godeaux2.elim import back_substitute, lin_elim, resolve_dependencies
+from godeaux2.alpha import BORDER_PARAMS
+from godeaux2.elim import back_substitute, driver, lin_elim, resolve_dependencies
 from godeaux2.ring import MULTIPLIER
 from godeaux2.verify import (
     BF_SURFACE,
@@ -36,9 +37,9 @@ def _line(num: int, ok: bool, desc: str) -> bool:
 
 
 def test_criterion_01_system_size(run11):
-    ok = len(run11.system.f) == 876 and run11.system.param_count == 394
+    ok = run11.initial_f == 876 and len(run11.param_names) == 394
     multipliers = set(run11.table.of_kind(MULTIPLIER))
-    rs = [n for n in run11.system.param_names if n in multipliers]
+    rs = [n for n in run11.param_names if n in multipliers]
     ok = ok and len(rs) == 371 and len(multipliers) == 371
     assert _line(1, ok, "876 coefficients over 394 = 371 + 23 parameters")
 
@@ -48,10 +49,18 @@ def test_criterion_02_survivor_set(run11):
     assert _line(2, ok, f"driver empties f; g/b/d survivors = {sorted(SURVIVORS)}")
 
 
-def test_criterion_03_elimination_soundness(run11):
-    resolved = resolve_dependencies(run11.elim.deps)
-    bad = sum(1 for p in run11.system.f if not back_substitute(p, resolved).is_zero())
-    assert _line(3, bad == 0, "dependency log annihilates all 876 coefficients")
+def test_criterion_03_elimination_soundness(run11, rc11):
+    # the cached run keeps no f: eliminate rc11's f, flattened over its own
+    # table, and check that its log is run11's, line for line as deps.log
+    # prints it, and annihilates every coefficient
+    f = rc11[-1].f
+    state = driver(f, run11.table.of_kind(MULTIPLIER), list(BORDER_PARAMS))
+    lines = [[f"{d.var} := {d.expr}" for d in s.deps] for s in (state, run11.elim)]
+    same = lines[0] == lines[1]
+    resolved = resolve_dependencies(state.deps)
+    bad = sum(1 for p in f if not back_substitute(p, resolved).is_zero())
+    ok = same and len(f) == 876 and bad == 0
+    assert _line(3, ok, "dependency log annihilates all 876 coefficients")
 
 
 def test_criterion_04_closed_form_rc(run11):

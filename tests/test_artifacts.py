@@ -1,8 +1,10 @@
 """The derived artifacts match the recorded reference hashes byte for byte,
 and every derivation is checked for soundness as it runs."""
 
+import gc
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,7 +62,8 @@ def test_stats_record_soundness(run11, run20):
     for run in (run11, run20):
         stats = stats_dict(run)
         assert stats["sound"] is True
-        assert stats["sound_checked"] == len(run.system.f) == stats["initial_f"]
+        assert stats["sound_checked"] == run.initial_f == stats["initial_f"]
+        assert stats["distinct_parameters"] == len(run.param_names)
 
 
 # the deterministic stats.json fields per case:
@@ -110,3 +113,23 @@ def test_unsound_dependency_log_is_rejected(monkeypatch):
     with pytest.raises(EliminationError, match="coefficients nonzero"):
         run_pipeline(3, 0)
     assert (3, 0) not in pipeline._CACHE
+
+
+def test_a_cached_run_keeps_no_flattened_system(monkeypatch):
+    # a cached run keeps the counts of f, not f: once run_pipeline returns,
+    # the RCSystem that extract_system gave it is freed
+    extract = pipeline.extract_system
+    refs = []
+
+    def watched(*args):
+        system = extract(*args)
+        refs.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(pipeline, "extract_system", watched)
+    monkeypatch.setattr(pipeline, "_CACHE", {})  # a fresh cache, restored afterwards
+    run = run_pipeline(3, 0)
+    gc.collect()
+    assert pipeline._CACHE[(3, 0)] is run
+    assert len(refs) == 1 and refs[0]() is None
+    assert run.initial_f == 596

@@ -12,26 +12,12 @@ from godeaux2.rc import (
     RCError,
     build_l_ansatz,
     cofactor_grading,
-    compute_cofactors,
-    extract_system,
     multiplier_grading,
     rc_residuals,
 )
 from godeaux2.ring import MULTIPLIER
 
 from _oracle import dense_mono, dump_text, max_degree_in, multiplier_slots_reference, support_names
-
-
-@pytest.fixture(scope="module")
-def rc11():
-    case = AlphaCase(1, 1)
-    M, params = build_ansatz(case)
-    table = M.table
-    l = build_l_ansatz(table, case)
-    betas = compute_cofactors(M)
-    res = rc_residuals(betas, l)
-    system = extract_system(res, case)
-    return case, table, M, l, betas, res, system
 
 
 def test_r_count_is_371(rc11):

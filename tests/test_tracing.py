@@ -85,7 +85,7 @@ def test_traced_cold_pipeline_times_back_substitution(monkeypatch):
         tracer.uninstall()
     names = [rec["name"] for rec in tracer.spans]
     assert names.count("elim.resolve_dependencies") == 1
-    assert names.count("elim.back_substitute") == len(run.system.f) + 36 + len(run.l_final)
+    assert names.count("elim.back_substitute") == run.initial_f + 36 + len(run.l_final)
     metrics = tracer.layer_metrics({})
     assert metrics["elim.back_substitute.s"] > 0
     assert metrics["elim.resolve_dependencies.s"] > 0
@@ -104,7 +104,9 @@ def test_traced_f_terms_in_is_read_before_lin_elim_takes_f_over(monkeypatch):
         tracer.uninstall()
     log = run.elim.round_log
     assert {r.stage for r in log} == {"A", "B"}
-    entering = [sum(len(p.terms) for p in run.system.f)] + [r.f_terms for r in log[:-1]]
+    # the first move enters with f as extract_system returned it
+    (flattened,) = [rec["f_terms"] for rec in tracer.spans if rec["name"] == "rc.extract_system"]
+    entering = [flattened] + [r.f_terms for r in log[:-1]]
     traced = [rec["f_terms_in"] for rec in tracer.spans if rec["name"] == "elim.lin_elim"]
     assert traced == entering
     assert tracer.layer_metrics({})["elim.f_terms_in"] == sum(entering)

@@ -2,16 +2,17 @@
 
 Every check is an exact symbolic zero-test: pass means the difference
 polynomial is identically zero.  Each check is one function under
-`@check(name)`: its body returns the pass note, or raises `CheckFailed` with a
-witness.  The checks take no test-only options; their negative controls live
-in the test suite (`tests/test_verify.py`, `tests/test_acceptance.py`), where
-each one monkeypatches a module-level name of this module (a matrix builder,
-`_at_x0`, `RewriteRule`, `run_pipeline`, `SCALING_WEIGHTS`, `SCALING_S`,
-`golden_final_entries`) and asserts that the check then fails.  Denominators
-in the congruence checks are cleared by explicit monomial factors, recorded in
-the check's note, or moved to the other side of the identity as the inverse
-change of variables; never by a fraction-field type.  No check depends on a
-random seed.
+`@check(name, *instances)`, which registers it: its body returns the pass
+note, or raises `CheckFailed` with a witness.  `all_checks()` returns the
+registry.  The checks take no test-only options; their negative controls live
+in the test suite (`tests/test_verify.py`, `tests/test_acceptance.py`,
+`tests/test_cli.py`), where each one monkeypatches a module-level name of this
+module (a matrix builder, `_at_x0`, `RewriteRule`, `run_pipeline`,
+`SCALING_WEIGHTS`, `golden_final_entries`, `GOLDEN_FILES`) and asserts that
+the check then fails.  Denominators in the congruence checks are cleared by
+explicit monomial factors, recorded in the check's note, or moved to the other
+side of the identity as the inverse change of variables; never by a
+fraction-field type.  No check depends on a random seed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 from .alpha import (
@@ -33,9 +35,9 @@ from .alpha import (
     det_any,
     generic_border,
 )
-from .pipeline import run_pipeline
+from .pipeline import ARTIFACT_TEXT, run_pipeline
 from .rc import PAIRS, compute_cofactors, rc_residuals
-from .ring import ALGEBRAIC, PARAMETER, Polynomial, RewriteRule, VariableTable
+from .ring import ALGEBRAIC, PARAMETER, Polynomial, RewriteRule, VariableTable, sorted_monos
 from .surface import low_degree, membership_check
 
 # never called here: the rank condition is solved only inside run_pipeline,
@@ -67,22 +69,35 @@ class CheckSkipped(Exception):
     """Raised by a check body that does not apply; the message is the note."""
 
 
-def check(name: str):
-    """Decorate a check body into a callable that returns a timed CheckReport.
+# check name -> runner taking no arguments; filled by @check, read through
+# all_checks()
+REGISTRY: dict = {}
 
-    The report's name is `name` formatted with the call's arguments.  The
-    body's return value is the pass note; `CheckFailed` and `CheckSkipped`
-    carry the witness and the skip note.  Any other exception raised inside
-    the body is a structural failure, reported with its repr as witness.
+
+def all_checks() -> dict:
+    """A fresh copy of the registry: every check `verify` runs, by name."""
+    return dict(REGISTRY)
+
+
+def check(name: str, *instances):
+    """Decorate a check body into a runner that returns a timed CheckReport,
+    and register it: once under `name` if the body takes no arguments, else
+    once per instance (a tuple of arguments) under `name.format(*instance)`.
+
+    The returned runner takes any instance, and names its report `name`
+    formatted with the call's arguments.  The body's return value is the pass
+    note; `CheckFailed` and `CheckSkipped` carry the witness and the skip
+    note.  Any other exception raised inside the body is a structural
+    failure, reported with its repr as witness.
     """
 
     def decorate(body):
         @functools.wraps(body)
-        def run(*args, **kwargs) -> CheckReport:
+        def run(*args) -> CheckReport:
             status, witness, note = "pass", None, ""
             t0 = time.monotonic()
             try:
-                note = body(*args, **kwargs)
+                note = body(*args)
             except CheckFailed as exc:
                 status, witness = "fail", str(exc)
             except CheckSkipped as exc:
@@ -90,8 +105,10 @@ def check(name: str):
             except Exception as exc:  # structural failure inside a check is a failure
                 status, witness = "fail", repr(exc)
             dt = time.monotonic() - t0
-            return CheckReport(name.format(*args, **kwargs), status, witness, dt, note)
+            return CheckReport(name.format(*args), status, witness, dt, note)
 
+        for args in instances or [()]:
+            REGISTRY[name.format(*args)] = functools.partial(run, *args)
         return run
 
     return decorate
@@ -207,7 +224,7 @@ def _restriction_block(table: VariableTable, case: int) -> list:
     ]
 
 
-@check("restriction_cofactors_{}")
+@check("restriction_cofactors_{}", (1,), (2,), (3,))
 def verify_restriction_cofactors(case: int) -> str:
     """The closed-form cofactor identities of the central 4x4 block, per
     restriction case, plus (case 1) the coefficient solution making the three
@@ -559,33 +576,29 @@ SCALING_WEIGHTS = {
     "b12": 4,
 }
 
-# the rational s (not 0 or +-1) at which `scaling` compares the two rescalings
-SCALING_S = 2
-
 
 @check("scaling")
 def verify_scaling() -> str:
     """The determinant is invariant under (y0, y3) -> (y0/u, y3/u), y0 = x^2,
     combined with the weighted parameter rescaling p -> u^w_p p.  With
-    u = s^2 the identity reads D(s^(2w) p) = D(s x, s^2 y3).  Each side
-    multiplies every monomial of D by a power of s, so at one rational s other
-    than 0 and +-1 the two sides are equal exactly when every term of D is
-    invariant."""
+    u = s^2 a term of D picks up s to the power of its weight: the sum over
+    its variables of 2 w_p per parameter p, -1 per x and -2 per y3.  So D is
+    invariant exactly when every term has weight 0."""
     run = run_pipeline(1, 1)
     D = run.alpha_final.determinant()
     table = run.table
     xi = table.index["x"]
     if any(m.count(xi) % 2 for m in D.terms):
         raise CheckFailed("odd power of x in det")
-    s, x, y3 = SCALING_S, table.var("x"), table.var("y3")
-    scaled = D.substitute({p: s ** (2 * w) * table.var(p) for p, w in SCALING_WEIGHTS.items()})
-    diff = scaled - D.substitute({"x": s * x, "y3": s * s * y3})
-    if not diff.is_zero():
+    weight = {table.index[p]: 2 * w for p, w in SCALING_WEIGHTS.items()}
+    weight.update({xi: -1, table.index["y3"]: -2})
+    off = [m for m in D.terms if sum(weight.get(v, 0) for v in m)]
+    if off:
         raise CheckFailed(
-            f"{len(diff.terms)} terms of det are not invariant, "
-            f"first {table.mono_str(diff.leading_mono())}"
+            f"{len(off)} terms of det are not invariant, "
+            f"first {table.mono_str(sorted_monos(off, table)[0])}"
         )
-    return f"D(s^(2w) p) = D(s x, s^2 y3) at s = {s}: every term is invariant"
+    return "every term of det has weight 0: 2w per parameter, -1 per x, -2 per y3"
 
 
 @check("alpha3_square")
@@ -743,6 +756,26 @@ def golden_final_entries(table) -> dict:
     }
 
 
+# artifact -> the packaged golden file the (1,1) run must reproduce
+GOLDEN_FILES = {
+    "alpha.json": Path(__file__).parent / "data" / "alpha_1_1.json",
+    "equations.json": Path(__file__).parent / "data" / "equations_1_1.json",
+}
+
+
+@check("golden_file")
+def golden_file() -> str:
+    """The (1,1) pipeline output is byte-equal to the packaged golden alpha
+    and equations files."""
+    result = run_pipeline(1, 1)
+    for artifact, path in GOLDEN_FILES.items():
+        if not path.exists():
+            raise CheckSkipped(f"no golden file at {path}")
+        if ARTIFACT_TEXT[artifact](result) != path.read_text():
+            raise CheckFailed(f"pipeline output differs from {path}")
+    return ""
+
+
 def _golden_matrix(run) -> SymPolyMatrix:
     """The closed-form (alpha_1, c=1) family laid out in `run`'s table."""
     table = run.table
@@ -838,7 +871,7 @@ BF_SURFACE = SpecialSurface(
 )
 
 
-@check("special_{0.name}")
+@check("special_{0.name}", (BY_SURFACE,), (BF_SURFACE,))
 def verify_special(surface: SpecialSurface) -> str:
     """Substitute the surface's moduli into the family and check the
     structural invariants survive the specialization."""
@@ -864,31 +897,3 @@ def verify_special(surface: SpecialSurface) -> str:
             raise CheckFailed(f"equation {label} loses its grading")
     ext = "Q(sqrt(-15))" if any(isinstance(v, tuple) for v in surface.values.values()) else "Q"
     return f"matrix pattern, det != 0, conic divisibility, 21 equations over {ext}"
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-def all_checks() -> dict:
-    return {
-        "excluded_diagonal_rc": verify_excluded_diagonal_rc,
-        "restriction_cofactors_1": lambda: verify_restriction_cofactors(1),
-        "restriction_cofactors_2": lambda: verify_restriction_cofactors(2),
-        "restriction_cofactors_3": lambda: verify_restriction_cofactors(3),
-        "y2_quartic_coefficient": verify_y2_quartic_coefficient,
-        "quartic_root_congruence": verify_quartic_root_congruence,
-        "imaginary_unit_congruence": verify_imaginary_unit_congruence,
-        "extension_shuffle": verify_extension_shuffle,
-        "c_normalization": verify_c_normalization,
-        "extension_cases_1_2": extension_cases12_skip,
-        "scaling": verify_scaling,
-        "alpha3_square": verify_alpha3_square,
-        "alpha2_basepoint": verify_alpha2_basepoint,
-        "r_removal": verify_r_removal,
-        "central_minors": verify_central_minors,
-        "golden_match": verify_golden_match,
-        "closed_form_rc": verify_closed_form_rc,
-        "special_by": lambda: verify_special(BY_SURFACE),
-        "special_bf": lambda: verify_special(BF_SURFACE),
-    }

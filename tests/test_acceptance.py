@@ -108,13 +108,12 @@ def test_criterion_06_identity_suite(monkeypatch):
 def test_criterion_07_scaling(monkeypatch, run11):
     from godeaux2 import verify
 
-    # at s = 0 or +-1 a power of s does not tell its exponent, so the
-    # comparison would not prove every term invariant
-    assert verify.SCALING_S not in (0, 1, -1)
     ok = verify_scaling().status == "pass"
-    monkeypatch.setattr(verify, "SCALING_S", Fraction(7, 5))
-    ok = ok and verify_scaling().status == "pass"
-    assert _line(7, ok, "weighted scaling identity, term by term, at s = 2 and s = 7/5")
+    # control: d at weight 1 instead of 2 leaves terms of nonzero weight
+    monkeypatch.setitem(verify.SCALING_WEIGHTS, "d", 1)
+    rep = verify_scaling()
+    control_fails = rep.status == "fail" and "terms of det are not invariant" in rep.witness
+    assert _line(7, ok and control_fails, "weighted scaling identity, term by term; a wrong weight fails")
 
 
 def test_criterion_08_emptiness_witnesses(run30, run20):

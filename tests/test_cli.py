@@ -7,8 +7,8 @@ import re
 
 import pytest
 
-from godeaux2 import cli
-from godeaux2.cli import main, packaged_golden
+from godeaux2 import cli, verify
+from godeaux2.cli import main
 from godeaux2.pipeline import write_artifacts
 
 
@@ -55,7 +55,7 @@ def test_pipeline_rounds_option_is_inert(tmp_path, run11):
         ["pipeline", "--alpha", "1", "--c", "1", "--out", str(out), "--max-rounds", "0"]
     )
     assert rc == 0
-    assert (out / "alpha.json").read_text() == packaged_golden().read_text()
+    assert (out / "alpha.json").read_text() == verify.GOLDEN_FILES["alpha.json"].read_text()
 
 
 def test_verify_selected_checks():
@@ -93,10 +93,10 @@ def test_verify_corrupted_golden_fails(tmp_path, monkeypatch):
     # the pristine file passes
     assert main(["verify", "--check", "golden_file"]) == 0
     golden = tmp_path / "alpha_1_1.json"
-    data = json.loads(packaged_golden().read_text())
+    data = json.loads(verify.GOLDEN_FILES["alpha.json"].read_text())
     data["matrix"][0][0]["text"] = "0"
     golden.write_text(json.dumps(data, indent=1) + "\n")
-    monkeypatch.setattr(cli, "packaged_golden", lambda: golden)
+    monkeypatch.setitem(verify.GOLDEN_FILES, "alpha.json", golden)
     assert main(["verify", "--check", "golden_file"]) == 1
 
 
@@ -156,7 +156,7 @@ VERIFY_REPORTS = [
     ),
     ("restriction_cofactors_2", "pass", "closed-form cofactor identities hold"),
     ("restriction_cofactors_3", "pass", "closed-form cofactor identities hold"),
-    ("scaling", "pass", "D(s^(2w) p) = D(s x, s^2 y3) at s = 2: every term is invariant"),
+    ("scaling", "pass", "every term of det has weight 0: 2w per parameter, -1 per x, -2 per y3"),
     (
         "special_bf",
         "pass",

@@ -8,7 +8,8 @@ Every function, class and method defined under src, dunders aside, is read
 by name somewhere in src or scripts, and so is every field of a dataclass
 under src, as an attribute, and every module-level constant assigned under
 src.  A definition only the tests read is test-only API and goes, and so does
-a field or a constant that is written and never read."""
+a field or a constant that is written and never read.  A function decorated
+by a call to `check` is read by the check registry it is registered in."""
 
 import ast
 from pathlib import Path
@@ -63,10 +64,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _decorator_name(dec):
+    """The name a decorator, called or bare, plain or dotted, looks up."""
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def _registered_check(node) -> bool:
+    """Decorated by a call to `check`, which registers the function."""
+    return any(isinstance(d, ast.Call) and _decorator_name(d) == "check" for d in node.decorator_list)
+
+
 def unreferenced_definitions(defining: dict, others=()) -> list:
     """(label, line, name) of every non-dunder function, class and method of
     the `defining` sources ({label: text}) whose name no source, of those or
-    of the `others` texts, reads as a variable or an attribute."""
+    of the `others` texts, reads as a variable or an attribute.  A function
+    decorated by a call to `check` counts as read: the registry reads it."""
     read = set()
     found = []
     for label, text in [*defining.items(), *((None, t) for t in others)]:
@@ -78,7 +91,8 @@ def unreferenced_definitions(defining: dict, others=()) -> list:
             elif label is not None and isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and not _registered_check(node):
                     found.append((label, node.lineno, node.name))
     return sorted(d for d in found if d[2] not in read)
 
@@ -99,12 +113,26 @@ def test_definition_scanner_flags_what_nothing_reads():
             "    pass\n"
             "def called_elsewhere():\n"
             "    pass\n"
+            "@check('x')\n"
+            "def registered():\n"
+            "    pass\n"
+            "@verify.check('y_{}', (1,))\n"
+            "def registered_dotted(n):\n"
+            "    pass\n"
+            "@other('z')\n"
+            "def decorated_otherwise():\n"
+            "    pass\n"
+            "@check\n"
+            "def bare_check():\n"
+            "    pass\n"
         ),
     }
     others = ["from m import Kept, orphan\nKept().used()\nm.called_elsewhere()\n"]
     assert unreferenced_definitions(defining, others) == [
         ("m.py", 8, "dropped"),
         ("m.py", 10, "orphan"),
+        ("m.py", 21, "decorated_otherwise"),
+        ("m.py", 24, "bare_check"),
     ]
 
 
@@ -115,12 +143,7 @@ def test_every_src_definition_is_read_by_src_or_scripts():
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+    return any(_decorator_name(dec) == "dataclass" for dec in node.decorator_list)
 
 
 def unread_dataclass_fields(defining: dict, others=()) -> list:

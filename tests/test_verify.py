@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +39,15 @@ from godeaux2.verify import (
 from _controls import perturb_at_x0, perturb_excluded_multipliers, weaken_rewrite_rules
 from _oracle import outside_low_degree_ideal, support_names
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_report_invariant():
@@ -46,10 +57,13 @@ def test_report_invariant():
         CheckReport("x", "pass", witness="boom")
 
 
-def test_check_runner_reports_each_outcome():
+def test_check_runner_reports_each_outcome(monkeypatch):
     from godeaux2 import verify
 
-    @verify.check("probe_{}_{kind}")
+    monkeypatch.setattr(verify, "REGISTRY", {})
+    kinds = ("pass", "fail", "skip", "crash")
+
+    @verify.check("probe_{}_{}", *((3, kind) for kind in kinds))
     def probe(n, kind):
         if kind == "fail":
             raise verify.CheckFailed(f"({n},{n}): y1")
@@ -59,16 +73,21 @@ def test_check_runner_reports_each_outcome():
             return {}[n]
         return "all good"
 
-    reports = {kind: probe(3, kind=kind) for kind in ("pass", "fail", "skip", "crash")}
-    assert [r.name for r in reports.values()] == ["probe_3_pass", "probe_3_fail", "probe_3_skip", "probe_3_crash"]
-    got = {kind: (r.status, r.witness, r.note) for kind, r in reports.items()}
+    names = ["probe_3_pass", "probe_3_fail", "probe_3_skip", "probe_3_crash"]
+    assert list(all_checks()) == names
+    reports = {name: run() for name, run in all_checks().items()}
+    assert [r.name for r in reports.values()] == names
+    got = {name: (r.status, r.witness, r.note) for name, r in reports.items()}
     assert got == {
-        "pass": ("pass", None, "all good"),
-        "fail": ("fail", "(3,3): y1", ""),
-        "skip": ("skipped", None, "not applicable"),
-        "crash": ("fail", "KeyError(3)", ""),
+        "probe_3_pass": ("pass", None, "all good"),
+        "probe_3_fail": ("fail", "(3,3): y1", ""),
+        "probe_3_skip": ("skipped", None, "not applicable"),
+        "probe_3_crash": ("fail", "KeyError(3)", ""),
     }
     assert all(r.timing >= 0 for r in reports.values())
+    # the decorator returns the runner, which takes any instance
+    assert probe(5, "pass").name == "probe_5_pass"
+    assert list(all_checks()) == names
 
 
 def test_identity_suite_passes():
@@ -313,43 +332,37 @@ def test_special_surface_degenerate_flag(run11):
     assert "conic degenerates" in rep.witness
 
 
-def test_registry_contains_expected_checks():
-    names = set(all_checks())
-    assert {
-        "excluded_diagonal_rc",
-        "restriction_cofactors_1",
-        "restriction_cofactors_2",
-        "restriction_cofactors_3",
-        "y2_quartic_coefficient",
-        "quartic_root_congruence",
-        "imaginary_unit_congruence",
-        "extension_shuffle",
-        "c_normalization",
-        "extension_cases_1_2",
-        "scaling",
-        "alpha3_square",
-        "alpha2_basepoint",
-        "r_removal",
-        "central_minors",
-        "golden_match",
-        "closed_form_rc",
-        "special_by",
-        "special_bf",
-    } <= names
-
-
 def test_registry_names_its_reports_matches_the_tracer_and_passes(run11, run20, run30):
-    # perfbench/tracing.py lists one per-check metric per registry name,
-    # plus golden_file, which cli.py adds to the registry
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    # perfbench/tracing.py lists one per-check metric per registry name
+    tracing = _tracing()
     registry = all_checks()
     reports = {name: run() for name, run in registry.items()}
     assert all(rep.name == name for name, rep in reports.items())
-    assert set(registry) | {"golden_file"} == set(tracing.VERIFY_CHECKS)
+    assert set(registry) == set(tracing.VERIFY_CHECKS)
     failed = {name: rep.witness for name, rep in reports.items() if rep.status not in ("pass", "skipped")}
     assert failed == {}
+
+
+def test_all_checks_returns_a_fresh_copy():
+    registry = all_checks()
+    registry["probe"] = registry.pop("scaling")
+    assert "probe" not in all_checks()
+    assert "scaling" in all_checks()
+
+
+def test_registry_holds_every_check_without_the_cli():
+    # golden_file is a registry check of verify; cli only wraps it for the tracer
+    code = (
+        "import sys\n"
+        "from godeaux2.verify import all_checks\n"
+        "assert 'godeaux2.cli' not in sys.modules\n"
+        "print(' '.join(all_checks()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert set(out.stdout.split()) == set(_tracing().VERIFY_CHECKS)
 
 
 def test_skipped_check_is_reported():

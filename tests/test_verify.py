@@ -268,7 +268,8 @@ def test_central_minors(monkeypatch, run11):
     rows[1][1] = rows[1][1] + run11.table.var("y1")
     _feed_run(monkeypatch, dataclasses.replace(run11, alpha_final=SymPolyMatrix(rows)))
     rep = verify_central_minors()
-    assert rep.status == "fail" and "conic" in rep.witness
+    assert rep.status == "fail"
+    assert rep.witness == "3x3 minor complementary to (2,2) not divisible by the conic"
 
 
 def test_golden_match_and_closed_form_rc(run11):

@@ -3,7 +3,8 @@
 A valid matrix is graded by row weights (4, 1, 1, 1, 1, 0): entry (i, j) is
 weighted-homogeneous of degree w_i + w_j, so det has weighted degree 16 (the
 bicanonical octic).  Rows carry the involution characters (+, -, -, +, +, -);
-entry (i, j) is a pure eigenvector of sign -eps_i*eps_j.
+entry (i, j) is a pure eigenvector of sign -eps_i*eps_j.  `adjugate` gives
+the cofactors as a map {(i, j): cofactor} over the upper triangle `UPPER`.
 
 Case j selects the linear constraint tying the auxiliary degree-2 variable to
 the others (j=1: y4 = d*y3, j=2: y3 = -2d*y1 cleared of denominators, j=3:
@@ -63,6 +64,14 @@ MULTIPLIER_COUNT = 371
 
 class PatternError(RingError):
     pass
+
+
+def upper_triangle(n: int) -> tuple:
+    """The positions (i, j), 1 <= i <= j <= n, of an n x n matrix, row by row."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
+
+
+UPPER = upper_triangle(6)  # the 21 positions of a symmetric 6x6 matrix
 
 
 def entry_grading(i: int, j: int) -> tuple:
@@ -131,10 +140,7 @@ class SymPolyMatrix:
             for p in r:
                 if p.table is not self.table:
                     raise PatternError("mixed variable tables in matrix")
-        for a in range(6):
-            for b in range(a + 1, 6):
-                if rows[a][b] != rows[b][a]:
-                    raise PatternError(f"matrix not symmetric at ({a + 1},{b + 1})")
+        _require_symmetric(rows)
         self.rows = tuple(tuple(r) for r in rows)
 
     def __getitem__(self, ij) -> Polynomial:
@@ -152,14 +158,13 @@ class SymPolyMatrix:
 
     def check_pattern(self) -> None:
         """Enforce the degree and sign pattern; raises PatternError."""
-        for i in range(1, 7):
-            for j in range(i, 7):
-                p = self[i, j]
-                if p.is_zero():
-                    continue
-                want = entry_grading(i, j)
-                if p.grading() != want:
-                    raise PatternError(f"entry ({i},{j}) has grading {p.grading()}, wants {want}")
+        for i, j in UPPER:
+            p = self[i, j]
+            if p.is_zero():
+                continue
+            want = entry_grading(i, j)
+            if p.grading() != want:
+                raise PatternError(f"entry ({i},{j}) has grading {p.grading()}, wants {want}")
 
     # -- determinants --------------------------------------------------------
 
@@ -198,7 +203,7 @@ class SymPolyMatrix:
 def _minor_det(grid, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
     """Determinant of the submatrix of a square polynomial grid on the given
     0-based rows and columns, expanded along its sparsest line.  Minors are
-    cached in `memo`, which must only be shared between calls on one grid."""
+    cached in `memo`, which belongs to the one grid."""
     key = (rows, cols)
     cached = memo.get(key)
     if cached is not None:
@@ -252,18 +257,25 @@ def det_any(rows) -> Polynomial:
     return _minor_det(grid, full, full, {})
 
 
-def cofactor_any(rows, i: int, j: int, memo: Optional[dict] = None) -> Polynomial:
-    """Signed cofactor (-1)^(i+j) det(minor_ij), 1-based, of a square matrix
-    of polynomials and scalars.  A memo may be shared between calls on one
-    matrix."""
+def _require_symmetric(grid) -> None:
+    for i, j in upper_triangle(len(grid)):
+        if grid[i - 1][j - 1] != grid[j - 1][i - 1]:
+            raise PatternError(f"matrix not symmetric at ({i},{j})")
+
+
+def adjugate(rows) -> dict:
+    """The cofactors {(i, j): (-1)^(i+j) det(minor_ij)}, 1-based, i <= j, of a
+    symmetric square matrix of polynomials and scalars, else PatternError; by
+    symmetry that is the whole adjugate.  The minors share one fresh cache."""
     grid = _as_grid(rows)
-    n = len(grid)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise PatternError(f"cofactor indices must lie in 1..{n}")
-    sub_rows = tuple(k for k in range(n) if k != i - 1)
-    sub_cols = tuple(k for k in range(n) if k != j - 1)
-    d = _minor_det(grid, sub_rows, sub_cols, {} if memo is None else memo)
-    return d if (i + j) % 2 == 0 else -d
+    _require_symmetric(grid)
+    full = tuple(range(len(grid)))
+    memo: dict = {}
+    out = {}
+    for i, j in upper_triangle(len(grid)):
+        d = _minor_det(grid, full[: i - 1] + full[i:], full[: j - 1] + full[j:], memo)
+        out[i, j] = d if (i + j) % 2 == 0 else -d
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ of the forced weighted degree and sigma-sign, one fresh r-parameter per slot
 monomial; the forced degree is deg(beta_ij) - deg(beta_1k) and negative
 degrees mean l = 0.  The slots use up the table's multipliers r1..r371.
 
-Flattening the 15 residuals beta_ij - sum_k l_ij^k beta_1k along geometric
-monomials yields the system f of parameter polynomials, affine in the r's.
+Cofactors come from `alpha.adjugate` as {(i, j): beta_ij}; flattening the
+residuals {(i, j): beta_ij - sum_k l_ij^k beta_1k} along geometric monomials
+yields the system f of parameter polynomials, affine in the r's.
 The same identity, over the solved multipliers and with the section products
 v_i*v_j in place of the cofactors, gives the 15 quadric relations of the
 surface (`surface.generate_equations`).
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alpha import ROW_WEIGHTS, AlphaCase, SymPolyMatrix, cofactor_any, entry_grading
+from .alpha import ROW_WEIGHTS, UPPER, AlphaCase, SymPolyMatrix, adjugate, entry_grading
 from .ring import MULTIPLIER, RingError, VariableTable, generic_poly
 
-PAIRS = tuple((i, j) for i in range(2, 7) for j in range(i, 7))
+PAIRS = tuple((i, j) for (i, j) in UPPER if i > 1)
 
 
 class RCError(RingError):
@@ -43,10 +44,8 @@ def multiplier_grading(i: int, j: int, k: int) -> tuple:
 
 
 def compute_cofactors(alpha: SymPolyMatrix) -> dict:
-    """beta_1k for k = 1..6 plus beta_ij for the 15 pairs, one shared cache."""
-    wanted = [(1, k) for k in range(1, 7)] + list(PAIRS)
-    memo: dict = {}
-    betas = {(i, j): cofactor_any(alpha.rows, i, j, memo) for (i, j) in wanted}
+    """The cofactors {(i, j): beta_ij}, i <= j, of `alpha`, grading-checked."""
+    betas = adjugate(alpha.rows)
     for (i, j), b in betas.items():
         if b and b.grading() != cofactor_grading(i, j):
             raise RCError(
@@ -73,12 +72,12 @@ def build_l_ansatz(table: VariableTable, case: AlphaCase) -> dict:
     return polys
 
 
-def rc_residuals(cofactors: dict, multipliers: dict) -> list:
-    """The 15 residuals beta_ij - sum_k l_ij^k beta_1k, in pair order, for
-    cofactors {(i, j): beta_ij} and multipliers {(i, j, k): l_ij^k}.  Given
-    the products v_i*v_j in place of beta_ij (and v_k in place of beta_1k),
-    the residuals are the quadric relations of the surface."""
-    out = []
+def rc_residuals(cofactors: dict, multipliers: dict) -> dict:
+    """The 15 residuals {(i, j): beta_ij - sum_k l_ij^k beta_1k}, in pair
+    order, for cofactors {(i, j): beta_ij} and multipliers {(i, j, k):
+    l_ij^k}.  Given the products v_i*v_j in place of beta_ij (and v_k in place
+    of beta_1k), the residuals are the quadric relations of the surface."""
+    out = {}
     for (i, j) in PAIRS:
         acc = cofactors[(i, j)]
         for k in range(1, 7):
@@ -86,7 +85,7 @@ def rc_residuals(cofactors: dict, multipliers: dict) -> list:
             if lp.is_zero():
                 continue
             acc = acc - lp * cofactors[(1, k)]
-        out.append(acc)
+        out[i, j] = acc
     return out
 
 
@@ -108,15 +107,13 @@ class RCSystem:
         return len(self.param_names)
 
 
-def extract_system(residuals: list, case: AlphaCase) -> RCSystem:
-    if len(residuals) != len(PAIRS):
-        raise RCError("expected one residual per unordered pair")
+def extract_system(residuals: dict, case: AlphaCase) -> RCSystem:
     geo = case.geo4
     table = None
     f = []
     seen_params = set()
     seen_coeffs = set()
-    for pair, res in zip(PAIRS, residuals):
+    for pair, res in residuals.items():
         if res.is_zero():
             continue
         table = res.table

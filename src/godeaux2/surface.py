@@ -64,8 +64,7 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> dict:
     # v_1 = 1, so the (1, k) products are v_k themselves
     products = {(1, k): v[k - 1] for k in range(1, 7)}
     products.update({(i, j): v[i - 1] * v[j - 1] for (i, j) in PAIRS})
-    residuals = rc_residuals(products, l_final)
-    eqs = {f"vv_{i}{j}": res for (i, j), res in zip(PAIRS, residuals)}
+    eqs = {f"vv_{i}{j}": res for (i, j), res in rc_residuals(products, l_final).items()}
     for i in range(1, 7):
         acc = table.zero()
         for j in range(1, 7):

@@ -26,17 +26,18 @@ from pathlib import Path
 from typing import Optional
 
 from .alpha import (
+    UPPER,
     AlphaCase,
     SymPolyMatrix,
+    adjugate,
     bordered_matrix,
     central_block,
-    cofactor_any,
     coordinate_entries,
     det_any,
     generic_border,
 )
 from .pipeline import ARTIFACT_TEXT, run_pipeline
-from .rc import PAIRS, compute_cofactors, rc_residuals
+from .rc import compute_cofactors, rc_residuals
 from .ring import ALGEBRAIC, PARAMETER, Polynomial, RewriteRule, VariableTable, sorted_monos
 from .surface import low_degree, membership_check
 
@@ -112,10 +113,6 @@ def check(name: str, *instances):
         return run
 
     return decorate
-
-
-# the upper triangle of a symmetric 6x6 matrix, 1-based
-_UPPER = tuple((i, j) for i in range(1, 7) for j in range(i, 7))
 
 
 def _expect_equal(cells) -> None:
@@ -198,9 +195,8 @@ def verify_excluded_diagonal_rc() -> str:
     table = curve_table()
     M = diagonal_type_matrix(table, 1)
     L = excluded_diagonal_multipliers(table)
-    memo: dict = {}
-    b16 = cofactor_any(M.rows, 1, 6, memo)
-    _expect_equal((i, j, cofactor_any(M.rows, i, j, memo), L[i - 1][j - 1] * b16) for i, j in _UPPER)
+    C = adjugate(M.rows)
+    _expect_equal((i, j, C[i, j], L[i - 1][j - 1] * C[1, 6]) for i, j in UPPER)
     return "all 21 cofactor identities hold"
 
 
@@ -233,23 +229,22 @@ def verify_restriction_cofactors(case: int) -> str:
     y1, y2, y3 = (table.var(n) for n in ("y1", "y2", "y3"))
     a = {k: table.var(f"a{k}") for k in range(1, 7)}
     b = {k: table.var(f"b{k}") for k in range(1, 7)}
-    N = _restriction_block(table, case)
-    checks = []
+    C = adjugate(_restriction_block(table, case))
     if case == 1:
         checks = [
             (
                 "-C13/y2",
-                -cofactor_any(N, 1, 3),
+                -C[1, 3],
                 a[5] * y1 ** 2 + (b[5] + a[6]) * y1 * y3 - y2 ** 2 + b[6] * y3 ** 2,
             ),
             (
                 "C14/y2",
-                cofactor_any(N, 1, 4),
+                C[1, 4],
                 a[4] * y1 ** 2 + (b[4] + a[5]) * y1 * y3 + b[5] * y3 ** 2,
             ),
             (
                 "C23/y2",
-                cofactor_any(N, 2, 3),
+                C[2, 3],
                 (a[1] * a[5] + a[6]) * y1 ** 2
                 + (a[1] * b[5] + b[1] * a[5] + b[6]) * y1 * y3
                 + b[1] * b[5] * y3 ** 2,
@@ -259,12 +254,12 @@ def verify_restriction_cofactors(case: int) -> str:
         checks = [
             (
                 "-C13/y2",
-                -cofactor_any(N, 1, 3),
+                -C[1, 3],
                 a[6] * y1 ** 2 + (a[5] + b[6]) * y1 * y3 - y2 ** 2 + b[5] * y3 ** 2,
             ),
             (
                 "C14/y2",
-                cofactor_any(N, 1, 4),
+                C[1, 4],
                 a[5] * y1 ** 2 + (a[4] + b[5]) * y1 * y3 + b[4] * y3 ** 2,
             ),
             (
@@ -272,7 +267,7 @@ def verify_restriction_cofactors(case: int) -> str:
                 # identity sits at the (2,4) cofactor (case 3 has the
                 # same shape there)
                 "-C24/y2",
-                -cofactor_any(N, 2, 4),
+                -C[2, 4],
                 a[1] * a[4] * y1 ** 2
                 + (a[1] * b[4] + b[1] * a[4] + a[5]) * y1 * y3
                 - y2 ** 2
@@ -283,12 +278,12 @@ def verify_restriction_cofactors(case: int) -> str:
         checks = [
             (
                 "-C12/y2",
-                -cofactor_any(N, 1, 2),
+                -C[1, 2],
                 y2 * (a[5] * y1 + b[5] * y3),
             ),
             (
                 "-C13/y2",
-                -cofactor_any(N, 1, 3),
+                -C[1, 3],
                 a[3] * a[6] * y1 ** 2
                 + (b[3] * a[6] + a[3] * b[6]) * y1 * y3
                 - y2 ** 2
@@ -296,7 +291,7 @@ def verify_restriction_cofactors(case: int) -> str:
             ),
             (
                 "-C24/y2",
-                -cofactor_any(N, 2, 4),
+                -C[2, 4],
                 a[1] * a[4] * y1 ** 2
                 + (b[1] * a[4] + a[1] * b[4]) * y1 * y3
                 - y2 ** 2
@@ -399,7 +394,7 @@ def verify_quartic_root_congruence() -> str:
     rhs = T.map_entries(
         lambda e: e if e.is_zero() else d ** (6 - 2 * (e.grading()[0] // 2)) * e.substitute(phi)
     )
-    _expect_equal((i, j, lhs[i, j], rhs[i, j]) for i, j in _UPPER)
+    _expect_equal((i, j, lhs[i, j], rhs[i, j]) for i, j in UPPER)
     return "cleared by d^2 per factor (overall d^6)"
 
 
@@ -433,7 +428,7 @@ def verify_imaginary_unit_congruence() -> str:
             [zero, fy2, d * W1, -(d * d) * W3],
         ],
     )
-    _expect_equal((i, j, C[i, j], expected[i, j]) for i, j in _UPPER)
+    _expect_equal((i, j, C[i, j], expected[i, j]) for i, j in UPPER)
     # the rescaled coordinates still cut out the same conic
     conic = W1 * W1 - 16 * d * d * y2 * y2 - W3 * W3 - 16 * d * d * Q
     if not conic.is_zero():
@@ -690,12 +685,9 @@ def _conic_witness(M: SymPolyMatrix) -> Optional[str]:
     R = M.substitute({"x": 0})
     Q = R[1, 6]
     central = [[R[i, j] for j in range(2, 6)] for i in range(2, 6)]
-    memo: dict = {}
-    for i in range(1, 5):
-        for j in range(1, 5):
-            minor = cofactor_any(central, i, j, memo)
-            if not minor.is_zero() and minor.exact_divide(Q) is None:
-                return f"3x3 minor complementary to ({i},{j}) not divisible by the conic"
+    for (i, j), minor in adjugate(central).items():
+        if not minor.is_zero() and minor.exact_divide(Q) is None:
+            return f"3x3 minor complementary to ({i},{j}) not divisible by the conic"
     if det_any(central).exact_divide(Q * Q) is None:
         return "central determinant not divisible by conic^2"
     return None
@@ -792,7 +784,7 @@ def verify_golden_match() -> str:
     entry: every difference of corresponding entries is the zero polynomial."""
     run = run_pipeline(1, 1)
     golden = _golden_matrix(run)
-    _expect_equal((i, j, run.alpha_final[i, j], golden[i, j]) for i, j in _UPPER)
+    _expect_equal((i, j, run.alpha_final[i, j], golden[i, j]) for i, j in UPPER)
     return "back-substituted entries equal the closed form"
 
 
@@ -806,8 +798,7 @@ def verify_closed_form_rc() -> str:
     run = run_pipeline(1, 1)
     alpha = _golden_matrix(run)
     alpha.check_pattern()
-    residuals = rc_residuals(compute_cofactors(alpha), run.l_final)
-    for (i, j), res in zip(PAIRS, residuals):
+    for (i, j), res in rc_residuals(compute_cofactors(alpha), run.l_final).items():
         if not res.is_zero():
             raise CheckFailed(f"residual ({i},{j}) does not vanish")
     return "rank condition solvable; all 15 residuals vanish"

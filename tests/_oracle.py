@@ -11,8 +11,7 @@ exponent vector.  Every oracle reads a monomial through `ring.exponents`."""
 from fractions import Fraction
 from itertools import product
 
-from godeaux2.alpha import SymPolyMatrix
-from godeaux2.rc import PAIRS
+from godeaux2.alpha import SymPolyMatrix, det_any
 from godeaux2.ring import Polynomial, exponents, monomial_basis
 from godeaux2.surface import low_degree
 
@@ -116,17 +115,26 @@ def max_degree_in(p, names):
 
 
 def dump_text(residuals, geo):
-    """Ordered canonical text of the flattened system of `residuals` (one per
-    pair of rc.PAIRS), one line per distinct coefficient in `geo`, labelled by
-    the pair and the geometric monomial where it first occurs."""
+    """Ordered canonical text of the flattened system of `residuals`, the map
+    {(i, j): residual} keyed by pair that rc.rc_residuals returns, one line
+    per distinct coefficient in `geo`, labelled by the pair and the geometric
+    monomial where it first occurs."""
     lines = []
     seen = set()
-    for pair, res in zip(PAIRS, residuals):
+    for pair, res in residuals.items():
         for mono, p in res.coefficients_wrt(geo):
             if p not in seen:
                 seen.add(p)
                 lines.append(f"[{pair[0]}{pair[1]}:{p.table.mono_str(mono) or '1'}] {p}")
     return "\n".join(lines) + "\n"
+
+
+def signed_minor(rows, i, j):
+    """(-1)^(i+j) det_any of the minor of the square matrix `rows` without row
+    i and column j (1-based), written out explicitly."""
+    minor = [[e for b, e in enumerate(row, 1) if b != j] for a, row in enumerate(rows, 1) if a != i]
+    d = det_any(minor)
+    return d if (i + j) % 2 == 0 else -d
 
 
 def support_names(p):

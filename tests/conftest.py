@@ -1,6 +1,9 @@
-"""Shared session fixtures: the pipeline runs several suites depend on, and
-the (alpha_1, c=1) rank-condition system, flattened afresh over its own
-table (a cached pipeline run keeps only its counts)."""
+"""Shared fixtures: the pipeline runs several suites depend on, the
+(alpha_1, c=1) rank-condition system, flattened afresh over its own table (a
+cached pipeline run keeps only its counts), and the benchmark tracer."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,19 @@ def rc11():
     res = rc_residuals(betas, l)
     system = extract_system(res, case)
     return case, table, M, l, betas, res, system
+
+
+@pytest.fixture(scope="session")
+def tracing():
+    """The module perfbench/tracing.py, loaded once from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracer(tracing):
+    """A fresh Tracer for each test, not yet installed."""
+    return tracing.Tracer()

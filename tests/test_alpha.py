@@ -10,8 +10,8 @@ from godeaux2.alpha import (
     AlphaCase,
     PatternError,
     SymPolyMatrix,
+    adjugate,
     build_ansatz,
-    cofactor_any,
     coordinate_entries,
     det_any,
     generic_border,
@@ -19,7 +19,7 @@ from godeaux2.alpha import (
 )
 from godeaux2.ring import GEOMETRIC, INVERTIBLE, PARAMETER, RingError, VariableTable, exponents
 
-from _oracle import build_ansatz_reference, first_row_det
+from _oracle import build_ansatz_reference, first_row_det, signed_minor
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,7 @@ def test_cofactor_of_diagonal():
     )
     ps = [T.var(f"p{k}") for k in range(1, 7)]
     M = diag_matrix(T, ps)
-    c = cofactor_any(M.rows, 1, 1)
+    c = adjugate(M.rows)[1, 1]
     assert c == ps[1] * ps[2] * ps[3] * ps[4] * ps[5]
     assert M.determinant() == ps[0] * c
 
@@ -171,12 +171,12 @@ def test_laplace_identity_small_symbolic():
     ]
     M = SymPolyMatrix(rows)
     det = M.determinant()
-    memo = {}
+    C = adjugate(M.rows)
     for i in range(1, 7):
         for k in range(1, 7):
             acc = T.zero()
             for j in range(1, 7):
-                acc = acc + M[i, j] * cofactor_any(M.rows, k, j, memo)
+                acc = acc + M[i, j] * C[min(k, j), max(k, j)]
             assert acc == (det if i == k else T.zero())
 
 
@@ -186,12 +186,51 @@ def test_laplace_identity_on_alpha_specialized(case11):
     spec = _random_specialization(table, params, rng)
     Ms = M.substitute(spec)
     det = Ms.determinant()
-    memo = {}
+    C = adjugate(Ms.rows)
     for i, k in [(1, 1), (2, 2), (1, 3), (4, 2), (6, 6), (5, 1)]:
         acc = table.zero()
         for j in range(1, 7):
-            acc = acc + Ms[i, j] * cofactor_any(Ms.rows, k, j, memo)
+            acc = acc + Ms[i, j] * C[min(k, j), max(k, j)]
         assert acc == (det if i == k else table.zero())
+
+
+def _symmetric_grid(T, n, seed):
+    rng = random.Random(seed)
+    u, v = T.var("u"), T.var("v")
+    grid = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            grid[a][b] = grid[b][a] = rng.randint(-3, 3) * u + rng.randint(-3, 3) * v + rng.randint(-2, 2)
+    return grid
+
+
+def test_adjugate_keys_are_the_upper_triangle():
+    T = VariableTable([("u", 1, 1, GEOMETRIC), ("v", 1, 1, GEOMETRIC)])
+    for n in (4, 6):
+        C = adjugate(_symmetric_grid(T, n, n))
+        assert list(C) == [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i <= j]
+    assert list(adjugate(_symmetric_grid(T, 6, 1))) == list(alpha.UPPER)
+
+
+def test_adjugate_rejects_a_non_symmetric_or_non_square_grid():
+    T = VariableTable([("u", 1, 1, GEOMETRIC), ("v", 1, 1, GEOMETRIC)])
+    grid = _symmetric_grid(T, 4, 2)
+    grid[1][3] = grid[1][3] + T.var("u")
+    with pytest.raises(PatternError, match=r"^matrix not symmetric at \(2,4\)$"):
+        adjugate(grid)
+    with pytest.raises(PatternError, match="square"):
+        adjugate([row[:3] for row in _symmetric_grid(T, 4, 3)])
+
+
+def test_adjugate_calls_on_same_size_matrices_share_no_minors():
+    # two matrices of one size have the same minor positions; each call must
+    # expand its own matrix, never a minor cached from the other
+    T = VariableTable([("u", 1, 1, GEOMETRIC), ("v", 1, 1, GEOMETRIC)])
+    first, second = _symmetric_grid(T, 5, 4), _symmetric_grid(T, 5, 5)
+    assert first != second
+    for grid in (first, second, first):
+        C = adjugate(grid)
+        assert C == {(i, j): signed_minor(grid, i, j) for i in range(1, 6) for j in range(i, 6)}
 
 
 def test_congruence_identity(case11):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from godeaux2 import alpha
-from godeaux2.alpha import BORDER_PARAMS, AlphaCase, build_ansatz, cofactor_any
+from godeaux2.alpha import BORDER_PARAMS, AlphaCase, adjugate, build_ansatz
 from godeaux2.rc import (
     PAIRS,
     RCError,
@@ -17,7 +17,7 @@ from godeaux2.rc import (
 )
 from godeaux2.ring import MULTIPLIER
 
-from _oracle import dense_mono, dump_text, max_degree_in, multiplier_slots_reference, support_names
+from _oracle import dense_mono, dump_text, max_degree_in, multiplier_slots_reference, signed_minor, support_names
 
 
 def test_r_count_is_371(rc11):
@@ -90,15 +90,18 @@ def test_residual_count_and_zero_l(rc11):
     _, table, _, l, betas, res, _ = rc11
     assert len(res) == 15
     bare = rc_residuals(betas, {key: table.zero() for key in l})
-    for (i, j), r in zip(PAIRS, bare):
+    assert list(bare) == list(PAIRS)
+    for (i, j), r in bare.items():
         assert r == betas[(i, j)]
 
 
 def test_cofactor_symmetry(rc11):
+    # adjugate keeps C[i, j] only; it must equal the cofactor of the
+    # explicit (j, i) minor
     _, _, M, _, _, _, _ = rc11
-    memo = {}
+    C = adjugate(M.rows)
     for (i, j) in [(2, 3), (2, 6), (4, 5)]:
-        assert cofactor_any(M.rows, i, j, memo) == cofactor_any(M.rows, j, i, memo)
+        assert C[i, j] == signed_minor(M.rows, j, i)
 
 
 def test_system_size_and_parameters(rc11):
@@ -130,7 +133,7 @@ def test_extraction_commutes_with_specialization(rc11):
         for n in system.param_names
     }
     # specialize a residual, re-extract, compare with specializing f directly
-    target = res[3]
+    target = res[2, 5]
     specialized = target.substitute(spec)
     direct = {}
     for mono, coeff in target.coefficients_wrt(case.geo4):
@@ -158,15 +161,13 @@ def test_exact_multipliers_give_zero_residuals():
     table = curve_table()
     M = diagonal_type_matrix(table, 1)
     L = excluded_diagonal_multipliers(table)
-    memo = {}
-    wanted = [(1, k) for k in range(1, 7)] + list(PAIRS)
-    betas = {(i, j): cofactor_any(M.rows, i, j, memo) for (i, j) in wanted}
+    betas = adjugate(M.rows)
     zero = table.zero()
     polys = {}
     for (i, j) in PAIRS:
         for k in range(1, 7):
             polys[(i, j, k)] = L[i - 1][j - 1] if k == 6 else zero
-    for res in rc_residuals(betas, polys):
+    for res in rc_residuals(betas, polys).values():
         assert res.is_zero()
 
 

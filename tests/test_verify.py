@@ -1,7 +1,6 @@
 """Tests for the verification checks, including the negative controls."""
 
 import dataclasses
-import importlib.util
 import os
 import re
 import subprocess
@@ -11,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from godeaux2.alpha import SymPolyMatrix, cofactor_any
+from godeaux2.alpha import SymPolyMatrix, adjugate
 from godeaux2.verify import (
     BF_SURFACE,
     BY_SURFACE,
@@ -40,14 +39,6 @@ from _controls import perturb_at_x0, perturb_excluded_multipliers, weaken_rewrit
 from _oracle import outside_low_degree_ideal, support_names
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
 
 
 def test_report_invariant():
@@ -333,9 +324,8 @@ def test_special_surface_degenerate_flag(run11):
     assert "conic degenerates" in rep.witness
 
 
-def test_registry_names_its_reports_matches_the_tracer_and_passes(run11, run20, run30):
+def test_registry_names_its_reports_matches_the_tracer_and_passes(run11, run20, run30, tracing):
     # perfbench/tracing.py lists one per-check metric per registry name
-    tracing = _tracing()
     registry = all_checks()
     reports = {name: run() for name, run in registry.items()}
     assert all(rep.name == name for name, rep in reports.items())
@@ -351,7 +341,7 @@ def test_all_checks_returns_a_fresh_copy():
     assert "scaling" in all_checks()
 
 
-def test_registry_holds_every_check_without_the_cli():
+def test_registry_holds_every_check_without_the_cli(tracing):
     # golden_file is a registry check of verify; cli only wraps it for the tracer
     code = (
         "import sys\n"
@@ -363,7 +353,7 @@ def test_registry_holds_every_check_without_the_cli():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert set(out.stdout.split()) == set(_tracing().VERIFY_CHECKS)
+    assert set(out.stdout.split()) == set(tracing.VERIFY_CHECKS)
 
 
 def test_skipped_check_is_reported():
@@ -385,10 +375,7 @@ def test_final_matrix_satisfies_rank_condition_directly(run11):
     symbolically (the surviving r's stay symbolic too)."""
     from godeaux2.rc import PAIRS
 
-    M = run11.alpha_final
-    memo = {}
-    wanted = [(1, k) for k in range(1, 7)] + list(PAIRS)
-    betas = {(i, j): cofactor_any(M.rows, i, j, memo) for (i, j) in wanted}
+    betas = adjugate(run11.alpha_final.rows)
     for (i, j) in PAIRS:
         acc = betas[(i, j)]
         for k in range(1, 7):

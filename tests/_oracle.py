@@ -1,5 +1,6 @@
 """Independent oracles: dense rational Gaussian elimination for LinElim, a
-plain first-row cofactor expansion for determinants, dense comparisons
+plain first-row cofactor expansion for determinants, cofactors from
+explicitly written-out minors (`signed_minor`), dense comparisons
 for the canonical and the lex monomial orders, a form outside the ideal of
 the low-degree surface relations, the budget-last pivot search, the
 ansatz matrix written out case by case, and the r-slot layout of the

@@ -133,7 +133,10 @@ class _Worktable:
     The worktable takes the list f over as its slot list: each input is
     replaced by its primitive form, and each polynomial a rewrite replaces or
     drops leaves f at once, so nothing keeps it alive until the move ends.
-    The caller must keep its own references to any input it still needs.
+    A polynomial leaves its slot and its bucket before it goes to the
+    rewrite, so the rewrite gets the worktable's only reference and can free
+    it before building the result.  The caller must keep its own references
+    to any input it still needs.
     Copies are found by comparing term dicts only within a bucket of live
     slots that share (number of terms, leading monomial, leading
     coefficient)."""
@@ -152,9 +155,8 @@ class _Worktable:
     def alive_flags(self) -> list:
         return [self.in_g[i] for i, p in enumerate(self.polys) if p is not None]
 
-    def replace(self, i: int, p: Polynomial) -> None:
-        """Put p in slot i.  A zero, or a copy of a live polynomial (which
-        then joins g if slot i was in it), leaves the slot empty."""
+    def take(self, i: int):
+        """Empty slot i and return what it held (None for an empty slot)."""
         old = self.polys[i]
         if old is not None:
             key = _bucket_key(old)
@@ -163,6 +165,12 @@ class _Worktable:
             if not bucket:
                 del self.buckets[key]
             self.polys[i] = None
+        return old
+
+    def replace(self, i: int, p: Polynomial) -> None:
+        """Put p in slot i.  A zero, or a copy of a live polynomial (which
+        then joins g if slot i was in it), leaves the slot empty."""
+        self.take(i)
         if p.is_zero():
             return
         bucket = self.buckets.setdefault(_bucket_key(p), [])
@@ -176,13 +184,13 @@ class _Worktable:
     def eliminate(self, i: int, v: int, rewrite) -> list:
         """Drop the pivot polynomial i and put every polynomial whose support
         holds v through `rewrite`, in primitive form; return the indices
-        rewritten."""
-        self.replace(i, self.polys[i].table.zero())
-        rewritten = []
-        for k, q in enumerate(self.polys):
-            if q is not None and v in q.support():
-                self.replace(k, primitive_form(rewrite(q)))
-                rewritten.append(k)
+        rewritten.  Each polynomial is taken out of the worktable before
+        `rewrite` gets it.  A rewrite leaves v in no polynomial, so the slots
+        to rewrite are known before the first one is."""
+        self.take(i)
+        rewritten = [k for k, q in enumerate(self.polys) if q is not None and v in q.support()]
+        for k in rewritten:
+            self.replace(k, primitive_form(rewrite(self.take(k))))
         return rewritten
 
     def solve(self, pivot) -> list:
@@ -239,6 +247,7 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
 
     def substitute(q: Polynomial) -> Polynomial:
         table, terms = q.table, q.terms
+        needs_rules = not (h_plain and q.support().isdisjoint(rules))
         held = list(compress(terms, map(contains, terms, repeat(v))))
         degrees = list(map(tuple.count, held, repeat(v)))
         k = max(degrees, default=0)
@@ -246,15 +255,20 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
         out = dict(terms) if ck == 1 else {m: a * ck for m, a in terms.items()}
         for m in held:
             del out[m]
+        # held term m = rest * v^j, to become scale * rest * (-h)^j
+        parts = []
+        for m, j in zip(held, degrees):
+            i = m.index(v)
+            parts.append((m[:i] + m[i + j :], j, terms[m] * c ** (k - j)))
+        # the worktable hands q over (see _Worktable.eliminate): dropping it
+        # here frees its term dict and held monomials before the products
+        del q, terms, held, degrees
         # add_terms inlined: it would take a generator per held term
         get = out.get
-        for m, j in zip(held, degrees):
+        for rest, j, scale in parts:
             t = powers.get(j)
             if t is None:
                 t = powers[j] = (neg_h ** j).terms
-            i = m.index(v)
-            rest = m[:i] + m[i + j :]
-            scale = terms[m] * c ** (k - j)
             for hm, hc in t.items():
                 pm = mono_mul(rest, hm)
                 s = get(pm)
@@ -266,7 +280,7 @@ def _cleared_pivot_substitution(v: int, c: int, neg_h: Polynomial):
                         out[pm] = s
                     else:
                         del out[pm]
-        if not (h_plain and q.support().isdisjoint(rules)):
+        if needs_rules:
             out = table.reduce_terms(out)
         # a copy sized for its terms: a dict never shrinks after deletions
         return Polynomial(table, dict(out))
@@ -304,8 +318,10 @@ def lin_elim(f: list, g_flags: Sequence[bool], var: Sequence[str], n: int):
     Returns (new_f, new_g_flags, dependencies).  Scanning is restarted from
     the beginning of g after every elimination; no-progress is a normal
     outcome (empty dependency list).  The worktable is built inside the list
-    f (see `_Worktable`): afterwards f holds only live slots and None, so a
-    caller that needs an input polynomial again keeps its own reference.
+    f (see `_Worktable`): afterwards f holds only live slots and None, and
+    each rewrite gets the worktable's only reference to the polynomial it
+    replaces, so a caller that needs an input polynomial again keeps its own
+    reference.
     """
     if n < 1:
         raise EliminationError("variable budget n must be >= 1")
@@ -426,6 +442,11 @@ def driver(
     budget 22 of B and D is a constant of the ladder: a stall is not a claim
     that f has no linear pivot at all.
 
+    The driver works on a copy of the list f and keeps no reference to the
+    caller's list, so a caller that keeps its own list is unaffected, and a
+    caller that hands its only list over lets each original polynomial be
+    freed when its first rewrite replaces it.
+
     Raises EliminationError with the state attached as `err.state` when a
     round is idle with f nonempty; the message names the idle round and the
     residual count.
@@ -450,6 +471,7 @@ def driver(
         ("E", 0, True, lambda f, n: zero_free_vars(f, r_names)),
     )
     state = EliminationState(list(f))
+    del f
     for rnd in count(1):
         idle = True
         for stage, budget, fallback, move in ladder:

@@ -35,11 +35,11 @@ class PipelineResult:
     r-free equation, and `gm` each surviving r to its (label, coefficient)
     pairs: plain dicts of polynomials.
 
-    Of the flattened system f a cached run keeps two fields: `initial_f`,
-    the number of coefficients the soundness check back-substituted, and
-    `param_names`, the distinct parameters of f in table order.  Nothing
-    after that check reads f itself, and several runs stay cached at once,
-    so f is freed when `run_pipeline` returns."""
+    Of the flattened system f a run keeps two fields: `initial_f`, the
+    number of coefficients of f, each of which the soundness check covers,
+    and `param_names`, the distinct parameters of f in table order.  The
+    driver gets the only reference to f's list, so each coefficient is
+    freed once the elimination has replaced it."""
 
     case: AlphaCase
     table: object
@@ -64,10 +64,17 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     flattened system f, the driver over the table's multipliers and the
     border parameters BORDER_PARAMS, then back-substitution, equations and
     r-removal.  For j=2 the driver may divide by d, which `make_table`
-    declares INVERTIBLE.  The soundness check back-substitutes all
-    `initial_f` coefficients of f; a run whose dependency log leaves one
-    nonzero raises EliminationError and is not cached.  The driver's
-    EliminationError (a stall) propagates with the full system attached as
+    declares INVERTIBLE.
+
+    f's list goes to the driver with no reference kept here.  The soundness
+    check is the rank-condition identity: the back-substituted cofactors of
+    the ansatz and the solved multipliers must give zero residuals.
+    Back-substitution is a ring map that fixes the geometric variables, so
+    the geometric coefficients of those residuals are the images of the
+    coefficients of f, and the check covers all `initial_f` of them and the
+    flattening as well.  A run whose dependency log leaves one nonzero raises
+    EliminationError and is not cached.  The driver's EliminationError (a
+    stall) propagates with the system, flattened again, attached as
     `err.system`."""
     key = (j, c)
     if key in _CACHE:
@@ -76,22 +83,29 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     case = AlphaCase(j, c)
     alpha0, params = build_ansatz(case)
     l0 = build_l_ansatz(alpha0.table, case)
-    system = extract_system(rc_residuals(compute_cofactors(alpha0), l0), case)
+    betas = compute_cofactors(alpha0)
+    system = extract_system(rc_residuals(betas, l0), case)
+    initial_f, param_names = len(system.f), system.param_names
     try:
-        state = driver(system.f, alpha0.table.of_kind(MULTIPLIER), list(BORDER_PARAMS))
+        state = driver(system.take_f(), alpha0.table.of_kind(MULTIPLIER), list(BORDER_PARAMS))
     except EliminationError as err:
-        err.system = system
+        err.system = extract_system(rc_residuals(betas, l0), case)
         raise
     resolved = resolve_dependencies(state.deps)
-    # soundness: the dependency log must annihilate every coefficient of f
-    unsound = sum(1 for p in system.f if back_substitute(p, resolved))
+    l_final = {k: back_substitute(p, resolved) for k, p in l0.items()}
+    # soundness: the rank-condition identity holds after back-substitution
+    images = {pos: back_substitute(b, resolved) for pos, b in betas.items()}
+    unsound = {
+        coeff
+        for res in rc_residuals(images, l_final).values()
+        for _, coeff in res.coefficients_wrt(case.geo4)
+    }
     if unsound:
         raise EliminationError(
-            f"dependency log leaves {unsound} of {len(system.f)} coefficients nonzero"
+            f"dependency log leaves {len(unsound)} of {initial_f} coefficients nonzero"
         )
     alpha_final = alpha0.map_entries(lambda p: back_substitute(p, resolved))
     alpha_final.check_pattern()
-    l_final = {k: back_substitute(p, resolved) for k, p in l0.items()}
     gbd = survivors(params, state.deps)
     equations_raw = generate_equations(alpha_final, l_final)
     gm = collect_Gm(equations_raw)
@@ -100,8 +114,8 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
         case=case,
         table=alpha0.table,
         params=params,
-        initial_f=len(system.f),
-        param_names=system.param_names,
+        initial_f=initial_f,
+        param_names=param_names,
         elim=state,
         alpha_final=alpha_final,
         l_final=l_final,

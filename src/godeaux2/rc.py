@@ -106,6 +106,12 @@ class RCSystem:
     def param_count(self) -> int:
         return len(self.param_names)
 
+    def take_f(self) -> list:
+        """Hand f over: return the list and leave an empty one in its place,
+        so that the caller holds the system's only reference to it."""
+        f, self.f = self.f, []
+        return f
+
 
 def extract_system(residuals: dict, case: AlphaCase) -> RCSystem:
     geo = case.geo4

@@ -115,6 +115,22 @@ def test_unsound_dependency_log_is_rejected(monkeypatch):
     assert (3, 0) not in pipeline._CACHE
 
 
+def test_a_residual_left_out_of_the_flattening_is_rejected(monkeypatch):
+    # negative control for the flattening: without the coefficients of
+    # residual (2,2) the driver still empties f, but the rank-condition
+    # identity over the back-substituted ansatz leaves (2,2) nonzero
+    extract = pipeline.extract_system
+
+    def lossy_extract(residuals, case):
+        return extract({pair: r for pair, r in residuals.items() if pair != (2, 2)}, case)
+
+    monkeypatch.setattr(pipeline, "extract_system", lossy_extract)
+    monkeypatch.setattr(pipeline, "_CACHE", {})  # a fresh cache, restored afterwards
+    with pytest.raises(EliminationError, match="coefficients nonzero"):
+        run_pipeline(3, 0)
+    assert (3, 0) not in pipeline._CACHE
+
+
 def test_a_cached_run_keeps_no_flattened_system(monkeypatch):
     # a cached run keeps the counts of f, not f: once run_pipeline returns,
     # the RCSystem that extract_system gave it is freed

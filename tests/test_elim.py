@@ -634,6 +634,26 @@ def test_worktable_keeps_different_polynomials_of_one_bucket():
     assert work.polys == [p, q] and work.alive_flags() == [True, False]
 
 
+def test_eliminate_hands_each_rewrite_the_polynomial_out_of_its_slot():
+    # the rewrite gets the worktable's only reference: no slot holds the
+    # polynomial it receives, and every bucket names only live slots
+    T = param_table()
+    r1, r2, r3, g1, d = (T.var(n) for n in ("r1", "r2", "r3", "g1", "d"))
+    work = _Worktable([r1 - g1, r1 * r2 + d, g1 + d, r1 * r3 - g1], [True] * 4)
+    seen = []
+
+    def rewrite(q):
+        in_slot = any(p is q for p in work.polys)
+        stale = any(work.polys[i] is None for b in work.buckets.values() for i in b)
+        seen.append((q, in_slot, stale))
+        return q.substitute({"r1": g1})
+
+    assert work.eliminate(0, T.index["r1"], rewrite) == [1, 3]
+    assert [q for q, _, _ in seen] == [r1 * r2 + d, r1 * r3 - g1]
+    assert not any(in_slot or stale for _, in_slot, stale in seen)
+    assert work.alive() == [g1 * r2 + d, g1 + d, g1 * r3 - g1]
+
+
 def test_rewrites_store_term_dicts_sized_for_their_terms():
     # each rewrite deletes the terms that held r1 and every product that
     # cancels; what it returns must not keep the room those took

@@ -1,7 +1,9 @@
 """Tests for the elimination primitive and the staged driver."""
 
+import gc
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from godeaux2.alpha import BORDER_PARAMS
 from godeaux2.elim import (
     Dependency,
     EliminationError,
+    _cleared_pivot_substitution,
     _find_pivot,
     _Worktable,
     back_substitute,
@@ -184,6 +187,32 @@ def test_cleared_pivot_step_keeps_the_primitive_form():
                     assert all(m.count(i) < 2 for p in out for m in p.terms)
                     tried.add((rule_in, c, k))
     assert len(tried) == 4 * 6 * 2
+    # several polynomials through one pivot, deg_r1 up to 3: held terms with
+    # one (deg_r1, scale) pair and with different ones, within a polynomial
+    # and across polynomials; the product g1*g2 cancels in the first
+    # polynomial and survives in the second
+    g1, g2, r2, d = T.var("g1"), T.var("g2"), T.var("r2"), T.var("d")
+    fixed = [
+        r1 * g1 + r1 * g2 + r2,
+        r1 * g1 + d,
+        2 * r1 ** 3 * g1 + 2 * r1 ** 3 * r2 + 3 * r1 ** 2 * d - r1 * g2 + d ** 2,
+        2 * r1 ** 3 * d - 6 * r1 ** 2 * g1 + 3 * r1 ** 2 * g2 + 9 * r1 * d + g1 * g2,
+    ]
+    h = g2 - g1 + 2 * d
+    for c in (1, 2, 6):  # c^k = 1 and two scaled copies
+        assert primitive_form(c * r1 + h) == c * r1 + h
+        qs = fixed + [
+            sum((r1 ** e * _random_poly(rng, T, ("g1", "g2", "d"), size=3) for e in range(4)), T.zero())
+            for _ in range(6)
+        ]
+        out, _, deps = lin_elim([c * r1 + h] + qs, [True] + [False] * len(qs), ["r1"], 1)
+        assert [dep.var for dep in deps] == ["r1"]
+        expected = []
+        for q in qs:
+            e = primitive_form(q.substitute({"r1": -h * Fraction(1, c)}))
+            if e and e not in expected:
+                expected.append(e)
+        assert out == expected
 
 
 def test_duplicates_pruned_up_to_scale():
@@ -676,3 +705,48 @@ def test_one_pivot_shares_its_product_monomials():
     (product,) = (g1 * r2).terms
     first, second = ([m for m in p.terms if m == product][0] for p in out)
     assert first is second
+
+
+def test_one_pivot_shares_its_coefficient_values():
+    # 2000 comes from two different rows (1000 * 2 and 2000 * 1) and, in the
+    # third polynomial, from a merged sum 1000 + 1000: one int object in all
+    T = param_table(extras=("g1", "g2", "d"))
+    r1, r2, r3, g1, g2 = (T.var(n) for n in ("r1", "r2", "r3", "g1", "g2"))
+    pivot = r1 - g1 - 2 * g2
+    qs = [1000 * r1 * r2 + r3, 2000 * r1 * r3 + r2, 1000 * r1 * r2 + 1000 * g1 * r2 + 2000 * g2 * r3 + r3]
+    out, _, _ = lin_elim([pivot] + qs, [True, False, False, False], ["r1"], 1)
+    assert out == [q.substitute({"r1": g1 + 2 * g2}) for q in qs]
+    first, second, third = (p.terms for p in out)
+    values = [first[(g2 * r2).leading_mono()], second[(g1 * r3).leading_mono()], third[(g1 * r2).leading_mono()]]
+    assert values == [2000] * 3
+    assert values[0] is values[1] is values[2]
+
+
+def test_one_pivot_pins_no_cancelled_product():
+    # q = r1*(g1 + g2) through r1 = (g1 - g2)*S gives (g1^2 - g2^2)*S: the
+    # 2600 products g1*g2*s cancel, and the rewrite, still held, keeps none
+    # of them.  gc.collect() empties the tuple free lists, which tracemalloc
+    # counts as live blocks.
+    T = param_table(nr=26, extras=("g1", "g2"))
+    r1, g1, g2 = T.var("r1"), T.var("g1"), T.var("g2")
+    s = sum((T.var(f"r{k}") for k in range(3, 27)), T.zero()) ** 3
+    neg_h = (g1 - g2) * s
+    q = r1 * g1 + r1 * g2
+    rewrite = _cleared_pivot_substitution(T.index["r1"], 1, neg_h)
+
+    def live_blocks():
+        gc.collect()
+        return sum(stat.count for stat in tracemalloc.take_snapshot().statistics("filename"))
+
+    tracemalloc.start()
+    try:
+        before = live_blocks()
+        out = rewrite(q)
+        grown = live_blocks() - before
+    finally:
+        tracemalloc.stop()
+    assert out == (g1 * g1 - g2 * g2) * s
+    assert len(s.terms) == 2600 and len(out.terms) == 2 * 2600
+    # one block per monomial of out, and a few for out's dict and the
+    # closure's tables
+    assert grown - len(out.terms) < 50

@@ -36,6 +36,7 @@ from .ring import (
     RingError,
     VariableTable,
     generic_poly,
+    sum_of_products,
 )
 
 ROW_WEIGHTS = (4, 1, 1, 1, 1, 0)
@@ -179,19 +180,10 @@ class SymPolyMatrix:
         if len(Pp) != 6:
             raise PatternError("congruence transform must be 6x6")
         B = [
-            [
-                sum((Pp[i][k] * self.rows[k][j] for k in range(6)), table.zero())
-                for j in range(6)
-            ]
+            [sum_of_products(table, zip(Pp[i], (row[j] for row in self.rows))) for j in range(6)]
             for i in range(6)
         ]
-        C = [
-            [
-                sum((B[i][k] * Pp[j][k] for k in range(6)), table.zero())
-                for j in range(6)
-            ]
-            for i in range(6)
-        ]
+        C = [[sum_of_products(table, zip(B[i], Pp[j])) for j in range(6)] for i in range(6)]
         return SymPolyMatrix(C)
 
     def __repr__(self) -> str:
@@ -224,17 +216,16 @@ def _minor_det(grid, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
                 best_zeros, best = z, (at, lines, across, k)
     at, lines, across, k0 = best
     line, rest = lines[k0], lines[:k0] + lines[k0 + 1 :]
-    acc = grid[0][0].table.zero()
+    pairs = []  # (signed entry, its minor) along the line
     for k, b in enumerate(across):
         e = at(line, b)
         if e.is_zero():
             continue
         others = across[:k] + across[k + 1 :]
         minor = (rest, others) if at is by_row else (others, rest)
-        term = e * _minor_det(grid, *minor, memo)
-        acc = acc + (term if (k0 + k) % 2 == 0 else -term)
-    memo[key] = acc
-    return acc
+        pairs.append((e if (k0 + k) % 2 == 0 else -e, _minor_det(grid, *minor, memo)))
+    det = memo[key] = sum_of_products(grid[0][0].table, pairs)
+    return det
 
 
 def _as_grid(rows, table: Optional[VariableTable] = None) -> list:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alpha import ROW_WEIGHTS, UPPER, AlphaCase, SymPolyMatrix, adjugate, entry_grading
-from .ring import MULTIPLIER, RingError, VariableTable, generic_poly
+from .ring import MULTIPLIER, RingError, VariableTable, generic_poly, sum_of_products
 
 PAIRS = tuple((i, j) for (i, j) in UPPER if i > 1)
 
@@ -77,16 +77,15 @@ def rc_residuals(cofactors: dict, multipliers: dict) -> dict:
     order, for cofactors {(i, j): beta_ij} and multipliers {(i, j, k):
     l_ij^k}.  Given the products v_i*v_j in place of beta_ij (and v_k in place
     of beta_1k), the residuals are the quadric relations of the surface."""
-    out = {}
-    for (i, j) in PAIRS:
-        acc = cofactors[(i, j)]
-        for k in range(1, 7):
-            lp = multipliers[(i, j, k)]
-            if lp.is_zero():
-                continue
-            acc = acc - lp * cofactors[(1, k)]
-        out[i, j] = acc
-    return out
+    table = cofactors[1, 1].table
+    one = table.one()
+    return {
+        (i, j): sum_of_products(
+            table,
+            [(one, cofactors[i, j])] + [(-multipliers[i, j, k], cofactors[1, k]) for k in range(1, 7)],
+        )
+        for (i, j) in PAIRS
+    }
 
 
 @dataclass

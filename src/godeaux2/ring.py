@@ -26,6 +26,11 @@ support, hash, primitive-form flag) rely on this.
 slot monomials of a grading, in `lex_descending` order, with fresh
 coefficient names.
 
+`sum_of_products` is the one linear combination of products: it adds every
+product a*b of its pairs into one term dict, so a Laplace expansion, a matrix
+product or a residual f - sum q_i*g_i makes no intermediate polynomial, and
+`Polynomial.__mul__` is its one-pair case.
+
 `Polynomial.substitute` is the one general substitution: it is simultaneous
 (every bound variable is replaced at once and images are never substituted
 again), so point evaluation, zeroing parameters, coordinate swaps and
@@ -447,17 +452,7 @@ class Polynomial:
             if isinstance(c, int):
                 return Polynomial(self.table, {m: v * c for m, v in self.terms.items()})
             return Polynomial(self.table, {m: _as_coeff(v * c) for m, v in self.terms.items()})
-        other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return self.table.zero()
-        table = self.table
-        out = add_products({}, a, b)
-        if table.rules and not (
-            self.support().isdisjoint(table.rules) and other.support().isdisjoint(table.rules)
-        ):
-            out = table.reduce_terms(out)
-        return Polynomial(table, out)
+        return sum_of_products(self.table, ((self, self._coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -620,6 +615,24 @@ class Polynomial:
         if q * h != self:
             return None
         return h
+
+
+def sum_of_products(table: VariableTable, pairs: Iterable) -> Polynomial:
+    """The sum of a*b over the (a, b) polynomial pairs, all over `table`
+    (else TableMismatchError), added into one term dict; a pair with a zero
+    factor is skipped.  The rewrite rules are linear, so they are applied
+    once, to the sum, and only when some operand holds a rule variable."""
+    out: dict = {}
+    rules = table.rules
+    reduce = False
+    for a, b in pairs:
+        if a.table is not table or b.table is not table:
+            raise TableMismatchError("operands from different variable tables")
+        if a.terms and b.terms:
+            add_products(out, a.terms, b.terms)
+            if rules and not reduce:
+                reduce = not (a.support().isdisjoint(rules) and b.support().isdisjoint(rules))
+    return Polynomial(table, table.reduce_terms(out) if reduce else out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ in the ideal of the low-degree equations by exact cofactors over Q[moduli],
 found with the same constant-pivot elimination as the rank condition.  It
 takes all targets at once and runs one elimination per (weighted degree,
 sign) class: the cofactors of a generic target T = sum t_m m are solved once,
-linearly in the t_m, and each target costs one substitution of its
-coefficients for the t_m.
+linearly in the t_m, and each target costs one sum of its coefficients
+times the coefficients of the t_m in that solution.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import elim
 from .alpha import SymPolyMatrix
 from .elim import back_substitute, resolve_dependencies
 from .rc import PAIRS, rc_residuals
-from .ring import MULTIPLIER, Polynomial, RingError, generic_poly
+from .ring import MULTIPLIER, Polynomial, RingError, generic_poly, sum_of_products
 
 
 # the highest weighted degree of the r-free relations (rows 2..6 of alpha*v)
@@ -66,10 +66,7 @@ def generate_equations(alpha_final: SymPolyMatrix, l_final: dict) -> dict:
     products.update({(i, j): v[i - 1] * v[j - 1] for (i, j) in PAIRS})
     eqs = {f"vv_{i}{j}": res for (i, j), res in rc_residuals(products, l_final).items()}
     for i in range(1, 7):
-        acc = table.zero()
-        for j in range(1, 7):
-            acc = acc + alpha_final[i, j] * v[j - 1]
-        eqs[f"row_{i}"] = acc
+        eqs[f"row_{i}"] = sum_of_products(table, zip(alpha_final.rows[i - 1], v))
     for label, p in eqs.items():
         if p.is_zero():
             raise SurfaceError(f"equation {label} collapsed to zero")
@@ -134,9 +131,13 @@ def membership_check(gs: Sequence[Polynomial], generators: Sequence[Polynomial])
     after them, in the same order.  The coefficients of T - sum h_i F_i over the
     geometric monomials are solved for the cofactor slots by one lin_elim,
     whose pivots are integer constants, and one back substitution gives
-    `solved`, linear in the t_m.  A target's verdict is whether `solved` with
-    each t_m set to g's coefficient at m is zero: that polynomial is exactly
-    g - sum h_i(t := g) F_i, so True holds for every value of the moduli.
+    `solved`, linear in the t_m (else SurfaceError), which is split once into
+    the coefficient of each t_m and the part free of them (the cofactor slots
+    that no constant pivot solved).  A target's verdict is
+    whether `solved` with each t_m set to g's coefficient at m, the sum of
+    those coefficients times the parts plus the free part, is zero: that
+    polynomial is exactly g - sum h_i(t := g) F_i, so True holds for every
+    value of the moduli.
     False means it is not zero: g is not in the ideal over Q(moduli), or only
     a non-constant pivot would show it is.  A class that needs more slots than
     the table has raises RingError.
@@ -153,14 +154,18 @@ def membership_check(gs: Sequence[Polynomial], generators: Sequence[Polynomial])
         classes.setdefault(grading, []).append(k)
     table = generators[0].table
     geo = table.names[: table.geo_cut]
+    one = table.one()
     verdicts = [False] * len(gs)
     for (deg, sign), members in classes.items():
         solved, targets = _solve_class(deg, sign, generators, gradings[len(gs) :], geo)
-        zero = dict.fromkeys(targets.values(), table.zero())
+        parts = dict(solved.coefficients_wrt(targets.values()))
+        if any(len(slots) > 1 for slots in parts):
+            raise SurfaceError(f"the solved class ({deg}, {sign}) is not linear in its target slots")
+        free = parts.pop((), table.zero())
+        slot = {m: (table.index[name],) for m, name in targets.items()}
         for k in members:
-            bindings = dict(zero)
-            bindings.update((targets[m], c) for m, c in gs[k].coefficients_wrt(geo))
-            verdicts[k] = solved.substitute(bindings).is_zero()
+            pairs = [(c, parts[slot[m]]) for m, c in gs[k].coefficients_wrt(geo) if slot[m] in parts]
+            verdicts[k] = sum_of_products(table, [(one, free)] + pairs).is_zero()
     return verdicts
 
 
@@ -173,7 +178,7 @@ def _solve_class(deg: int, sign: int, generators, generator_gradings, geo) -> tu
     hs = [generic_poly(table, (deg - d, sign * s), geo, names) for d, s in generator_gradings]
     unknowns = pool[: sum(len(h.terms) for h in hs)]
     T = generic_poly(table, (deg, sign), geo, names)
-    residual = T - sum((h * F for h, F in zip(hs, generators) if h), table.zero())
+    residual = sum_of_products(table, [(table.one(), T)] + [(-h, F) for h, F in zip(hs, generators)])
     f = [c for _, c in residual.coefficients_wrt(geo)]
     # looked up on elim at call time, so that a wrapper installed on
     # elim.lin_elim (perfbench/tracing.py) also sees this call

@@ -659,7 +659,7 @@ def verify_r_removal() -> str:
     """Every r-coefficient lies in the ideal of the five low-degree relations,
     certified by exact cofactors over Q[moduli]: one surface.membership_check
     call takes all of them, solves one elimination per (degree, sign) class
-    and makes one substitution per coefficient.  The first coefficient not
+    and forms one sum of products per coefficient.  The first coefficient not
     certified, in r order, is the witness.  That those relations are r-free
     is asserted by remove_r inside run_pipeline, whose SurfaceError the check
     runner reports as a failure; remove_r returns them unchanged, so they are

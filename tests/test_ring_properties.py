@@ -19,6 +19,7 @@ from godeaux2.ring import (
     Polynomial,
     RingError,
     RewriteRule,
+    TableMismatchError,
     VariableTable,
     exponents,
     lex_descending,
@@ -28,6 +29,7 @@ from godeaux2.ring import (
     mono_split,
     monomial_basis,
     sorted_monos,
+    sum_of_products,
 )
 
 from _oracle import dense_mono, grevlex_cmp, lex_dense_key
@@ -256,6 +258,56 @@ def test_pow_matches_repeated_multiplication(p):
     for n in range(6):
         assert p ** n == product
         product = product * p
+
+
+def multiply_then_add(table, pairs):
+    """The sum of the products a*b, each formed by * and added by +."""
+    out = table.zero()
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+alg_pairs = st.lists(st.tuples(_alg_poly(ALG_NAMES), _alg_poly(ALG_NAMES)), max_size=5)
+
+
+@given(alg_pairs, st.lists(st.booleans(), min_size=5, max_size=5), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_sum_of_products_matches_multiply_then_add(pairs, negated, at):
+    # factors hold i (i^2 = -1) and may be zero; each of the first five
+    # pairs put in again with one factor negated cancels its own product, so
+    # only the pairs after them are left
+    zero = ALG_TABLE.zero()
+    pairs = pairs[:at] + [(zero, ALG_TABLE.var("i")), (ALG_TABLE.var("x"), zero)] + pairs[at:]
+    assert sum_of_products(ALG_TABLE, pairs) == multiply_then_add(ALG_TABLE, pairs)
+    again = [(-a, b) if flip else (a, -b) for (a, b), flip in zip(pairs, negated)]
+    assert sum_of_products(ALG_TABLE, pairs + again) == multiply_then_add(ALG_TABLE, pairs[len(again) :])
+    assert sum_of_products(ALG_TABLE, iter(pairs + again)) == sum_of_products(ALG_TABLE, pairs[len(again) :])
+
+
+def test_sum_of_products_reduces_the_sum_once_on_a_fixed_case():
+    # sqrt(-15) as in the special surface BF: r*r and 15*1 cancel only once
+    # r^2 is rewritten, and (x*r)*(d*r) leaves -15*x*d
+    T = VariableTable(
+        [("x", 1, -1, GEOMETRIC), ("d", 0, 1, PARAMETER), ("r", 0, 1, ALGEBRAIC)],
+        rules=[RewriteRule("r", 2, {(): -15})],
+    )
+    x, d, r = (T.var(n) for n in ("x", "d", "r"))
+    assert sum_of_products(T, [(r, r), (T.const(15), T.one())]).is_zero()
+    total = sum_of_products(T, [(x * r, d * r), (x, d + r), (T.zero(), r)])
+    assert total == multiply_then_add(T, [(x * r, d * r), (x, d + r)]) == -14 * x * d + x * r
+    assert sum_of_products(T, []) == T.zero()
+
+
+def test_sum_of_products_refuses_a_second_table():
+    other = VariableTable([("x", 1, -1, GEOMETRIC)])
+    x, y = ALG_TABLE.var("x"), other.var("x")
+    # a zero factor from the other table is refused as well
+    for pairs in ([(x, y)], [(y, x)], [(x, x), (y, other.one())], [(x, other.zero())]):
+        with pytest.raises(TableMismatchError):
+            sum_of_products(ALG_TABLE, pairs)
+    with pytest.raises(TableMismatchError):
+        sum_of_products(other, [(x, x)])
 
 
 @given(polys, st.permutations(TABLE.names).map(lambda names: names[:2]))

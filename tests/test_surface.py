@@ -2,6 +2,7 @@
 
 import pytest
 
+from godeaux2 import surface
 from godeaux2.alpha import AlphaCase, SymPolyMatrix, make_table
 from godeaux2.rc import PAIRS
 from godeaux2.ring import MULTIPLIER, RingError, monomial_basis
@@ -163,6 +164,55 @@ def test_all_gm_membership_spot(run11):
     found = _all_gm(run11)
     assert membership_check([G for _, _, G in found], F) == [True] * 94
     assert len(found) == 94
+
+
+def _verdicts_by_substitution(gs, generators):
+    """The verdicts of one substitution per target: `solved` of the target's
+    class with each t_m set to the target's coefficient at m, and every other
+    t_m to zero."""
+    table = generators[0].table
+    geo = table.names[: table.geo_cut]
+    gradings = [F.grading() for F in generators]
+    solved = {}
+    verdicts = []
+    for g in gs:
+        if g.grading() not in solved:
+            solved[g.grading()] = surface._solve_class(*g.grading(), generators, gradings, geo)
+        s, targets = solved[g.grading()]
+        bindings = dict.fromkeys(targets.values(), table.zero())
+        bindings.update((targets[m], c) for m, c in g.coefficients_wrt(geo))
+        verdicts.append(s.substitute(bindings).is_zero())
+    return verdicts
+
+
+def test_membership_matches_one_substitution_per_target(run11):
+    F = list(low_degree(run11.equations).values())
+    gs = [G for _, _, G in _all_gm(run11)]
+    gs.append(gs[0] + outside_low_degree_ideal(run11, gs[0]))
+    want = [True] * 94 + [False]
+    assert _verdicts_by_substitution(gs, F) == want
+    assert membership_check(gs, F) == want
+    # d*y3 has no constant pivot, so its cofactor slot stays in `solved`, in
+    # the part free of target slots, and every verdict reads False
+    table = run11.table
+    x, y1, y3, d = (table.var(n) for n in ("x", "y1", "y3", "d"))
+    gens, gs = [y1, d * y3], [y1, y3, y1 + y3, d * y3, x * x * y1]
+    assert membership_check(gs, gens) == _verdicts_by_substitution(gs, gens) == [False] * 5
+
+
+def test_a_solved_class_not_linear_in_its_target_slots_raises(monkeypatch, run11):
+    table = run11.table
+    y1, y2 = table.var("y1"), table.var("y2")
+    solve = surface._solve_class
+
+    def with_a_square(*args):
+        solved, targets = solve(*args)
+        t = table.var(next(iter(targets.values())))
+        return solved + t * t, targets
+
+    monkeypatch.setattr(surface, "_solve_class", with_a_square)
+    with pytest.raises(SurfaceError, match="not linear in its target slots"):
+        membership_check([y1 * y2], [y1, y2])
 
 
 def _perturbed_class_representatives(run):

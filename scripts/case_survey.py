@@ -24,7 +24,7 @@ def survey() -> None:
             except EliminationError as err:
                 log = err.state.round_log
                 left = sorted(err.state.f, key=lambda p: len(p.terms))
-                print(f"alpha_{j} c={c}: |f|={len(err.system.f)} params={err.system.param_count}"
+                print(f"alpha_{j} c={c}: |f|={err.initial_f} params={err.param_count}"
                       f"  STALLED ({len(err.state.f)} residuals, "
                       f"{time.monotonic() - t0:.1f}s)")
                 idle_round = sum(r.stage == "A" for r in log)

@@ -74,8 +74,8 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     coefficients of f, and the check covers all `initial_f` of them and the
     flattening as well.  A run whose dependency log leaves one nonzero raises
     EliminationError and is not cached.  The driver's EliminationError (a
-    stall) propagates with the system, flattened again, attached as
-    `err.system`."""
+    stall) propagates with the system's two counts attached as
+    `err.initial_f` and `err.param_count`, next to the driver's `err.state`."""
     key = (j, c)
     if key in _CACHE:
         return _CACHE[key]
@@ -89,7 +89,7 @@ def run_pipeline(j: int, c: int) -> PipelineResult:
     try:
         state = driver(system.take_f(), alpha0.table.of_kind(MULTIPLIER), list(BORDER_PARAMS))
     except EliminationError as err:
-        err.system = extract_system(rc_residuals(betas, l0), case)
+        err.initial_f, err.param_count = initial_f, system.param_count
         raise
     resolved = resolve_dependencies(state.deps)
     l_final = {k: back_substitute(p, resolved) for k, p in l0.items()}

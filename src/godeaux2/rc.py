@@ -113,7 +113,8 @@ class RCSystem:
 
 
 def extract_system(residuals: dict, case: AlphaCase) -> RCSystem:
-    geo = case.geo4
+    """Flatten the residuals along `case.geo4`; a coefficient that still
+    holds a geometric variable (one of the other five) raises RCError."""
     table = None
     f = []
     seen_params = set()
@@ -122,10 +123,9 @@ def extract_system(residuals: dict, case: AlphaCase) -> RCSystem:
         if res.is_zero():
             continue
         table = res.table
-        geo_idx = {table.index[n] for n in geo}
-        for _, coeff in res.coefficients_wrt(geo):
+        for _, coeff in res.coefficients_wrt(case.geo4):
             support = coeff.support()
-            if support & geo_idx:
+            if not support.isdisjoint(range(table.geo_cut)):
                 raise RCError(
                     f"coefficient of residual {pair} involves a geometric variable"
                 )

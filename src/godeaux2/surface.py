@@ -16,9 +16,9 @@ coefficient polynomial; membership_check certifies that such coefficients lie
 in the ideal of the low-degree equations by exact cofactors over Q[moduli],
 found with the same constant-pivot elimination as the rank condition.  It
 takes all targets at once and runs one elimination per (weighted degree,
-sign) class: the cofactors of a generic target T = sum t_m m are solved once,
-linearly in the t_m, and each target costs one sum of its coefficients
-times the coefficients of the t_m in that solution.
+sign) class on the cofactors of a generic target T = sum t_m m, and
+certifies a target when the conditions that elimination leaves vanish at
+t_m := its coefficient at m, with the cofactor slots no pivot solved at 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Sequence
 
 from . import elim
 from .alpha import SymPolyMatrix
-from .elim import back_substitute, resolve_dependencies
 from .rc import PAIRS, rc_residuals
 from .ring import MULTIPLIER, Polynomial, RingError, generic_poly, sum_of_products
 
@@ -128,18 +127,16 @@ def membership_check(gs: Sequence[Polynomial], generators: Sequence[Polynomial])
     sign*sign(F_i) in the geometric variables, one multiplier slot of the
     table per monomial, in slot (descending lex) order; the class's generic
     target T = sum t_m m over the monomials of (deg, sign) takes the slots
-    after them, in the same order.  The coefficients of T - sum h_i F_i over the
-    geometric monomials are solved for the cofactor slots by one lin_elim,
-    whose pivots are integer constants, and one back substitution gives
-    `solved`, linear in the t_m (else SurfaceError), which is split once into
-    the coefficient of each t_m and the part free of them (the cofactor slots
-    that no constant pivot solved).  A target's verdict is
-    whether `solved` with each t_m set to g's coefficient at m, the sum of
-    those coefficients times the parts plus the free part, is zero: that
-    polynomial is exactly g - sum h_i(t := g) F_i, so True holds for every
-    value of the moduli.
-    False means it is not zero: g is not in the ideal over Q(moduli), or only
-    a non-constant pivot would show it is.  A class that needs more slots than
+    after them, in the same order.  One lin_elim solves the coefficients of
+    T - sum h_i F_i over the geometric monomials for the cofactor slots, by
+    integer constant pivots.  The conditions it leaves are linear in the t_m
+    (else SurfaceError); the cofactor slots no pivot solved are set to 0,
+    which drops each condition's part free of the t_m.  g is certified when
+    every condition vanishes at t_m := g's coefficient at m; the solved
+    slots then give cofactors over Q[moduli], so True holds for every value
+    of the moduli.  False means g is not in the ideal over Q(moduli), or
+    only a non-constant pivot would show it (d*y3 against (y1, d*y3): its
+    cofactor slot has coefficient d).  A class that needs more slots than
     the table has raises RingError.
     """
     if not generators:
@@ -154,24 +151,25 @@ def membership_check(gs: Sequence[Polynomial], generators: Sequence[Polynomial])
         classes.setdefault(grading, []).append(k)
     table = generators[0].table
     geo = table.names[: table.geo_cut]
-    one = table.one()
     verdicts = [False] * len(gs)
     for (deg, sign), members in classes.items():
-        solved, targets = _solve_class(deg, sign, generators, gradings[len(gs) :], geo)
-        parts = dict(solved.coefficients_wrt(targets.values()))
-        if any(len(slots) > 1 for slots in parts):
-            raise SurfaceError(f"the solved class ({deg}, {sign}) is not linear in its target slots")
-        free = parts.pop((), table.zero())
+        conditions, targets = _solve_class(deg, sign, generators, gradings[len(gs) :], geo)
+        splits = (c.coefficients_wrt(targets.values()) for c in conditions)
+        # a part with no target slot holds only unsolved cofactor slots, set to 0
+        rows = [[(slots, part) for slots, part in split if slots] for split in splits]
+        if any(len(slots) > 1 for row in rows for slots, _ in row):
+            raise SurfaceError(f"a condition of class ({deg}, {sign}) is not linear in its target slots")
         slot = {m: (table.index[name],) for m, name in targets.items()}
         for k in members:
-            pairs = [(c, parts[slot[m]]) for m, c in gs[k].coefficients_wrt(geo) if slot[m] in parts]
-            verdicts[k] = sum_of_products(table, [(one, free)] + pairs).is_zero()
+            g = {slot[m]: c for m, c in gs[k].coefficients_wrt(geo)}
+            sums = (sum_of_products(table, [(g[t], part) for t, part in row if t in g]) for row in rows)
+            verdicts[k] = all(s.is_zero() for s in sums)
     return verdicts
 
 
 def _solve_class(deg: int, sign: int, generators, generator_gradings, geo) -> tuple:
-    """(T - sum h_i F_i with the cofactor slots solved, {geometric monomial m:
-    the name of its target slot t_m}) for one (degree, sign) class."""
+    """(the conditions one lin_elim leaves of T - sum h_i F_i = 0, {geometric
+    monomial m: the name of its target slot t_m}) for one (degree, sign) class."""
     table = generators[0].table
     pool = table.of_kind(MULTIPLIER)
     names = iter(pool)
@@ -182,7 +180,7 @@ def _solve_class(deg: int, sign: int, generators, generator_gradings, geo) -> tu
     f = [c for _, c in residual.coefficients_wrt(geo)]
     # looked up on elim at call time, so that a wrapper installed on
     # elim.lin_elim (perfbench/tracing.py) also sees this call
-    deps = elim.lin_elim(f, [True] * len(f), unknowns, len(unknowns))[2] if unknowns else []
+    conditions = elim.lin_elim(f, [True] * len(f), unknowns, len(unknowns))[0] if unknowns else f
     # each term of T is t_m*m, and t_m's index is above every geometric one
     targets = {tm[:-1]: table.names[tm[-1]] for tm in T.terms}
-    return back_substitute(residual, resolve_dependencies(deps)), targets
+    return conditions, targets

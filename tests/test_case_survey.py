@@ -12,7 +12,11 @@ SOLVED = {
     (3, 1): "|f|=692 params=393  solved",
     (3, 0): "|f|=596 params=144  solved",
 }
-STALLED = {(1, 0): 11, (2, 1): 13}  # (j, c) -> its idle round
+# (j, c) -> the start of its line, up to the residual count, and its idle round
+STALLED = {
+    (1, 0): ("|f|=850 params=394  STALLED (73 residuals", 11),
+    (2, 1): ("|f|=804 params=394  STALLED (155 residuals", 13),
+}
 
 
 def test_survey_prints_one_line_per_case(capsys):
@@ -27,7 +31,7 @@ def test_survey_prints_one_line_per_case(capsys):
     assert sorted(heads) == sorted(f"alpha_{j} c={c}" for j in (1, 2, 3) for c in (0, 1))
     for (j, c), start in SOLVED.items():
         assert heads[f"alpha_{j} c={c}"][1].startswith(start)
-    for (j, c), idle_round in STALLED.items():
+    for (j, c), (start, idle_round) in STALLED.items():
         k, rest = heads[f"alpha_{j} c={c}"]
-        assert "  STALLED (" in rest
+        assert rest.startswith(start)
         assert lines[k + 1].startswith(f"    fixpoint at idle round {idle_round}: [")

@@ -508,15 +508,25 @@ def test_driver_round_logs_are_pinned(j, c):
     assert [(r.stage, r.n, r.eliminated, r.f_size, r.f_terms) for r in log] == ROUND_LOGS[j, c]
 
 
-def test_run_pipeline_stall_carries_the_system_and_the_state():
-    """(1,0) stalls; the error carries the flattened system and the driver's
-    last state, which scripts/case_survey.py reports."""
+def test_run_pipeline_stall_carries_the_system_and_the_state(monkeypatch):
+    """(1,0) stalls; the error carries the flattened system's counts and the
+    driver's last state, which scripts/case_survey.py reports.  The system
+    is flattened once."""
+    from godeaux2 import pipeline
     from godeaux2.elim import EliminationError
-    from godeaux2.pipeline import run_pipeline
 
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extract(*args)
+
+    extract = pipeline.extract_system
+    monkeypatch.setattr(pipeline, "extract_system", counted)
     with pytest.raises(EliminationError) as err:
-        run_pipeline(1, 0)
-    assert len(err.value.system.f) == 850 and err.value.system.param_count == 394
+        pipeline.run_pipeline(1, 0)
+    assert len(calls) == 1
+    assert err.value.initial_f == 850 and err.value.param_count == 394
     left = err.value.state.f
     assert len(left) == 73
     T = left[0].table

@@ -12,6 +12,7 @@ from godeaux2.rc import (
     RCError,
     build_l_ansatz,
     cofactor_grading,
+    extract_system,
     multiplier_grading,
     rc_residuals,
 )
@@ -143,6 +144,15 @@ def test_extraction_commutes_with_specialization(rc11):
         for m, c in specialized.coefficients_wrt(case.geo4)
     )
     assert {m: c for m, c in direct.items() if c} == recomputed
+
+
+def test_a_coefficient_holding_a_geometric_variable_raises():
+    # z1 is geometric but not one of the four variables f is split along
+    table = alpha.make_table(AlphaCase(1, 1))
+    x, z1, b1 = table.var("x"), table.var("z1"), table.var("b1")
+    with pytest.raises(RCError, match=r"^coefficient of residual \(2, 2\) involves a geometric variable$"):
+        extract_system({(2, 2): x * b1 + z1}, AlphaCase(1, 1))
+    assert extract_system({(2, 2): x * b1 + b1 * b1}, AlphaCase(1, 1)).f == [b1, b1 * b1]
 
 
 def test_l_lives_on_four_variables(rc11):

@@ -167,9 +167,10 @@ def test_all_gm_membership_spot(run11):
 
 
 def _verdicts_by_substitution(gs, generators):
-    """The verdicts of one substitution per target: `solved` of the target's
-    class with each t_m set to the target's coefficient at m, and every other
-    t_m to zero."""
+    """The verdicts of one substitution per target and condition: each
+    condition of the target's class with each t_m set to the target's
+    coefficient at m, and every other slot (the other t_m and the cofactor
+    slots no pivot solved) to zero."""
     table = generators[0].table
     geo = table.names[: table.geo_cut]
     gradings = [F.grading() for F in generators]
@@ -178,10 +179,11 @@ def _verdicts_by_substitution(gs, generators):
     for g in gs:
         if g.grading() not in solved:
             solved[g.grading()] = surface._solve_class(*g.grading(), generators, gradings, geo)
-        s, targets = solved[g.grading()]
-        bindings = dict.fromkeys(targets.values(), table.zero())
+        conditions, targets = solved[g.grading()]
+        slots = {name for c in conditions for name in c.multipliers()}
+        bindings = dict.fromkeys(slots, table.zero())
         bindings.update((targets[m], c) for m, c in g.coefficients_wrt(geo))
-        verdicts.append(s.substitute(bindings).is_zero())
+        verdicts.append(all(c.substitute(bindings).is_zero() for c in conditions))
     return verdicts
 
 
@@ -192,12 +194,16 @@ def test_membership_matches_one_substitution_per_target(run11):
     want = [True] * 94 + [False]
     assert _verdicts_by_substitution(gs, F) == want
     assert membership_check(gs, F) == want
-    # d*y3 has no constant pivot, so its cofactor slot stays in `solved`, in
-    # the part free of target slots, and every verdict reads False
+    # d*y3's cofactor slot has the coefficient d, so no pivot solves it and it
+    # stays in a condition, at zero: y1 and x^2*y1 are certified, while y3 and
+    # d*y3 would need a division by d, and y1 + y3 holds y3
     table = run11.table
     x, y1, y3, d = (table.var(n) for n in ("x", "y1", "y3", "d"))
     gens, gs = [y1, d * y3], [y1, y3, y1 + y3, d * y3, x * x * y1]
-    assert membership_check(gs, gens) == _verdicts_by_substitution(gs, gens) == [False] * 5
+    assert membership_check(gs, gens) == _verdicts_by_substitution(gs, gens) == [True, False, False, False, True]
+    geo = table.names[: table.geo_cut]
+    conditions, targets = surface._solve_class(*y1.grading(), gens, [F.grading() for F in gens], geo)
+    assert any(c.multipliers() - set(targets.values()) for c in conditions)
 
 
 def test_a_solved_class_not_linear_in_its_target_slots_raises(monkeypatch, run11):
@@ -206,9 +212,9 @@ def test_a_solved_class_not_linear_in_its_target_slots_raises(monkeypatch, run11
     solve = surface._solve_class
 
     def with_a_square(*args):
-        solved, targets = solve(*args)
+        conditions, targets = solve(*args)
         t = table.var(next(iter(targets.values())))
-        return solved + t * t, targets
+        return conditions[:-1] + [conditions[-1] + t * t], targets
 
     monkeypatch.setattr(surface, "_solve_class", with_a_square)
     with pytest.raises(SurfaceError, match="not linear in its target slots"):

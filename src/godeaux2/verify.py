@@ -658,12 +658,12 @@ def verify_alpha2_basepoint() -> str:
 def verify_r_removal() -> str:
     """Every r-coefficient lies in the ideal of the five low-degree relations,
     certified by exact cofactors over Q[moduli]: one surface.membership_check
-    call takes all of them, solves one elimination per (degree, sign) class
-    and forms one sum of products per coefficient.  The first coefficient not
-    certified, in r order, is the witness.  That those relations are r-free
-    is asserted by remove_r inside run_pipeline, whose SurfaceError the check
-    runner reports as a failure; remove_r returns them unchanged, so they are
-    read from the final equations."""
+    call takes all of them, and certifies one when the conditions its class's
+    one elimination leaves vanish at it, with unsolved cofactor slots at 0.
+    The first coefficient not certified, in r order, is the witness.  That
+    those relations are r-free is asserted by remove_r inside run_pipeline,
+    whose SurfaceError the check runner reports as a failure; remove_r
+    returns them unchanged, so they are read from the final equations."""
     run = run_pipeline(1, 1)
     F = list(low_degree(run.equations).values())
     found = [

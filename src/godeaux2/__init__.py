@@ -9,7 +9,6 @@ construction rests on.
 
 from .alpha import AlphaCase, SymPolyMatrix, build_ansatz, make_table
 from .pipeline import PipelineResult, run_pipeline, write_artifacts
-from .verify import CheckReport, all_checks
 
 __version__ = "0.1.0"
 
@@ -25,3 +24,14 @@ __all__ = [
     "all_checks",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """`CheckReport` and `all_checks` are read from `verify`, which is
+    imported on first use: importing the package, or running a derivation,
+    does not load the verification suite."""
+    if name in ("CheckReport", "all_checks"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,6 @@ from `generic_border` and `central_block`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ring import (
@@ -80,16 +79,16 @@ def entry_grading(i: int, j: int) -> tuple:
     return ROW_WEIGHTS[i - 1] + ROW_WEIGHTS[j - 1], -ROW_SIGNS[i - 1] * ROW_SIGNS[j - 1]
 
 
-@dataclass(frozen=True)
 class AlphaCase:
     """A member (j, c) of the three-by-two family of matrix shapes."""
 
     j: int
     c: int
 
-    def __post_init__(self):
-        if self.j not in (1, 2, 3) or self.c not in (0, 1):
-            raise ValueError(f"invalid case (j={self.j}, c={self.c})")
+    def __init__(self, j: int, c: int):
+        if j not in (1, 2, 3) or c not in (0, 1):
+            raise ValueError(f"invalid case (j={j}, c={c})")
+        self.j, self.c = j, c
 
     @property
     def w_name(self) -> str:

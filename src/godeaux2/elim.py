@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 import resource
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import contains
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ring import Polynomial, RingError, mono_div
 
@@ -41,14 +40,12 @@ class EliminationError(RingError):
     pass
 
 
-@dataclass(frozen=True)
-class Dependency:
+class Dependency(NamedTuple):
     var: str
     expr: Polynomial  # free of var; may involve later-eliminated variables
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(NamedTuple):
     stage: str
     n: int
     eliminated: int
@@ -62,11 +59,13 @@ def _peak_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-@dataclass
 class EliminationState:
     f: list
-    deps: list = field(default_factory=list)
-    round_log: list = field(default_factory=list)
+    deps: list
+    round_log: list
+
+    def __init__(self, f: list):
+        self.f, self.deps, self.round_log = f, [], []
 
 
 def strip_content_var(p: Polynomial, vi: int) -> Polynomial:

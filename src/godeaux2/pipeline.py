@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import resource
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .alpha import BORDER_PARAMS, AlphaCase, SymPolyMatrix, build_ansatz
@@ -28,7 +27,6 @@ from .ring import INVERTIBLE, MULTIPLIER, Polynomial, exponents
 from .surface import collect_Gm, generate_equations, remove_r
 
 
-@dataclass
 class PipelineResult:
     """One derived family.  `l_final` maps (i, j, k) to the solved multiplier
     l_ij^k, `equations` maps each label (vv_22..vv_66, row_1..row_6) to its
@@ -54,6 +52,16 @@ class PipelineResult:
     gbd_survivors: list
     wall_time: float
     peak_kb: int
+
+    def __init__(
+        self, *, case, table, params, initial_f, param_names, elim, alpha_final,
+        l_final, equations, gm, gbd_survivors, wall_time, peak_kb,
+    ):
+        self.case, self.table, self.params = case, table, params
+        self.initial_f, self.param_names, self.elim = initial_f, param_names, elim
+        self.alpha_final, self.l_final, self.equations = alpha_final, l_final, equations
+        self.gm, self.gbd_survivors = gm, gbd_survivors
+        self.wall_time, self.peak_kb = wall_time, peak_kb
 
 
 _CACHE: dict = {}

@@ -18,8 +18,6 @@ surface (`surface.generate_equations`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .alpha import ROW_WEIGHTS, UPPER, AlphaCase, SymPolyMatrix, adjugate, entry_grading
 from .ring import MULTIPLIER, RingError, VariableTable, generic_poly, sum_of_products
 
@@ -88,7 +86,6 @@ def rc_residuals(cofactors: dict, multipliers: dict) -> dict:
     }
 
 
-@dataclass
 class RCSystem:
     """The flattened coefficient system.
 
@@ -100,6 +97,9 @@ class RCSystem:
 
     f: list
     param_names: list  # distinct parameters occurring in f, table order
+
+    def __init__(self, f: list, param_names: list):
+        self.f, self.param_names = f, param_names
 
     @property
     def param_count(self) -> int:

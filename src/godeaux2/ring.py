@@ -54,12 +54,11 @@ term order and renders parameters as trailing coefficients in text output.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, filterfalse
 from numbers import Number
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Mono = tuple  # tuple[int, ...]: variable indices, non-decreasing, with repeats
 Coeff = Union[int, Fraction]
@@ -209,8 +208,7 @@ def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
 # variable tables
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """Power rewrite v^power -> replacement, free of every algebraic variable.
 
     The replacement is given name-based as {((name, exp), ...): coeff} so rules

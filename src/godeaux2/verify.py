@@ -20,10 +20,9 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .alpha import (
     UPPER,
@@ -49,17 +48,17 @@ from .elim import lin_elim, resolve_dependencies  # noqa: F401
 from .rc import build_l_ansatz, extract_system  # noqa: F401
 
 
-@dataclass
 class CheckReport:
     name: str
     status: str  # pass / fail / skipped
-    witness: Optional[str] = None
-    timing: float = 0.0
-    note: str = ""
+    witness: Optional[str]
+    timing: float
+    note: str
 
-    def __post_init__(self):
-        if (self.status == "fail") != (self.witness is not None):
+    def __init__(self, name, status, witness=None, timing=0.0, note=""):
+        if (status == "fail") != (witness is not None):
             raise ValueError("fail status and witness must appear together")
+        self.name, self.status, self.witness, self.timing, self.note = name, status, witness, timing, note
 
 
 class CheckFailed(Exception):
@@ -808,8 +807,7 @@ def verify_closed_form_rc() -> str:
 # the two special surfaces
 
 
-@dataclass(frozen=True)
-class SpecialSurface:
+class SpecialSurface(NamedTuple):
     """A known surface located inside the (alpha_1, c=1) family.
 
     BY: the quotient of the Cartwright-Steger surface (rational moduli).

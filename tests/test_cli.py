@@ -1,15 +1,22 @@
 """CLI behavior: artifacts, determinism, exit codes, negative controls."""
 
 import argparse
+import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from godeaux2 import cli, verify
 from godeaux2.cli import main
 from godeaux2.pipeline import write_artifacts
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_pipeline_writes_artifacts(tmp_path, run11):
@@ -209,3 +216,44 @@ def test_pipeline_honest_stall_case(tmp_path):
         dump = out / "residual_f.txt"
         assert len(dump.read_text().splitlines()) == lines
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+def test_a_derivation_loads_neither_the_verification_suite_nor_dataclasses():
+    # `godeaux2 pipeline` imports cli and pipeline only; verify, and the
+    # dataclasses module with the inspect module it pulls in, load on the
+    # first verify command
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from godeaux2 import cli, pipeline\n"
+        "unwanted = {'godeaux2.verify', 'dataclasses', 'inspect'}\n"
+        "print(sorted(unwanted & (set(sys.modules) - before)))\n"
+        "print(callable(vars(cli)['all_checks']), callable(vars(cli)['_golden_file_check']))\n"
+        "print(cli.main(['verify', '--check', 'scaling']))\n"
+        "import godeaux2\n"
+        "print(godeaux2.all_checks is sys.modules['godeaux2.verify'].all_checks)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1] == "True True"
+    assert lines[2].startswith("scaling ") and lines[2].split()[1] == "pass"
+    assert lines[3:] == ["0", "True"]
+
+
+def test_no_src_module_imports_dataclasses():
+    importers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(path.name)
+    assert importers == []

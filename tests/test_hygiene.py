@@ -5,11 +5,13 @@ listed in the module's `__all__` counts as used; an import line marked
 `# noqa: F401` is kept on purpose (the line's comment says why).
 
 Every function, class and method defined under src, dunders aside, is read
-by name somewhere in src or scripts, and so is every field of a dataclass
-under src, as an attribute, and every module-level constant assigned under
-src.  A definition only the tests read is test-only API and goes, and so does
-a field or a constant that is written and never read.  A function decorated
-by a call to `check` is read by the check registry it is registered in."""
+by name somewhere in src or in a script (`scripts/` and the benchmark's
+`perfbench/*.py`), and so is every field a src class declares by annotation
+in its body (a NamedTuple's or a plain record's), as an attribute, and every
+module-level constant assigned under src.  A definition only the tests read
+is test-only API and goes, and so does a field or a constant that is written
+and never read.  A function decorated by a call to `check` is read by the
+check registry it is registered in."""
 
 import ast
 from pathlib import Path
@@ -18,6 +20,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+
+
+def src_and_scripts() -> tuple:
+    """({path: text} of every src module, [text of every script]): the
+    definitions to scan and the other sources that may read them."""
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    scripts = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return defining, [p.read_text() for p in scripts]
 
 
 def unused_imports(source: str) -> list:
@@ -137,26 +147,21 @@ def test_definition_scanner_flags_what_nothing_reads():
 
 
 def test_every_src_definition_is_read_by_src_or_scripts():
-    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
-    others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
-    assert unreferenced_definitions(defining, others) == []
+    assert unreferenced_definitions(*src_and_scripts()) == []
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(_decorator_name(dec) == "dataclass" for dec in node.decorator_list)
-
-
-def unread_dataclass_fields(defining: dict, others=()) -> list:
-    """(label, class, field) of every field of a dataclass of the `defining`
-    sources ({label: text}) that no source, of those or of the `others`
-    texts, reads as an attribute."""
+def unread_record_fields(defining: dict, others=()) -> list:
+    """(label, class, field) of every field that a class of the `defining`
+    sources ({label: text}) declares by annotation in its body, whatever
+    the class's base or decorator, that no source, of those or of the
+    `others` texts, reads as an attribute."""
     read = set()
     found = []
     for label, text in [*defining.items(), *((None, t) for t in others)]:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif label is not None and isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            elif label is not None and isinstance(node, ast.ClassDef):
                 found += [
                     (label, node.name, stmt.target.id)
                     for stmt in node.body
@@ -177,24 +182,34 @@ def test_field_scanner_flags_a_field_that_is_only_written():
             "@dataclasses.dataclass\n"
             "class B:\n"
             "    other: int\n"
-            "class NotData:\n"
-            "    ignored: int\n"
+            "class T(NamedTuple):\n"
+            "    tkept: int\n"
+            "    tunpacked: int = 0\n"
+            "class P:\n"
+            "    pkept: int\n"
+            "    pwritten: int\n"
+            "    def __init__(self, pkept, pwritten):\n"
+            "        self.pkept, self.pwritten = pkept, pwritten\n"
+            "    def __repr__(self):\n"
+            "        local: int = self.pkept\n"
+            "        return str(local)\n"
             "a = A(1, 2)\n"
             "a.written = 3\n"
+            "first, tunpacked = T(1, 2)\n"
         ),
     }
-    others = ["print(a.kept, unread, other)\n"]
-    assert unread_dataclass_fields(defining, others) == [
+    others = ["print(a.kept, unread, other, T(1).tkept, P(1, 2).pkept)\n"]
+    assert unread_record_fields(defining, others) == [
         ("m.py", "A", "unread"),
         ("m.py", "A", "written"),
         ("m.py", "B", "other"),
+        ("m.py", "P", "pwritten"),
+        ("m.py", "T", "tunpacked"),
     ]
 
 
-def test_every_src_dataclass_field_is_read_by_src_or_scripts():
-    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
-    others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
-    assert unread_dataclass_fields(defining, others) == []
+def test_every_src_record_field_is_read_by_src_or_scripts():
+    assert unread_record_fields(*src_and_scripts()) == []
 
 
 def _assigned_names(stmt) -> list:
@@ -254,6 +269,4 @@ def test_constant_scanner_flags_a_constant_nothing_reads():
 
 
 def test_every_src_constant_is_read_by_src_or_scripts():
-    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
-    others = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
-    assert unread_module_constants(defining, others) == []
+    assert unread_module_constants(*src_and_scripts()) == []

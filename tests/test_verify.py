@@ -1,6 +1,6 @@
 """Tests for the verification checks, including the negative controls."""
 
-import dataclasses
+import copy
 import os
 import re
 import subprocess
@@ -234,13 +234,22 @@ def _feed_run(monkeypatch, run):
     monkeypatch.setattr(verify, "run_pipeline", lambda *args, **kwargs: run)
 
 
+def _replaced(run, **fields):
+    """A copy of `run` with `fields` replaced; `run` itself, which the
+    pipeline cache holds, is left as it is."""
+    assert fields.keys() <= vars(run).keys()
+    out = copy.copy(run)
+    vars(out).update(fields)
+    return out
+
+
 def test_r_removal_fails_on_a_perturbed_coefficient(monkeypatch, run11):
     # negative control: the last coefficient, moved out of the ideal
     rname = max(run11.gm, key=lambda n: run11.table.index[n])
     gm = {k: list(v) for k, v in run11.gm.items()}
     label, G = gm[rname][-1]
     gm[rname][-1] = (label, G + outside_low_degree_ideal(run11, G))
-    _feed_run(monkeypatch, dataclasses.replace(run11, gm=gm))
+    _feed_run(monkeypatch, _replaced(run11, gm=gm))
     rep = verify_r_removal()
     assert rep.status == "fail"
     assert rep.witness == f"G[{rname}] in {label} is not in the ideal"
@@ -257,7 +266,7 @@ def test_central_minors(monkeypatch, run11):
     # negative control: a perturbed central entry breaks the divisibility
     rows = [list(r) for r in run11.alpha_final.rows]
     rows[1][1] = rows[1][1] + run11.table.var("y1")
-    _feed_run(monkeypatch, dataclasses.replace(run11, alpha_final=SymPolyMatrix(rows)))
+    _feed_run(monkeypatch, _replaced(run11, alpha_final=SymPolyMatrix(rows)))
     rep = verify_central_minors()
     assert rep.status == "fail"
     assert rep.witness == "3x3 minor complementary to (2,2) not divisible by the conic"
@@ -294,7 +303,7 @@ def test_closed_form_rc_fails_on_a_perturbed_multiplier(monkeypatch, run11):
     table = run11.table
     l_final = dict(run11.l_final)
     l_final[(2, 2, 6)] = l_final[(2, 2, 6)] + table.var("b12") * table.var("y3")
-    _feed_run(monkeypatch, dataclasses.replace(run11, l_final=l_final))
+    _feed_run(monkeypatch, _replaced(run11, l_final=l_final))
     rep = verify_closed_form_rc()
     assert rep.status == "fail"
     assert rep.witness == "residual (2,2) does not vanish"
